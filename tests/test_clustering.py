@@ -1,10 +1,16 @@
 """Density clustering versus a quadratic reference, plus the background filter."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack.clustering import Cluster, DbscanParams, dbscan, filter_background
 from beamtrack.errors import ValidationError
+from beamtrack.world import build_scenario, default_config
 
 from oracles import dbscan_reference
 
@@ -20,6 +26,20 @@ def _blob(rng, center, count, spread=0.05):
     pts3 = np.asarray(center) + rng.normal(0.0, spread, size=(count, 3))
     doppler = rng.normal(0.0, 1.0, size=count)
     return np.column_stack([pts3, doppler])
+
+
+def _assert_matches_reference(pts, eps, min_pts):
+    ref_labels, ref_count = dbscan_reference(pts, eps, min_pts)
+    clusters, noise = dbscan(pts, DbscanParams(eps_m=eps, min_pts=min_pts))
+    assert len(clusters) == ref_count
+    assert np.array_equal(_labels_of(clusters, noise, len(pts)), ref_labels)
+    assert noise == np.flatnonzero(ref_labels == -1).tolist()
+
+
+def _frame(config, k):
+    scenario = build_scenario(config)
+    per = int(round(config.radar_rate_hz * config.frame_time_s))
+    return scenario.sample_point_cloud((k + 1) * per - 1).points
 
 
 def test_two_blobs_and_noise():
@@ -102,11 +122,106 @@ def test_matches_quadratic_reference_on_random_clouds():
         pts = pts[rng.permutation(len(pts))]
         eps = float(rng.uniform(0.15, 0.5))
         min_pts = int(rng.integers(1, 10))
-        ref_labels, ref_count = dbscan_reference(pts, eps, min_pts)
-        clusters, noise = dbscan(pts, DbscanParams(eps_m=eps, min_pts=min_pts))
-        assert len(clusters) == ref_count
-        assert np.array_equal(_labels_of(clusters, noise, len(pts)), ref_labels)
-        assert noise == np.flatnonzero(ref_labels == -1).tolist()
+        _assert_matches_reference(pts, eps, min_pts)
+
+
+def test_cores_one_ulp_beyond_eps_in_one_cell_stay_apart():
+    # x is the float just below eps/sqrt(3): both groups fall in one cell of
+    # side eps/sqrt(3), yet the float distance between them exceeds eps
+    eps = 0.8504306583014237
+    x = 0.49099636949743763
+    pts3 = np.array([[0.0, 0.0, 0.0]] * 3 + [[x, x, x]] * 3)
+    pts = np.column_stack([pts3, np.zeros(6)])
+    clusters, noise = dbscan(pts, DbscanParams(eps_m=eps, min_pts=3))
+    assert [c.member_indices for c in clusters] == [[0, 1, 2], [3, 4, 5]]
+    assert noise == []
+    _assert_matches_reference(pts, eps, 3)
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.3, 0.5, 1.1])
+def test_ties_at_eps_follow_the_reference(eps):
+    # (c, c, c) with c = eps/sqrt(3) lies at float distance eps from the origin
+    # up to the last ulp: at 0.25, 0.5 and 1.1 its squared distance exceeds
+    # fl(eps**2) while its square root still rounds to eps
+    c = eps / math.sqrt(3.0)
+    pts3 = np.array([[0.0, 0.0, 0.0]] * 3 + [[c, c, c]] * 3)
+    pts = np.column_stack([pts3, np.zeros(len(pts3))])
+    for min_pts in (3, 4):
+        _assert_matches_reference(pts, eps, min_pts)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_non_finite_rows_are_noise(bad, seed):
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([_blob(rng, (0.0, 0.0, 1.0), 30), _blob(rng, (1.0, 0.0, 1.0), 20)])
+    pts = pts[rng.permutation(len(pts))]
+    rows = rng.choice(len(pts), 6, replace=False)
+    pts[rows, rng.integers(0, 3, size=6)] = bad
+    clusters, noise = dbscan(pts, DbscanParams(eps_m=0.3, min_pts=5))
+    assert set(rows.tolist()) <= set(noise)
+    _assert_matches_reference(pts, 0.3, 5)
+
+
+def test_all_non_finite_cloud_is_noise():
+    pts = np.array([[np.nan, 0.0, 0.0, 1.0], [0.0, np.inf, 0.0, 1.0], [0.0, 0.0, -np.inf, 1.0]])
+    assert dbscan(pts, DbscanParams(eps_m=0.3, min_pts=1)) == ([], [0, 1, 2])
+
+
+def test_nan_row_in_a_demo_frame_is_noise_and_changes_nothing_else():
+    pts = _frame(default_config(0), 10)
+    params = DbscanParams()
+    clusters, noise = dbscan(pts, params)
+    assert clusters
+    with_nan = np.vstack([pts, [[np.nan, np.nan, np.nan, 0.0]]])
+    clusters_nan, noise_nan = dbscan(with_nan, params)
+    assert [c.member_indices for c in clusters_nan] == [c.member_indices for c in clusters]
+    assert noise_nan == noise + [len(pts)]
+
+
+def test_cores_far_apart_in_every_axis():
+    # a linear cell index over the cores' bounding box would overflow 64 bits
+    rng = np.random.default_rng(8)
+    pts = np.vstack(
+        [_blob(rng, (0.0, 0.0, 0.0), 12), _blob(rng, (2e6, -3e6, 4e6), 12), _blob(rng, (-2e6, 1e6, 3e6), 12)]
+    )
+    _assert_matches_reference(pts, 0.3, 5)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_matches_quadratic_reference_on_simulated_frames(seed):
+    # dense body blobs plus static clutter desks, about 600 points per frame
+    config = dataclasses.replace(default_config(seed), points_per_client_per_frame=200)
+    params = DbscanParams()
+    for k in (0, 11, 23, 35):
+        _assert_matches_reference(_frame(config, k), params.eps_m, params.min_pts)
+
+
+_EPS = st.sampled_from([0.25, 0.3, 0.5, 0.8504306583014237, 1.1]) | st.floats(0.05, 2.0)
+
+
+@st.composite
+def _grid_clouds(draw):
+    # coordinates on multiples of eps/2, eps/sqrt(3) or eps per axis reach
+    # distances of exactly eps and points on cell boundaries; duplicates reach
+    # shared cells
+    eps = draw(_EPS)
+    steps = draw(st.tuples(*[st.sampled_from([eps / 2, eps / math.sqrt(3.0), eps])] * 3))
+    cell = st.tuples(*[st.integers(-3, 3)] * 3)
+    rows = draw(st.lists(cell, min_size=1, max_size=30))
+    copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    pts3 = np.array(rows + [rows[i] for i in copies]) * np.array(steps)
+    order = draw(st.permutations(range(len(pts3))))
+    pts = np.column_stack([pts3[list(order)], np.zeros(len(pts3))])
+    return pts, eps, draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_clouds())
+def test_matches_quadratic_reference_on_grid_clouds(cloud):
+    pts, eps, min_pts = cloud
+    _assert_matches_reference(pts, eps, min_pts)
 
 
 def test_filter_background_drops_all_static_clusters():
