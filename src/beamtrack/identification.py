@@ -50,7 +50,8 @@ def identify_clients(
     Searches ordered pairs of distinct cluster labels minimizing
     ||v_cluster(i) - v_client(0)|| + ||v_cluster(j) - v_client(1)||; ties go to
     the lexicographically lowest label pair. Raises IdentificationError when
-    fewer than two clusters carry a velocity.
+    fewer than two clusters carry a velocity, when a velocity is not finite,
+    or when no pair has a finite cost.
     """
     if len(client_velocities) != 2:
         raise ValueError(f"expected exactly 2 client velocities, got {len(client_velocities)}")
@@ -64,6 +65,12 @@ def identify_clients(
     )
     v0 = np.asarray(client_velocities[0], dtype=float)
     v1 = np.asarray(client_velocities[1], dtype=float)
+    for cid, v in enumerate((v0, v1)):
+        if not np.isfinite(v).all():
+            raise IdentificationError(f"client {cid} velocity is not finite: {v.tolist()}")
+    for label, v in entries:
+        if not np.isfinite(v).all():
+            raise IdentificationError(f"cluster {label} velocity is not finite: {v.tolist()}")
 
     best_pair: tuple[int, int] | None = None
     best_cost = np.inf
@@ -76,7 +83,8 @@ def identify_clients(
             if cost < best_cost:  # strict: first hit wins ties, labels ascend
                 best_cost = cost
                 best_pair = (label_i, label_j)
-    assert best_pair is not None
+    if best_pair is None:  # finite velocities whose distances overflow
+        raise IdentificationError("no cluster pair has a finite velocity mismatch")
     return (
         ClientBinding(client_id=0, cluster_label=best_pair[0], bound_at_frame=frame_index),
         ClientBinding(client_id=1, cluster_label=best_pair[1], bound_at_frame=frame_index),

@@ -69,25 +69,46 @@ def calibrate(rest_samples: list[ImuSample]) -> CalibrationProfile:
 def integrate_velocity(
     v_prev: np.ndarray, a_prev: np.ndarray, a_curr: np.ndarray, t: float
 ) -> np.ndarray:
-    """Trapezoidal velocity update: v + t * (a_prev + a_curr) / 2."""
+    """Trapezoidal velocity update of (3,) vectors: v + t * (a_prev + a_curr) / 2."""
     if t < 0:
         raise ValueError(f"integration interval must be >= 0, got {t}")
-    return np.asarray(v_prev, dtype=float) + t * (
-        np.asarray(a_prev, dtype=float) + np.asarray(a_curr, dtype=float)
-    ) / 2.0
+    vx, vy, vz = np.asarray(v_prev, dtype=float).tolist()
+    px, py, pz = np.asarray(a_prev, dtype=float).tolist()
+    cx, cy, cz = np.asarray(a_curr, dtype=float).tolist()
+    return np.array(
+        [vx + t * (px + cx) / 2.0, vy + t * (py + cy) / 2.0, vz + t * (pz + cz) / 2.0]
+    )
+
+
+def _qmul(w1, x1, y1, z1, w2, x2, y2, z2) -> tuple:
+    """Hamilton product of two quaternions given by their components."""
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _rotate(w, x, y, z, vx, vy, vz) -> tuple:
+    """Vector part of q * (0, v) * conj(q) for q = (w, x, y, z)."""
+    pw, px, py, pz = _qmul(w, x, y, z, 0.0, vx, vy, vz)
+    return _qmul(pw, px, py, pz, w, -x, -y, -z)[1:]
+
+
+def _unit_norm(q: np.ndarray) -> float:
+    """sqrt(q . q) exactly as np.linalg.norm computes it for a 1-D float array.
+
+    Orientation renormalisation divides by this value, so its last bit reaches
+    the frame log. numpy's dot is a BLAS ddot, which OpenBLAS runs as a chain of
+    fused multiply-adds; sqrt(w*w + x*x + y*y + z*z) in Python floats rounds
+    differently on about 12% of random quaternions.
+    """
+    return math.sqrt(q.dot(q))
 
 
 def quat_multiply(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = q
-    w2, x2, y2, z2 = r
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
+    return np.array(_qmul(*q, *r))
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -99,15 +120,23 @@ def quat_from_yaw(yaw_rad: float) -> np.ndarray:
 
 
 def yaw_from_quat(q: np.ndarray) -> float:
-    w, x, y, z = q
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
     return math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
 
 
 def rotate_by_quat(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vector v by quaternion q (body -> global for an orientation q)."""
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    out = quat_multiply(quat_multiply(q, qv), quat_conjugate(q))
-    return out[1:]
+    return np.array(
+        _rotate(*np.asarray(q, dtype=float).tolist(), *np.asarray(v, dtype=float).tolist())
+    )
+
+
+def _to_global(v_body: np.ndarray, orientation: np.ndarray) -> tuple:
+    q = np.asarray(orientation, dtype=float)
+    norm = _unit_norm(q)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"orientation quaternion norm {norm:.8f} is not 1 within 1e-6")
+    return _rotate(*q.tolist(), *np.asarray(v_body, dtype=float).tolist())
 
 
 def to_global_frame(v_body: np.ndarray, orientation: np.ndarray) -> np.ndarray:
@@ -115,17 +144,13 @@ def to_global_frame(v_body: np.ndarray, orientation: np.ndarray) -> np.ndarray:
 
     Raises ValueError if the quaternion is not unit length to within 1e-6.
     """
-    q = np.asarray(orientation, dtype=float)
-    norm = np.linalg.norm(q)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"orientation quaternion norm {norm:.8f} is not 1 within 1e-6")
-    return rotate_by_quat(q, np.asarray(v_body, dtype=float))
+    return np.array(_to_global(v_body, orientation))
 
 
 def gravity_compensate(accel_body: np.ndarray, orientation: np.ndarray) -> np.ndarray:
     """Rotate a body-frame accelerometer reading to global axes and remove gravity."""
-    a_global = to_global_frame(accel_body, orientation)
-    return a_global - np.array([0.0, 0.0, GRAVITY_MPS2])
+    x, y, z = _to_global(accel_body, orientation)
+    return np.array([x, y, z - GRAVITY_MPS2])
 
 
 def madgwick_update(
@@ -141,23 +166,24 @@ def madgwick_update(
     size beta * dt toward gravity alignment. Returns a new ClientMotion with
     the updated quaternion; velocity is left untouched. A zero-norm
     accelerometer reading skips the correction (gyro-only update) and is
-    logged.
+    logged; a non-finite reading raises ValueError.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    gx, gy, gz = sample.gyro_radps
-    ax, ay, az = sample.accel_mps2
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    gx, gy, gz = np.asarray(sample.gyro_radps, dtype=float).tolist()
+    ax, ay, az = np.asarray(sample.accel_mps2, dtype=float).tolist()
+    if not all(map(math.isfinite, (gx, gy, gz, ax, ay, az))):
+        raise ValueError(
+            f"client {sample.client_id}: non-finite IMU reading at t={sample.timestamp_s:.3f}"
+        )
+    q1, q2, q3, q4 = np.asarray(state.orientation, dtype=float).tolist()
 
     # exact rotation increment for the mean body rate over dt
     rate = math.sqrt(gx * gx + gy * gy + gz * gz)
     theta = rate * dt
     if theta > 0.0:
         s = math.sin(0.5 * theta) / rate
-        dq = np.array([math.cos(0.5 * theta), gx * s, gy * s, gz * s])
-        q = quat_multiply(state.orientation, dq)
-    else:
-        q = np.asarray(state.orientation, dtype=float).copy()
-    q1, q2, q3, q4 = q
+        q1, q2, q3, q4 = _qmul(q1, q2, q3, q4, math.cos(0.5 * theta), gx * s, gy * s, gz * s)
 
     a_norm = math.sqrt(ax * ax + ay * ay + az * az)
     if a_norm > 0.0:
@@ -176,7 +202,7 @@ def madgwick_update(
         s_norm = math.sqrt(s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4)
         if s_norm > 1e-12:  # at the objective minimum the gradient vanishes
             step = beta * dt / s_norm
-            q = np.array([q1 - step * s1, q2 - step * s2, q3 - step * s3, q4 - step * s4])
+            q1, q2, q3, q4 = q1 - step * s1, q2 - step * s2, q3 - step * s3, q4 - step * s4
     else:
         log.warning(
             "client %d: zero-norm accelerometer at t=%.3f, gyro-only update",
@@ -184,7 +210,8 @@ def madgwick_update(
             sample.timestamp_s,
         )
 
-    q = q / np.linalg.norm(q)
+    q = np.array([q1, q2, q3, q4])
+    q /= _unit_norm(q)
     return ClientMotion(
         client_id=state.client_id,
         velocity_mps=state.velocity_mps,

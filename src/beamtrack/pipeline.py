@@ -214,6 +214,10 @@ class Pipeline:
             )
 
     def _inertial_update(self, track: ClientTrack, sample: ImuSample, fuse_until_s: float) -> None:
+        accel = np.asarray(sample.accel_mps2, dtype=float)
+        gyro = np.asarray(sample.gyro_radps, dtype=float)
+        if not all(map(math.isfinite, [sample.timestamp_s, *accel.tolist(), *gyro.tolist()])):
+            return  # unusable reading: dropped as if it never arrived
         dt = sample.timestamp_s - track.motion.last_update_s
         if dt <= 0:
             return  # stale or duplicate reading
@@ -222,8 +226,8 @@ class Pipeline:
             client_id=sample.client_id,
             seq=sample.seq,
             timestamp_s=sample.timestamp_s,
-            accel_mps2=np.asarray(sample.accel_mps2, dtype=float) - cal.accel_bias,
-            gyro_radps=np.asarray(sample.gyro_radps, dtype=float) - cal.gyro_bias,
+            accel_mps2=accel - cal.accel_bias,
+            gyro_radps=gyro - cal.gyro_bias,
         )
         motion = madgwick_update(track.motion, corrected, dt, self.params.madgwick_beta)
         a_global = gravity_compensate(corrected.accel_mps2, motion.orientation)

@@ -18,6 +18,7 @@ surface-only return exhibits; the downstream tracker has to deal with it.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -212,27 +213,38 @@ class PointCloudFrame:
     points: np.ndarray  # (n, 4) float64
 
 
-def _pose_on_path(path: PathSpec, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Position, velocity and heading along a path at time t.
+class _PathTable:
+    """A path's segment directions, lengths and arc-length table, built once."""
 
-    Heading holds the upcoming segment direction during the initial hold and
-    the last segment direction after the path ends.
-    """
-    wps = np.asarray(path.waypoints, dtype=float)
-    seg = np.diff(wps, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    dirs = seg / seg_len[:, None]
-    if path.speed_mps == 0.0 or t <= path.initial_hold_s:
-        return wps[0].copy(), np.zeros(2), math.atan2(dirs[0, 1], dirs[0, 0])
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    s = (t - path.initial_hold_s) * path.speed_mps
-    if s >= cum[-1]:
-        return wps[-1].copy(), np.zeros(2), math.atan2(dirs[-1, 1], dirs[-1, 0])
-    i = int(np.searchsorted(cum, s, side="right")) - 1
-    i = min(i, len(seg) - 1)
-    pos = wps[i] + dirs[i] * (s - cum[i])
-    vel = dirs[i] * path.speed_mps
-    return pos, vel, math.atan2(dirs[i, 1], dirs[i, 0])
+    def __init__(self, path: PathSpec):
+        wps = np.asarray(path.waypoints, dtype=float)
+        seg = np.diff(wps, axis=0)
+        seg_len = np.hypot(seg[:, 0], seg[:, 1])
+        dirs = seg / seg_len[:, None]
+        self.hold_s = path.initial_hold_s
+        self.speed_mps = path.speed_mps
+        self.wps = [tuple(w) for w in wps.tolist()]
+        self.dirs = [tuple(d) for d in dirs.tolist()]
+        self.cum = np.concatenate([[0.0], np.cumsum(seg_len)]).tolist()
+        self.headings = [math.atan2(dy, dx) for dx, dy in self.dirs]
+
+    def pose(self, t: float) -> tuple[tuple[float, float], tuple[float, float], float]:
+        """Position, velocity and heading along the path at time t.
+
+        Heading holds the upcoming segment direction during the initial hold and
+        the last segment direction after the path ends.
+        """
+        if self.speed_mps == 0.0 or t <= self.hold_s:
+            return self.wps[0], (0.0, 0.0), self.headings[0]
+        s = (t - self.hold_s) * self.speed_mps
+        cum = self.cum
+        if s >= cum[-1]:
+            return self.wps[-1], (0.0, 0.0), self.headings[-1]
+        i = min(bisect.bisect_right(cum, s) - 1, len(self.dirs) - 1)
+        (wx, wy), (dx, dy) = self.wps[i], self.dirs[i]
+        along = s - cum[i]
+        pos = (wx + dx * along, wy + dy * along)
+        return pos, (dx * self.speed_mps, dy * self.speed_mps), self.headings[i]
 
 
 class Scenario:
@@ -241,7 +253,8 @@ class Scenario:
     def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
-        self._paths = list(config.clients) + list(config.distractors)
+        # clients first, so a client id indexes its own table
+        self._tables = [_PathTable(p) for p in (*config.clients, *config.distractors)]
         self._radar = np.asarray(config.radar_pose, dtype=float)
         self._clutter_points = self._build_clutter()
 
@@ -270,9 +283,9 @@ class Scenario:
         """True pose of every client (world frame) at time t."""
         self._check_time(t)
         out = []
-        for cid, path in enumerate(self.config.clients):
-            pos, vel, heading = _pose_on_path(path, t)
-            out.append(GroundTruthPose(cid, pos, vel, heading))
+        for cid in range(len(self.config.clients)):
+            pos, vel, heading = self._tables[cid].pose(t)
+            out.append(GroundTruthPose(cid, np.array(pos), np.array(vel), heading))
         return out
 
     def sample_point_cloud(self, frame_index: int) -> PointCloudFrame:
@@ -285,8 +298,9 @@ class Scenario:
         rng = np.random.default_rng([cfg.seed, _STREAM_CLOUD, frame_index])
         n = cfg.points_per_client_per_frame
         blocks = []
-        for path in self._paths:
-            pos, vel, _ = _pose_on_path(path, t)
+        for table in self._tables:
+            pos, vel, _ = table.pose(t)
+            pos = np.array(pos)
             if cfg.body_radius_m > 0.0:
                 # sample the radar-facing arc of the body circle
                 to_radar = math.atan2(self._radar[1] - pos[1], self._radar[0] - pos[0])
@@ -325,22 +339,16 @@ class Scenario:
         self._check_time(t)
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        path = self.config.clients[client_id]
-        pos, vel, heading = _pose_on_path(path, t)
-        _, vel0, heading0 = _pose_on_path(path, max(0.0, t - dt))
+        table = self._tables[client_id]
+        _, (vx, vy), heading = table.pose(t)
+        _, (vx0, vy0), heading0 = table.pose(max(0.0, t - dt))
 
-        a_global = np.array([(vel[0] - vel0[0]) / dt, (vel[1] - vel0[1]) / dt, 0.0])
+        ax, ay = (vx - vx0) / dt, (vy - vy0) / dt  # global frame, no vertical motion
         yaw_rate = _wrap_pi(heading - heading0) / dt
 
         # world -> body rotation about z
         c, s = math.cos(-heading), math.sin(-heading)
-        a_body = np.array(
-            [
-                c * a_global[0] - s * a_global[1],
-                s * a_global[0] + c * a_global[1],
-                a_global[2] + GRAVITY_MPS2,
-            ]
-        )
+        a_body = np.array([c * ax - s * ay, s * ax + c * ay, GRAVITY_MPS2])
         gyro = np.array([0.0, 0.0, yaw_rate])
 
         sigma = self.config.noise_sigma_m

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from beamtrack import world as sim  # the simulator's constants only
+
 
 def dbscan_reference(points: np.ndarray, eps: float, min_pts: int):
     """Quadratic-time density clustering over the 3-D coordinates.
@@ -184,3 +186,149 @@ def polyline_distance_reference(point, waypoints, samples_per_segment: int = 400
     if not wps[:-1]:  # single waypoint: distance to the point itself
         best = float(np.linalg.norm(wps[0] - p))
     return best
+
+
+# --- inertial tier in its original 4-element array formulation -------------
+# Bit-exact references: every operation is the one the library performs, in
+# the same order, on numpy arrays and numpy scalars instead of Python floats.
+
+
+def quat_multiply_reference(q, r) -> np.ndarray:
+    w1, x1, y1, z1 = q
+    w2, x2, y2, z2 = r
+    return np.array(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ]
+    )
+
+
+def gravity_compensate_reference(accel_body, q, gravity: float) -> np.ndarray:
+    """q * (0, a) * conj(q) as a chain of array products, minus (0, 0, g)."""
+    q = np.asarray(q, dtype=float)
+    qv = np.array([0.0, accel_body[0], accel_body[1], accel_body[2]])
+    conj = np.array([q[0], -q[1], -q[2], -q[3]])
+    out = quat_multiply_reference(quat_multiply_reference(q, qv), conj)
+    return out[1:] - np.array([0.0, 0.0, gravity])
+
+
+def integrate_velocity_reference(v_prev, a_prev, a_curr, t) -> np.ndarray:
+    return np.asarray(v_prev, dtype=float) + t * (
+        np.asarray(a_prev, dtype=float) + np.asarray(a_curr, dtype=float)
+    ) / 2.0
+
+
+def madgwick_reference(q, gyro, accel, dt: float, beta: float) -> np.ndarray:
+    """Exact gyro increment, one gradient step toward gravity, np.linalg.norm renormalisation."""
+    gx, gy, gz = gyro
+    ax, ay, az = accel
+    rate = math.sqrt(gx * gx + gy * gy + gz * gz)
+    theta = rate * dt
+    if theta > 0.0:
+        s = math.sin(0.5 * theta) / rate
+        dq = np.array([math.cos(0.5 * theta), gx * s, gy * s, gz * s])
+        q = quat_multiply_reference(q, dq)
+    else:
+        q = np.asarray(q, dtype=float).copy()
+    q1, q2, q3, q4 = q
+    a_norm = math.sqrt(ax * ax + ay * ay + az * az)
+    if a_norm > 0.0:
+        ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
+        _2q1, _2q2, _2q3, _2q4 = 2 * q1, 2 * q2, 2 * q3, 2 * q4
+        _4q1, _4q2, _4q3 = 4 * q1, 4 * q2, 4 * q3
+        _8q2, _8q3 = 8 * q2, 8 * q3
+        q1q1, q2q2, q3q3, q4q4 = q1 * q1, q2 * q2, q3 * q3, q4 * q4
+        s1 = _4q1 * q3q3 + _2q3 * ax + _4q1 * q2q2 - _2q2 * ay
+        s2 = _4q2 * q4q4 - _2q4 * ax + 4 * q1q1 * q2 - _2q1 * ay - _4q2 + _8q2 * q2q2 + _8q2 * q3q3 + _4q2 * az
+        s3 = 4 * q1q1 * q3 + _2q1 * ax + _4q3 * q4q4 - _2q4 * ay - _4q3 + _8q3 * q2q2 + _8q3 * q3q3 + _4q3 * az
+        s4 = 4 * q2q2 * q4 - _2q2 * ax + 4 * q3q3 * q4 - _2q3 * ay
+        s_norm = math.sqrt(s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4)
+        if s_norm > 1e-12:
+            step = beta * dt / s_norm
+            q = np.array([q1 - step * s1, q2 - step * s2, q3 - step * s3, q4 - step * s4])
+    return q / np.linalg.norm(q)
+
+
+# --- simulator recomputed from the config on every call ----------------------
+
+
+def pose_on_path_reference(path, t: float):
+    """Position, velocity and heading at time t, rebuilding the segment tables."""
+    wps = np.asarray(path.waypoints, dtype=float)
+    seg = np.diff(wps, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    dirs = seg / seg_len[:, None]
+    if path.speed_mps == 0.0 or t <= path.initial_hold_s:
+        return wps[0].copy(), np.zeros(2), math.atan2(dirs[0, 1], dirs[0, 0])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    s = (t - path.initial_hold_s) * path.speed_mps
+    if s >= cum[-1]:
+        return wps[-1].copy(), np.zeros(2), math.atan2(dirs[-1, 1], dirs[-1, 0])
+    i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
+    return wps[i] + dirs[i] * (s - cum[i]), dirs[i] * path.speed_mps, math.atan2(dirs[i, 1], dirs[i, 0])
+
+
+def imu_sample_reference(config, client_id: int, t: float, dt: float):
+    """(accel, gyro) of one simulated reading: backward differences of the true motion."""
+    path = config.clients[client_id]
+    _, vel, heading = pose_on_path_reference(path, t)
+    _, vel0, heading0 = pose_on_path_reference(path, max(0.0, t - dt))
+    a_global = np.array([(vel[0] - vel0[0]) / dt, (vel[1] - vel0[1]) / dt, 0.0])
+    dh = math.fmod(heading - heading0 + math.pi, 2.0 * math.pi)
+    if dh <= 0.0:
+        dh += 2.0 * math.pi
+    yaw_rate = (dh - math.pi) / dt
+    c, s = math.cos(-heading), math.sin(-heading)
+    accel = np.array(
+        [
+            c * a_global[0] - s * a_global[1],
+            s * a_global[0] + c * a_global[1],
+            a_global[2] + sim.GRAVITY_MPS2,
+        ]
+    )
+    gyro = np.array([0.0, 0.0, yaw_rate])
+    sigma = config.noise_sigma_m
+    if sigma > 0.0:
+        rng = np.random.default_rng(
+            [config.seed, sim._STREAM_IMU, client_id, int(round(t * 1e6))]
+        )
+        accel = accel + rng.normal(0.0, sim.IMU_ACCEL_NOISE_PER_SIGMA * sigma, 3)
+        gyro = gyro + rng.normal(0.0, sim.IMU_GYRO_NOISE_PER_SIGMA * sigma, 3)
+    return accel, gyro
+
+
+def point_cloud_reference(config, frame_index: int):
+    """Radar-frame (x, y, z, doppler) rows of one instant: bodies, then the clutter."""
+    t = frame_index / config.radar_rate_hz
+    radar = np.asarray(config.radar_pose, dtype=float)
+    clutter_rng = np.random.default_rng([config.seed, sim._STREAM_CLUTTER])
+    clutter = [np.empty((0, 4))]
+    for spec in config.clutter:
+        offsets = clutter_rng.normal(0.0, sim.CLUTTER_SPREAD_M, size=(spec.point_count, 3))
+        xyz = np.asarray(spec.position, dtype=float) + offsets - radar
+        clutter.append(np.column_stack([xyz, np.zeros(spec.point_count)]))
+    rng = np.random.default_rng([config.seed, sim._STREAM_CLOUD, frame_index])
+    n = config.points_per_client_per_frame
+    blocks = []
+    for path in list(config.clients) + list(config.distractors):
+        pos, vel, _ = pose_on_path_reference(path, t)
+        if config.body_radius_m > 0.0:
+            to_radar = math.atan2(radar[1] - pos[1], radar[0] - pos[0])
+            theta = to_radar + rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
+            xy = pos + config.body_radius_m * np.column_stack([np.cos(theta), np.sin(theta)])
+        else:
+            xy = np.tile(pos, (n, 1))
+        xyz = np.column_stack([xy, rng.uniform(sim.BODY_Z_MIN_M, sim.BODY_Z_MAX_M, n)])
+        if config.noise_sigma_m > 0.0:
+            xyz = xyz + rng.normal(0.0, config.noise_sigma_m, size=(n, 3))
+        rel = xyz - radar
+        rng_norm = np.linalg.norm(rel, axis=1)
+        rng_norm[rng_norm == 0.0] = 1.0
+        doppler = (rel @ np.array([vel[0], vel[1], 0.0])) / rng_norm
+        if config.noise_sigma_m > 0.0:
+            doppler = doppler + rng.normal(0.0, config.noise_sigma_m, n)
+        blocks.append(np.column_stack([rel, doppler]))
+    return np.vstack(blocks + clutter)

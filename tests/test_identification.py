@@ -91,6 +91,23 @@ def test_identify_needs_two_clusters():
         identify_clients([(0, np.array([0.5, 0.0]))], [np.zeros(2), np.zeros(2)], frame_index=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_identify_rejects_non_finite_velocities(bad):
+    clusters = [(0, np.array([0.5, 0.0])), (1, np.array([0.0, 0.5])), (2, np.zeros(2))]
+    clients = [np.array([0.5, 0.0]), np.array([0.0, 0.5])]
+    with pytest.raises(IdentificationError, match="client 1 velocity is not finite"):
+        identify_clients(clusters, [clients[0], np.array([0.0, bad])], frame_index=2)
+    # one bad cluster would otherwise be skipped by every comparison, silently
+    with pytest.raises(IdentificationError, match="cluster 2 velocity is not finite"):
+        identify_clients(clusters[:2] + [(2, np.array([bad, 0.0]))], clients, frame_index=2)
+
+
+def test_identify_raises_when_every_cost_overflows():
+    clusters = [(0, np.array([1e308, 1e308])), (1, np.array([-1e308, -1e308]))]
+    with np.errstate(over="ignore"), pytest.raises(IdentificationError, match="finite"):
+        identify_clients(clusters, [np.zeros(2), np.zeros(2)], frame_index=2)
+
+
 def test_identify_needs_exactly_two_clients():
     clusters = [(0, np.zeros(2)), (1, np.zeros(2))]
     with pytest.raises(ValueError):

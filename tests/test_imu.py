@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamtrack.errors import CalibrationError
 from beamtrack.imu import (
@@ -22,7 +24,14 @@ from beamtrack.imu import (
     yaw_from_quat,
 )
 
-from oracles import closed_form_velocity, gravity_gradient_fd, gravity_objective
+from oracles import (
+    closed_form_velocity,
+    gravity_compensate_reference,
+    gravity_gradient_fd,
+    gravity_objective,
+    integrate_velocity_reference,
+    madgwick_reference,
+)
 
 
 def _sample(accel, gyro, t=0.0, seq=0, client=0):
@@ -220,3 +229,74 @@ def test_madgwick_rejects_bad_dt():
     state = ClientMotion(client_id=0)
     with pytest.raises(ValueError):
         madgwick_update(state, _sample([0, 0, GRAVITY_MPS2], [0, 0, 0]), dt=0.0)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            madgwick_update(state, _sample([0, 0, GRAVITY_MPS2], [0, 0, 1.0]), dt=dt)
+
+
+def test_madgwick_rejects_non_finite_readings(caplog):
+    state = ClientMotion(client_id=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for accel, gyro in (([bad, 0.0, GRAVITY_MPS2], [0.0, 0.0, 0.0]),
+                            ([0.0, 0.0, GRAVITY_MPS2], [0.0, bad, 0.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                madgwick_update(state, _sample(accel, gyro, t=0.01), dt=0.01)
+    assert "zero-norm" not in caplog.text
+
+
+# --- bit-exact equality with the array formulation in tests/oracles.py -------
+
+_coord = st.floats(-40.0, 40.0, allow_nan=False)
+_vec3 = st.tuples(_coord, _coord, _coord)
+_zero3 = st.just((0.0, 0.0, 0.0))
+
+
+@st.composite
+def _unit_quats(draw):
+    q = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
+    if np.linalg.norm(q) < 1e-3:
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+    return q / np.linalg.norm(q)
+
+
+@st.composite
+def _revolutions(draw):
+    """Body rates that turn 1-3 whole revolutions about some axis in one reading of dt."""
+    axis = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    if np.linalg.norm(axis) < 1e-3:
+        axis = np.array([0.0, 0.0, 1.0])
+    turns = draw(st.integers(1, 3))
+    dt = draw(st.sampled_from([0.01, 0.02, 0.5]))
+    return tuple(axis / np.linalg.norm(axis) * (2.0 * math.pi * turns / dt)), dt
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    q=_unit_quats(),
+    gyro=st.one_of(_zero3, _vec3),
+    accel=st.one_of(_zero3, _vec3),
+    dt=st.floats(1e-4, 0.5),
+    beta=st.floats(0.0, 1.0),
+    revolution=st.one_of(st.none(), _revolutions()),
+)
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), gyro=(0.0, 0.0, 0.0), accel=(0.0, 0.0, GRAVITY_MPS2),
+         dt=0.01, beta=0.1, revolution=None)
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), gyro=(0.0, 0.0, 1.0), accel=(0.0, 0.0, 0.0),
+         dt=0.01, beta=0.1, revolution=None)
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), gyro=(0.0, 0.0, 0.0), accel=(0.0, 0.0, 0.0),
+         dt=0.01, beta=0.1, revolution=((0.0, 0.0, 2.0 * math.pi / 0.01), 0.01))
+def test_inertial_update_is_bit_identical_to_array_formulation(q, gyro, accel, dt, beta, revolution):
+    if revolution is not None:
+        gyro, dt = revolution
+    gyro, accel = np.array(gyro), np.array(accel)
+    state = ClientMotion(client_id=0, orientation=q.copy())
+    out = madgwick_update(state, _sample(accel, gyro, t=1.0), dt=dt, beta=beta).orientation
+    want = madgwick_reference(q, gyro, accel, dt, beta)
+    assert np.array_equal(out, want)
+
+    a_global = gravity_compensate(accel, out)
+    assert np.array_equal(a_global, gravity_compensate_reference(accel, out, GRAVITY_MPS2))
+
+    v_prev, a_prev = accel[::-1] / 3.0, gyro / 7.0
+    v = integrate_velocity(v_prev, a_prev, a_global, dt)
+    assert np.array_equal(v, integrate_velocity_reference(v_prev, a_prev, a_global, dt))

@@ -1,5 +1,6 @@
 """End-to-end pipeline: binding, gating, capture replay, and scoring."""
 
+import collections
 import dataclasses
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from oracles import polyline_distance_reference
 
+import beamtrack.pipeline as pipeline_module
 from beamtrack.errors import DatagramError, ValidationError
 from beamtrack.imu import ImuSample
 from beamtrack.pipeline import (
@@ -17,10 +19,12 @@ from beamtrack.pipeline import (
     Pipeline,
     PipelineParams,
     PointCloudFrame,
+    _inline_source,
     build_scenario,
     calibrate_clients,
     compute_rms,
     debias_core,
+    frame_record,
     path_distances,
     replay_capture,
     run_from_capture,
@@ -116,6 +120,76 @@ def test_identification_window_then_binding():
     assert np.allclose(rep.clients[1].kf_position_m, [2.0, -1.0], atol=1e-9)
     # both peers sit in each other's beamspace, so sectors are assigned
     assert all(c.beam is not None and c.beam.sector is not None for c in rep.clients)
+
+
+def _imu(cid, seq, t, accel=(0.1, 0.0, 9.81)):
+    return ImuSample(client_id=cid, seq=seq, timestamp_s=t,
+                     accel_mps2=np.array(accel), gyro_radps=np.array([0.0, 0.0, 0.2]))
+
+
+def test_inertial_tier_calls_each_stage_once_per_fresh_sample(monkeypatch):
+    # the benchmark's imu.* layer metrics wrap these three names where the
+    # pipeline looks them up and divide by their call counts
+    calls = collections.Counter()
+    for name in ("madgwick_update", "gravity_compensate", "integrate_velocity"):
+        def counted(*args, _name=name, _fn=getattr(pipeline_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline_module, name, counted)
+    pipe = Pipeline(_params(), {0: 0.0, 1: 0.0})
+    pts = np.vstack([_ring(2.0, 1.0), _ring(2.0, -1.0)])
+    n = 5
+    batches = {cid: [_imu(cid, i, 0.1 * (i + 1)) for i in range(n)] for cid in (0, 1)}
+    pipe.process_frame(0, 0.5, pts, batches)
+    assert calls == {"madgwick_update": 2 * n, "gravity_compensate": 2 * n,
+                     "integrate_velocity": 2 * n}
+    calls.clear()
+    repeat = {cid: [batches[cid][-1]] for cid in (0, 1)}  # already consumed
+    pipe.process_frame(1, 1.0, pts, repeat)
+    assert not calls
+    unusable = {0: [_imu(0, n, 0.6, accel=(math.nan, 0.0, 9.81))]}
+    pipe.process_frame(2, 1.5, pts, unusable)
+    assert not calls
+    assert pipe.tracks[0].motion.last_update_s == 0.1 * n
+
+
+def _sparse_radar_records(edit):
+    """Frame records of the seed-0 demo walks at 200 returns per body, no clutter.
+
+    edit(frame_index, imu_batches) may change each frame's inline IMU feed first.
+    """
+    cfg = dataclasses.replace(default_config(0), points_per_client_per_frame=200, clutter=())
+    scenario = build_scenario(cfg)
+    headings = {gt.client_id: gt.heading_rad for gt in scenario.ground_truth(0.0)}
+    pipe = Pipeline(PipelineParams.for_config(cfg), headings, calibrate_clients(scenario))
+    records = []
+    for k, (batches, cloud) in enumerate(_inline_source(scenario)):
+        edit(k, batches)
+        report = pipe.process_frame(
+            k, (k + 1) * cfg.frame_time_s, cloud.points, batches, measurement_time_s=cloud.timestamp_s
+        )
+        records.append(frame_record(report))
+    return records
+
+
+def test_non_finite_imu_sample_is_dropped_like_a_missing_one():
+    def delete(k, batches):
+        if k == 2:
+            del batches[0][10]
+
+    want = _sparse_radar_records(delete)
+    assert want[2]["identified"] and len(want) == 36
+    for field, index, bad in (("accel_mps2", 0, math.nan), ("gyro_radps", 2, -math.inf),
+                              ("timestamp_s", None, math.nan), ("timestamp_s", None, math.inf)):
+        def poison(k, batches):
+            if k == 2:
+                sample = batches[0][10]
+                if index is None:
+                    setattr(sample, field, bad)
+                else:
+                    getattr(sample, field)[index] = bad
+
+        assert _sparse_radar_records(poison) == want, (field, bad)
 
 
 def test_tracking_follows_moving_cluster():

@@ -1,10 +1,13 @@
 """Scenario simulator: configs, paths, radar returns, and IMU signals."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+
+from oracles import imu_sample_reference, point_cloud_reference, pose_on_path_reference
 
 from beamtrack.errors import ValidationError
 from beamtrack.world import (
@@ -229,3 +232,33 @@ def test_default_config_is_valid_and_stable():
     assert len(cfg.distractors) == 1
     scenario = Scenario(cfg)
     assert scenario.n_frames == 36
+
+
+def test_sampling_equals_per_call_recomputation():
+    # the path tables built once per scenario must give exactly what rebuilding
+    # them on every call gives: poses, IMU readings and clouds, bit for bit
+    still = PathSpec(waypoints=((1.0, 1.0), (2.0, 1.0)), speed_mps=0.0)
+    cfg = dataclasses.replace(default_config(seed=7), distractors=(default_config().distractors[0], still))
+    sc = build_scenario(cfg)
+    rate = 100.0
+    # every waypoint arrival of the clients' paths, plus the regular sample train
+    arrivals = [0.0, cfg.duration_s]
+    for path in cfg.clients:
+        seg = np.diff(np.asarray(path.waypoints), axis=0)
+        for d in np.cumsum(np.hypot(seg[:, 0], seg[:, 1])):
+            arrivals.append(path.initial_hold_s + d / path.speed_mps)
+    times = sorted(set(arrivals) | {i / rate for i in range(int(cfg.duration_s * rate) + 1)})
+    for t in times:
+        truth = sc.ground_truth(t)
+        for cid, path in enumerate(cfg.clients):
+            pos, vel, heading = pose_on_path_reference(path, t)
+            assert np.array_equal(truth[cid].position_m, pos)
+            assert np.array_equal(truth[cid].velocity_mps, vel)
+            assert truth[cid].heading_rad == heading
+            for dt in (1.0 / rate, cfg.frame_time_s):
+                s = sc.sample_imu(cid, t, dt=dt)
+                accel, gyro = imu_sample_reference(cfg, cid, t, dt)
+                assert np.array_equal(s.accel_mps2, accel)
+                assert np.array_equal(s.gyro_radps, gyro)
+    for k in range(int(cfg.duration_s * cfg.radar_rate_hz) + 1):
+        assert np.array_equal(sc.sample_point_cloud(k).points, point_cloud_reference(cfg, k))
