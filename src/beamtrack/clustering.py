@@ -31,7 +31,17 @@ class Cluster:
     velocity_mps: np.ndarray | None = None  # filled by the tracker once matched
 
 
-def dbscan(points: np.ndarray, params: DbscanParams) -> tuple[list[Cluster], list[int]]:
+def finite_rows(points: np.ndarray) -> np.ndarray:
+    """Indices of the rows of an (n, 4) cloud whose x, y and z are all finite."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(np.isfinite(pts[:, :3]).all(axis=1))
+
+
+def dbscan(
+    points: np.ndarray, params: DbscanParams, finite: np.ndarray | None = None
+) -> tuple[list[Cluster], list[int]]:
     """Classic density clustering over the 3-D coordinates of a point cloud.
 
     points is (n, 4): x, y, z, doppler. Neighborhoods are Euclidean balls of
@@ -40,7 +50,8 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> tuple[list[Cluster], lis
     a non-finite x, y or z is in no neighborhood, so it is noise. Clusters are
     labeled 0, 1, ... in discovery order with points scanned in input order;
     border points reachable from several clusters go to the first one
-    discovered. Returns the clusters and the indices of noise points.
+    discovered. Returns the clusters and the indices of noise points. finite,
+    if given, is finite_rows(points), for a caller that also needs it.
     """
     if not 0.0 < params.eps_m < math.inf:
         raise ValidationError("eps_m must be > 0 and finite")
@@ -50,7 +61,8 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> tuple[list[Cluster], lis
     if pts.size == 0:
         return [], []
     labels = np.full(len(pts), _NOISE, dtype=np.intp)
-    finite = np.flatnonzero(np.isfinite(pts[:, :3]).all(axis=1))
+    if finite is None:
+        finite = finite_rows(pts)
     labels[finite] = _labels(pts[finite, :3], params.eps_m, params.min_pts)
     n_clusters = int(labels.max()) + 1
 

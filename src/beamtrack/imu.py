@@ -212,9 +212,4 @@ def madgwick_update(
 
     q = np.array([q1, q2, q3, q4])
     q /= _unit_norm(q)
-    return ClientMotion(
-        client_id=state.client_id,
-        velocity_mps=state.velocity_mps,
-        orientation=q,
-        last_update_s=sample.timestamp_s,
-    )
+    return ClientMotion(state.client_id, state.velocity_mps, q, sample.timestamp_s)

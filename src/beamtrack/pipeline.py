@@ -22,6 +22,7 @@ import json
 import math
 import struct
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .beams import (
     in_beamspace,
     simulate_gain,
 )
-from .clustering import Cluster, DbscanParams, dbscan, filter_background
+from .clustering import Cluster, DbscanParams, dbscan, filter_background, finite_rows
 from .errors import DatagramError, IdentificationError, ValidationError
 from .identification import (
     ClientBinding,
@@ -81,6 +82,10 @@ TAG_IMU = 2
 _RECORD_HEADER = struct.Struct("<IB")
 _CLOUD_HEADER = struct.Struct("<IdI")
 _POINT_BYTES = 32  # 4 little-endian f64 per point
+
+# why _inertial_update dropped a reading
+_NON_FINITE = "non-finite"
+_STALE = "stale"
 
 
 def surface_bias_m(body_radius_m: float) -> float:
@@ -163,6 +168,8 @@ class ClientFrameState:
     heading_rad: float
     coasting: bool
     beam: BeamDecision | None
+    imu_dropped_non_finite: int = 0  # readings with a non-finite time or value
+    imu_dropped_stale: int = 0  # readings not after the last one applied
 
 
 @dataclass
@@ -177,6 +184,7 @@ class FrameReport:
     error_flag: bool
     identified: bool
     events: list[str]
+    non_finite_points: int = 0  # radar rows with a non-finite x, y or z
 
 
 class Pipeline:
@@ -198,6 +206,8 @@ class Pipeline:
         self.error_flag = False
         self._frame: ClusterFrame | None = None
         self._next_label = 0
+        # the bias-corrected reading that _inertial_update fills for every reading
+        self._corrected = ImuSample(0, 0, 0.0, np.zeros(3), np.zeros(3))
         self.tracks: dict[int, ClientTrack] = {}
         for cid in self.client_ids:
             heading = float(initial_heading_rad.get(cid, 0.0))
@@ -213,32 +223,32 @@ class Pipeline:
                 fused_heading=heading,
             )
 
-    def _inertial_update(self, track: ClientTrack, sample: ImuSample, fuse_until_s: float) -> None:
-        accel = np.asarray(sample.accel_mps2, dtype=float)
-        gyro = np.asarray(sample.gyro_radps, dtype=float)
-        if not all(map(math.isfinite, [sample.timestamp_s, *accel.tolist(), *gyro.tolist()])):
-            return  # unusable reading: dropped as if it never arrived
-        dt = sample.timestamp_s - track.motion.last_update_s
+    def _inertial_update(
+        self, track: ClientTrack, sample: ImuSample, accel_bias: list, gyro_bias: list
+    ) -> str | None:
+        """Advance the track by one reading; why it was dropped, or None if applied."""
+        t = sample.timestamp_s
+        ax, ay, az = np.asarray(sample.accel_mps2, dtype=float).tolist()
+        gx, gy, gz = np.asarray(sample.gyro_radps, dtype=float).tolist()
+        if not all(map(math.isfinite, (t, ax, ay, az, gx, gy, gz))):
+            return _NON_FINITE  # unusable reading: dropped as if it never arrived
+        dt = t - track.motion.last_update_s
         if dt <= 0:
-            return  # stale or duplicate reading
-        cal = track.calibration
-        corrected = ImuSample(
-            client_id=sample.client_id,
-            seq=sample.seq,
-            timestamp_s=sample.timestamp_s,
-            accel_mps2=accel - cal.accel_bias,
-            gyro_radps=gyro - cal.gyro_bias,
-        )
+            return _STALE  # stale or duplicate reading
+        # rewritten in place: the inertial functions keep no reference to it
+        corrected = self._corrected
+        corrected.client_id, corrected.seq, corrected.timestamp_s = sample.client_id, sample.seq, t
+        accel, gyro = corrected.accel_mps2, corrected.gyro_radps
+        accel[0], accel[1], accel[2] = ax - accel_bias[0], ay - accel_bias[1], az - accel_bias[2]
+        gyro[0], gyro[1], gyro[2] = gx - gyro_bias[0], gy - gyro_bias[1], gz - gyro_bias[2]
         motion = madgwick_update(track.motion, corrected, dt, self.params.madgwick_beta)
-        a_global = gravity_compensate(corrected.accel_mps2, motion.orientation)
+        a_global = gravity_compensate(accel, motion.orientation)
         motion.velocity_mps = integrate_velocity(
             track.motion.velocity_mps, track.prev_accel_global, a_global, dt
         )
         track.prev_accel_global = a_global
         track.motion = motion
-        if sample.timestamp_s <= fuse_until_s + 1e-12:
-            track.fused_velocity = motion.velocity_mps[:2].copy()
-            track.fused_heading = yaw_from_quat(motion.orientation)
+        return None
 
     def _to_world(self, cluster: Cluster) -> Cluster:
         core = cluster.core_point
@@ -259,16 +269,32 @@ class Pipeline:
             measurement_time_s = timestamp_s
         events: list[str] = []
 
-        # inertial tier: per-sample orientation and velocity integration
+        # inertial tier: per-sample orientation and velocity integration; the
+        # fused state is the one after the last applied reading at or before
+        # the measurement instant
+        dropped = {cid: Counter() for cid in self.client_ids}  # reason -> readings
         for cid in self.client_ids:
             track = self.tracks[cid]
-            for sample in sorted(
-                imu_batches.get(cid, ()), key=lambda s: (s.timestamp_s, s.seq)
-            ):
-                self._inertial_update(track, sample, measurement_time_s)
+            accel_bias = np.asarray(track.calibration.accel_bias, dtype=float).tolist()
+            gyro_bias = np.asarray(track.calibration.gyro_bias, dtype=float).tolist()
+            fused = None
+            try:
+                for sample in sorted(
+                    imu_batches.get(cid, ()), key=lambda s: (s.timestamp_s, s.seq)
+                ):
+                    reason = self._inertial_update(track, sample, accel_bias, gyro_bias)
+                    if reason is not None:
+                        dropped[cid][reason] += 1
+                    elif sample.timestamp_s <= measurement_time_s + 1e-12:
+                        fused = track.motion
+            finally:  # a reading that raises keeps the snapshot of those before it
+                if fused is not None:
+                    track.fused_velocity = fused.velocity_mps[:2].copy()
+                    track.fused_heading = yaw_from_quat(fused.orientation)
 
         # radar tier: cluster, drop static background, correct surface bias
-        raw_clusters, _ = dbscan(points, p.dbscan)
+        finite = finite_rows(points)  # the other rows are noise
+        raw_clusters, _ = dbscan(points, p.dbscan, finite)
         moving = filter_background(raw_clusters, points, p.doppler_zero_tol_mps)
         measured = [self._to_world(c) for c in moving]
         self._frame, self._next_label = update_clusters(
@@ -387,6 +413,8 @@ class Pipeline:
                     heading_rad=track.fused_heading,
                     coasting=track.coasting,
                     beam=decisions[cid],
+                    imu_dropped_non_finite=dropped[cid][_NON_FINITE],
+                    imu_dropped_stale=dropped[cid][_STALE],
                 )
             )
         return FrameReport(
@@ -400,6 +428,7 @@ class Pipeline:
             error_flag=self.error_flag,
             identified=identified,
             events=events,
+            non_finite_points=len(points) - len(finite),
         )
 
 
@@ -526,6 +555,10 @@ class RunReport:
     mean_gain_beamscan: float | None
     scan_frames_spent: int
     scan_events: list[ScanEvent]
+    # run totals of the per-frame drop counts (client id -> readings)
+    imu_dropped_non_finite: dict[int, int] = field(default_factory=dict)
+    imu_dropped_stale: dict[int, int] = field(default_factory=dict)
+    non_finite_points: int = 0
 
 
 @dataclass
@@ -820,6 +853,13 @@ def _run(
         mean_gain_beamscan=float(np.mean(scan_samples)) if scan_samples else None,
         scan_frames_spent=spent_total,
         scan_events=scan_events,
+        imu_dropped_non_finite={
+            cid: sum(r.clients[cid].imu_dropped_non_finite for r in reports) for cid in (0, 1)
+        },
+        imu_dropped_stale={
+            cid: sum(r.clients[cid].imu_dropped_stale for r in reports) for cid in (0, 1)
+        },
+        non_finite_points=sum(r.non_finite_points for r in reports),
     )
 
 

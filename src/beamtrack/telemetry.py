@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 
 IMU_DATAGRAM_FORMAT = "<IId6f"
 IMU_DATAGRAM_SIZE = struct.calcsize(IMU_DATAGRAM_FORMAT)  # 40
+_IMU_DATAGRAM = struct.Struct(IMU_DATAGRAM_FORMAT)
 FEEDBACK_FORMAT = "<IIfI"
 FEEDBACK_SIZE = struct.calcsize(FEEDBACK_FORMAT)  # 16
 NO_SECTOR = 0xFFFFFFFF
@@ -37,17 +38,12 @@ _SEND_BACKOFF_S = 0.001
 
 
 def encode_imu_datagram(sample: ImuSample) -> bytes:
-    return struct.pack(
-        IMU_DATAGRAM_FORMAT,
+    return _IMU_DATAGRAM.pack(
         sample.client_id,
         sample.seq,
         sample.timestamp_s,
-        float(sample.accel_mps2[0]),
-        float(sample.accel_mps2[1]),
-        float(sample.accel_mps2[2]),
-        float(sample.gyro_radps[0]),
-        float(sample.gyro_radps[1]),
-        float(sample.gyro_radps[2]),
+        *np.asarray(sample.accel_mps2, dtype=float).tolist(),
+        *np.asarray(sample.gyro_radps, dtype=float).tolist(),
     )
 
 
@@ -56,14 +52,8 @@ def decode_imu_datagram(data: bytes) -> ImuSample:
         raise DatagramError(
             f"bad IMU datagram length {len(data)}, expected {IMU_DATAGRAM_SIZE}"
         )
-    client_id, seq, ts, ax, ay, az, gx, gy, gz = struct.unpack(IMU_DATAGRAM_FORMAT, data)
-    return ImuSample(
-        client_id=client_id,
-        seq=seq,
-        timestamp_s=ts,
-        accel_mps2=np.array([ax, ay, az], dtype=np.float64),
-        gyro_radps=np.array([gx, gy, gz], dtype=np.float64),
-    )
+    client_id, seq, ts, ax, ay, az, gx, gy, gz = _IMU_DATAGRAM.unpack(data)
+    return ImuSample(client_id, seq, ts, np.array([ax, ay, az]), np.array([gx, gy, gz]))
 
 
 def quantize_imu(sample: ImuSample) -> ImuSample:

@@ -47,6 +47,22 @@ _STREAM_CLUTTER = 0
 _STREAM_CLOUD = 1
 _STREAM_IMU = 2
 
+_U32 = 1 << 32
+
+
+def _seeded_rng(*words: int) -> np.random.Generator:
+    """np.random.default_rng(list(words)), from a uint32 array when every word fits.
+
+    SeedSequence builds the same entropy pool from the array as from the list
+    of ints, without converting each Python int to words on the way. Any other
+    word (negative, 2**32 or wider, not an int) takes the list, which splits or
+    rejects it as before.
+    """
+    for w in words:
+        if type(w) is not int or not 0 <= w < _U32:
+            return np.random.default_rng(list(words))
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
+
 
 def _wrap_pi(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -261,7 +277,7 @@ class Scenario:
     def _build_clutter(self) -> np.ndarray:
         """Scatter clutter once; static objects return the same points every frame."""
         rows = []
-        rng = np.random.default_rng([self.config.seed, _STREAM_CLUTTER])
+        rng = _seeded_rng(self.config.seed, _STREAM_CLUTTER)
         for spec in self.config.clutter:
             center = np.asarray(spec.position, dtype=float)
             offsets = rng.normal(0.0, CLUTTER_SPREAD_M, size=(spec.point_count, 3))
@@ -295,7 +311,7 @@ class Scenario:
         t = frame_index / self.config.radar_rate_hz
         self._check_time(t)
         cfg = self.config
-        rng = np.random.default_rng([cfg.seed, _STREAM_CLOUD, frame_index])
+        rng = _seeded_rng(cfg.seed, _STREAM_CLOUD, frame_index)
         n = cfg.points_per_client_per_frame
         blocks = []
         for table in self._tables:
@@ -348,23 +364,19 @@ class Scenario:
 
         # world -> body rotation about z
         c, s = math.cos(-heading), math.sin(-heading)
-        a_body = np.array([c * ax - s * ay, s * ax + c * ay, GRAVITY_MPS2])
-        gyro = np.array([0.0, 0.0, yaw_rate])
+        accel = [c * ax - s * ay, s * ax + c * ay, GRAVITY_MPS2]
+        gyro = [0.0, 0.0, yaw_rate]
 
         sigma = self.config.noise_sigma_m
         if sigma > 0.0:
-            rng = np.random.default_rng(
-                [self.config.seed, _STREAM_IMU, client_id, int(round(t * 1e6))]
-            )
-            a_body = a_body + rng.normal(0.0, IMU_ACCEL_NOISE_PER_SIGMA * sigma, 3)
-            gyro = gyro + rng.normal(0.0, IMU_GYRO_NOISE_PER_SIGMA * sigma, 3)
-        return ImuSample(
-            client_id=client_id,
-            seq=seq,
-            timestamp_s=t,
-            accel_mps2=a_body,
-            gyro_radps=gyro,
-        )
+            rng = _seeded_rng(self.config.seed, _STREAM_IMU, client_id, int(round(t * 1e6)))
+            # what normal(0.0, scale, 3) draws for accel and then for gyro: 0.0 + scale * z
+            z0, z1, z2, z3, z4, z5 = rng.standard_normal(6).tolist()
+            sa = IMU_ACCEL_NOISE_PER_SIGMA * sigma
+            sg = IMU_GYRO_NOISE_PER_SIGMA * sigma
+            accel = [accel[0] + (0.0 + sa * z0), accel[1] + (0.0 + sa * z1), accel[2] + (0.0 + sa * z2)]
+            gyro = [gyro[0] + (0.0 + sg * z3), gyro[1] + (0.0 + sg * z4), gyro[2] + (0.0 + sg * z5)]
+        return ImuSample(client_id, seq, t, np.array(accel), np.array(gyro))
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:

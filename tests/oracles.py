@@ -332,3 +332,38 @@ def point_cloud_reference(config, frame_index: int):
             doppler = doppler + rng.normal(0.0, config.noise_sigma_m, n)
         blocks.append(np.column_stack([rel, doppler]))
     return np.vstack(blocks + clutter)
+
+
+# --- the inertial tier, snapshotting the fused state after every reading -----
+
+
+def inertial_tier_reference(heading, accel_bias, gyro_bias, frames, beta, gravity):
+    """Fused (velocity[:2], yaw) after each frame of one client's readings.
+
+    frames holds (readings, instant) pairs. Readings apply in (timestamp, seq)
+    order; one with a non-finite time or value, or not after the last applied
+    reading, is skipped. The fused state is taken after every applied reading at
+    or before the instant (within 1e-12 s), so the last such reading sets it and
+    a frame with none keeps the previous frame's.
+    """
+    q = np.array([math.cos(heading / 2.0), 0.0, 0.0, math.sin(heading / 2.0)])
+    v, a_prev, last = np.zeros(3), np.zeros(3), 0.0
+    fused = (np.zeros(2), heading)
+    out = []
+    for readings, instant in frames:
+        for s in sorted(readings, key=lambda s: (s.timestamp_s, s.seq)):
+            if not np.all(np.isfinite([s.timestamp_s, *s.accel_mps2, *s.gyro_radps])):
+                continue
+            dt = s.timestamp_s - last
+            if dt <= 0:
+                continue
+            accel = s.accel_mps2 - accel_bias
+            q = madgwick_reference(q, s.gyro_radps - gyro_bias, accel, dt, beta)
+            a = gravity_compensate_reference(accel, q, gravity)
+            v = integrate_velocity_reference(v, a_prev, a, dt)
+            a_prev, last = a, s.timestamp_s
+            if s.timestamp_s <= instant + 1e-12:
+                w, x, y, z = q
+                fused = (v[:2].copy(), math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
+        out.append(fused)
+    return out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack.clustering import Cluster, DbscanParams, dbscan, filter_background
+from beamtrack.clustering import Cluster, DbscanParams, dbscan, filter_background, finite_rows
 from beamtrack.errors import ValidationError
 from beamtrack.world import build_scenario, default_config
 
@@ -162,11 +162,18 @@ def test_non_finite_rows_are_noise(bad, seed):
     clusters, noise = dbscan(pts, DbscanParams(eps_m=0.3, min_pts=5))
     assert set(rows.tolist()) <= set(noise)
     _assert_matches_reference(pts, 0.3, 5)
+    finite = finite_rows(pts)
+    assert finite.tolist() == sorted(set(range(len(pts))) - set(rows.tolist()))
+    # handing dbscan the caller's finite_rows gives the same clustering
+    with_finite = dbscan(pts, DbscanParams(eps_m=0.3, min_pts=5), finite)
+    assert [c.member_indices for c in with_finite[0]] == [c.member_indices for c in clusters]
+    assert with_finite[1] == noise
 
 
 def test_all_non_finite_cloud_is_noise():
     pts = np.array([[np.nan, 0.0, 0.0, 1.0], [0.0, np.inf, 0.0, 1.0], [0.0, 0.0, -np.inf, 1.0]])
     assert dbscan(pts, DbscanParams(eps_m=0.3, min_pts=1)) == ([], [0, 1, 2])
+    assert finite_rows(pts).tolist() == [] and finite_rows(np.empty((0, 4))).tolist() == []
 
 
 def test_nan_row_in_a_demo_frame_is_noise_and_changes_nothing_else():

@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import polyline_distance_reference
+from oracles import inertial_tier_reference, polyline_distance_reference
 
 import beamtrack.pipeline as pipeline_module
 from beamtrack.errors import DatagramError, ValidationError
-from beamtrack.imu import ImuSample
+from beamtrack.imu import GRAVITY_MPS2, ImuSample
 from beamtrack.pipeline import (
     CaptureWriter,
     DbscanParams,
@@ -153,8 +153,8 @@ def test_inertial_tier_calls_each_stage_once_per_fresh_sample(monkeypatch):
     assert pipe.tracks[0].motion.last_update_s == 0.1 * n
 
 
-def _sparse_radar_records(edit):
-    """Frame records of the seed-0 demo walks at 200 returns per body, no clutter.
+def _sparse_radar_reports(edit):
+    """Frame reports of the seed-0 demo walks at 200 returns per body, no clutter.
 
     edit(frame_index, imu_batches) may change each frame's inline IMU feed first.
     """
@@ -162,14 +162,22 @@ def _sparse_radar_records(edit):
     scenario = build_scenario(cfg)
     headings = {gt.client_id: gt.heading_rad for gt in scenario.ground_truth(0.0)}
     pipe = Pipeline(PipelineParams.for_config(cfg), headings, calibrate_clients(scenario))
-    records = []
+    reports = []
     for k, (batches, cloud) in enumerate(_inline_source(scenario)):
         edit(k, batches)
-        report = pipe.process_frame(
+        reports.append(pipe.process_frame(
             k, (k + 1) * cfg.frame_time_s, cloud.points, batches, measurement_time_s=cloud.timestamp_s
-        )
-        records.append(frame_record(report))
-    return records
+        ))
+    return reports
+
+
+def _drop_counts(reports):
+    """(frame, client id, non-finite, stale) of every frame where a count is not 0."""
+    return [
+        (r.frame_index, c.client_id, c.imu_dropped_non_finite, c.imu_dropped_stale)
+        for r in reports for c in r.clients
+        if c.imu_dropped_non_finite or c.imu_dropped_stale
+    ]
 
 
 def test_non_finite_imu_sample_is_dropped_like_a_missing_one():
@@ -177,8 +185,11 @@ def test_non_finite_imu_sample_is_dropped_like_a_missing_one():
         if k == 2:
             del batches[0][10]
 
-    want = _sparse_radar_records(delete)
+    deleted = _sparse_radar_reports(delete)
+    want = [frame_record(r) for r in deleted]
     assert want[2]["identified"] and len(want) == 36
+    assert _drop_counts(deleted) == []
+    assert all(r.non_finite_points == 0 for r in deleted)
     for field, index, bad in (("accel_mps2", 0, math.nan), ("gyro_radps", 2, -math.inf),
                               ("timestamp_s", None, math.nan), ("timestamp_s", None, math.inf)):
         def poison(k, batches):
@@ -189,7 +200,88 @@ def test_non_finite_imu_sample_is_dropped_like_a_missing_one():
                 else:
                     getattr(sample, field)[index] = bad
 
-        assert _sparse_radar_records(poison) == want, (field, bad)
+        reports = _sparse_radar_reports(poison)
+        assert [frame_record(r) for r in reports] == want, (field, bad)
+        assert _drop_counts(reports) == [(2, 0, 1, 0)], (field, bad)
+
+
+def test_fused_snapshot_equals_per_reading_reference():
+    # the fused velocity and heading, taken once per frame, equal a loop that
+    # snapshots after every applied reading at or before the measurement instant
+    cfg = dataclasses.replace(default_config(0), points_per_client_per_frame=200, clutter=())
+    scenario = build_scenario(cfg)
+    calibrations = calibrate_clients(scenario)
+    headings = {gt.client_id: gt.heading_rad for gt in scenario.ground_truth(0.0)}
+    rng = np.random.default_rng(4)
+    feeds = []
+    for k, (batches, cloud) in enumerate(_inline_source(scenario)):
+        if k == 8:
+            break
+        instant = cloud.timestamp_s
+        readings = list(batches[0])
+        last = max(i for i, s in enumerate(readings) if s.timestamp_s <= instant)
+        if k == 2:  # the last reading before the instant is non-finite
+            readings[last] = dataclasses.replace(
+                readings[last], accel_mps2=np.array([math.nan, 0.0, 9.81])
+            )
+        elif k == 3:  # ... or a duplicate of the one before it
+            readings[last] = readings[last - 1]
+        elif k == 4:  # no reading falls at or before the instant
+            readings = readings[last + 1:]
+        elif k == 5:  # the batch arrives unsorted
+            readings = [readings[i] for i in rng.permutation(len(readings))]
+        elif k == 6:  # only a reading already applied falls at or before the instant
+            readings = [feeds[-1][0][0][0]] + readings[last + 1:]
+        feeds.append(({0: readings, 1: batches[1]}, instant))
+
+    pipe = Pipeline(PipelineParams.for_config(cfg), headings, calibrations)
+    reports = [
+        pipe.process_frame(k, (k + 1) * cfg.frame_time_s, np.empty((0, 4)), batches, instant)
+        for k, (batches, instant) in enumerate(feeds)
+    ]
+    for cid in (0, 1):
+        cal = calibrations[cid]
+        want = inertial_tier_reference(
+            headings[cid], cal.accel_bias, cal.gyro_bias,
+            [(batches[cid], instant) for batches, instant in feeds],
+            pipe.params.madgwick_beta, GRAVITY_MPS2,
+        )
+        for report, (velocity, heading) in zip(reports, want):
+            state = report.clients[cid]
+            assert np.array_equal(state.imu_velocity_mps, velocity), (report.frame_index, cid)
+            assert state.heading_rad == heading, (report.frame_index, cid)
+    for k in (4, 6):  # the previous frame's values carry over
+        assert reports[k].clients[0].heading_rad == reports[k - 1].clients[0].heading_rad
+    assert _drop_counts(reports) == [(2, 0, 1, 0), (3, 0, 0, 1), (6, 0, 0, 1)]
+
+
+def test_run_report_totals_drops_and_keeps_them_out_of_the_log():
+    cfg = _short_config()
+    scenario = build_scenario(cfg)
+    bad_rows = np.array([[math.nan, 1.0, 1.0, 0.0], [1.0, math.inf, 1.0, 0.0],
+                         [1.0, 1.0, 1.0, math.nan]])  # the last has finite x, y, z
+
+    def poisoned():
+        for k, (batches, cloud) in enumerate(_inline_source(scenario)):
+            if k == 1:
+                batches[0][5] = dataclasses.replace(batches[0][5], timestamp_s=math.nan)
+                batches[1].append(batches[1][7])
+                cloud = dataclasses.replace(cloud, points=np.vstack([cloud.points, bad_rows]))
+            yield batches, cloud
+
+    report = pipeline_module._run(scenario, "algorithm", None, None, poisoned())
+    assert report.imu_dropped_non_finite == {0: 1, 1: 0}
+    assert report.imu_dropped_stale == {0: 0, 1: 1}
+    assert report.non_finite_points == 2
+    assert [r.non_finite_points for r in report.frames] == [0, 2] + [0] * 6
+    clean = run_scenario(cfg, mode="algorithm")
+    assert clean.imu_dropped_non_finite == clean.imu_dropped_stale == {0: 0, 1: 0}
+    assert clean.non_finite_points == 0
+    # the counts are not part of the frame record, so logs stay as they were
+    assert [sorted(r) for r in report.records] == [sorted(r) for r in clean.records]
+    assert [sorted(c) for r in report.records for c in r["clients"]] == [
+        sorted(c) for r in clean.records for c in r["clients"]
+    ]
 
 
 def test_tracking_follows_moving_cluster():

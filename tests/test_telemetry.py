@@ -1,5 +1,6 @@
 """Wire codecs, the latest-value store, and the UDP server/client pair."""
 
+import math
 import socket
 import struct
 import threading
@@ -67,6 +68,74 @@ def test_quantize_is_idempotent():
     q2 = quantize_imu(q1)
     assert np.array_equal(q1.accel_mps2, q2.accel_mps2)
     assert np.array_equal(q1.gyro_radps, q2.gyro_radps)
+
+
+def _assert_codec_packs_field_by_field(s):
+    """The codec writes what struct.pack of each field in turn writes, errors included,
+    and decodes it to Python ints, a Python float and (3,) float64 arrays, bit for bit."""
+    sensors = [float(v) for v in s.accel_mps2] + [float(v) for v in s.gyro_radps]
+    try:
+        want = struct.pack("<IId6f", s.client_id, s.seq, s.timestamp_s, *sensors)
+    except (OverflowError, struct.error) as exc:
+        with pytest.raises(type(exc)) as got:
+            encode_imu_datagram(s)
+        assert str(got.value) == str(exc)
+        return
+    data = encode_imu_datagram(s)
+    assert data == want
+    cid, seq, t, *wire = struct.unpack("<IId6f", want)
+    out = decode_imu_datagram(data)
+    assert (type(out.client_id), out.client_id) == (int, cid)
+    assert (type(out.seq), out.seq) == (int, seq)
+    assert type(out.timestamp_s) is float
+    assert struct.pack("<d", out.timestamp_s) == struct.pack("<d", t)
+    for got, values in ((out.accel_mps2, wire[:3]), (out.gyro_radps, wire[3:])):
+        assert (got.dtype, got.shape) == (np.float64, (3,))
+        assert got.tobytes() == struct.pack("<3d", *values)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def test_imu_codec_packs_field_by_field():
+    rng = np.random.default_rng(23)
+    for i in range(500):
+        scale = 10.0 ** rng.uniform(-40.0, 38.0)
+        _assert_codec_packs_field_by_field(
+            _sample(
+                client=int(rng.integers(0, 2**32)),
+                seq=int(rng.integers(0, 2**32)),
+                t=float(rng.uniform(0.0, 1e4)),
+                accel=rng.normal(0.0, scale, 3),
+                gyro=rng.normal(0.0, 1.0, 3),
+            )
+        )
+    # the largest double that still rounds to the f32 maximum, and the midpoint that does not
+    below_overflow = float(np.nextafter(F32_MAX + 2.0**103, 0.0))
+    special = [
+        math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -1e-310, 1.4e-45, 1e-40, 1e-46,
+        F32_MAX, -F32_MAX, below_overflow, -below_overflow,
+    ]
+    for i, v in enumerate(special):
+        _assert_codec_packs_field_by_field(_sample(seq=i, accel=(v, 1.0, -v), gyro=(0.5, v, v)))
+    for t in (math.nan, math.inf, -0.0, 1, np.float64(2.5)):
+        _assert_codec_packs_field_by_field(_sample(t=t))
+    # float32 sensor arrays widen exactly, as float() of each element does
+    _assert_codec_packs_field_by_field(
+        ImuSample(2, 3, 0.5, np.float32([0.1, -2.5, 9.81]), np.float32([1e-8, 0.0, -3.0]))
+    )
+
+
+def test_imu_codec_raises_beyond_the_wire_range():
+    for v in (F32_MAX + 2.0**103, -(F32_MAX + 2.0**103), 1e39, 1e300):
+        for accel, gyro in (((v, 0.0, 0.0), (0.0, 0.0, 0.0)), ((0.0, 0.0, 0.0), (0.0, 0.0, v))):
+            _assert_codec_packs_field_by_field(_sample(accel=accel, gyro=gyro))
+            with pytest.raises(OverflowError):
+                quantize_imu(_sample(accel=accel, gyro=gyro))
+    for client, seq in ((-1, 0), (2**32, 0), (0, -1), (0, 2**32)):
+        _assert_codec_packs_field_by_field(_sample(client=client, seq=seq))
+        with pytest.raises(struct.error):
+            quantize_imu(_sample(client=client, seq=seq))
 
 
 def test_wrong_length_rejected():

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import imu_sample_reference, point_cloud_reference, pose_on_path_reference
 
@@ -18,7 +20,10 @@ from beamtrack.world import (
     Scenario,
     build_scenario,
     default_config,
+    _seeded_rng,
 )
+
+U32 = 2**32
 
 
 def _simple_config(**overrides):
@@ -262,3 +267,77 @@ def test_sampling_equals_per_call_recomputation():
                 assert np.array_equal(s.gyro_radps, gyro)
     for k in range(int(cfg.duration_s * cfg.radar_rate_hz) + 1):
         assert np.array_equal(sc.sample_point_cloud(k).points, point_cloud_reference(cfg, k))
+
+
+def _assert_imu_matches_reference(sc, cid, t, dt=0.01):
+    s = sc.sample_imu(cid, t, dt=dt)
+    accel, gyro = imu_sample_reference(sc.config, cid, t, dt)
+    assert np.array_equal(s.accel_mps2, accel), (cid, t)
+    assert np.array_equal(s.gyro_radps, gyro), (cid, t)
+
+
+def test_seeded_rng_equals_list_seeding():
+    # the uint32-array fast path and the list fallback draw what default_rng(list) draws
+    rng = np.random.default_rng(5)
+    word_lists = [
+        (0, 0), (U32 - 1, 2, 1, U32 - 1), (U32, 2, 0, 7), (2**64 + 3, 1), (3, 2, 1, U32),
+        (np.int64(4), 2, 0, 9), (True, 2), *[tuple(int(w) for w in rng.integers(0, 2**33, 4))
+                                              for _ in range(200)],
+    ]
+    for words in word_lists:
+        want = np.random.default_rng(list(words)).standard_normal(6)
+        assert np.array_equal(_seeded_rng(*words).standard_normal(6), want), words
+    with pytest.raises(ValueError):
+        _seeded_rng(3, 2, -1, 7)
+
+
+def test_imu_noise_for_seeds_beyond_32_bits():
+    # a seed of 2**32 or more is two words in the list form, so it takes the fallback
+    for seed in (U32 - 1, U32, U32 + 5, 2**64 + 1):
+        sc = build_scenario(_simple_config(noise_sigma_m=0.05, seed=seed))
+        for cid in (0, 1):
+            for t in (0.0, 0.01, 0.3, 1.27, 4.0):
+                _assert_imu_matches_reference(sc, cid, t)
+
+
+def test_imu_noise_for_instants_beyond_32_bit_microseconds():
+    # instants past 4,294.967295 s have a microsecond index of 2**32 or more
+    sc = build_scenario(_simple_config(noise_sigma_m=0.05, duration_s=4300.0))
+    for t in (4294.967295, 4294.967296, 4294.97, 4299.99, 4300.0):
+        for cid in (0, 1):
+            _assert_imu_matches_reference(sc, cid, t)
+    assert int(round(4294.967296 * 1e6)) == U32
+
+
+def test_noiseless_imu_matches_reference():
+    sc = build_scenario(_simple_config(noise_sigma_m=0.0))
+    for cid in (0, 1):
+        for t in (0.0, 0.5, 0.51, 1.0, 2.37, 4.0):
+            _assert_imu_matches_reference(sc, cid, t)
+
+
+def test_negative_seed_is_rejected_as_before():
+    cfg = _simple_config(noise_sigma_m=0.05, seed=-1)
+    assert cfg.clutter == ()
+    with pytest.raises(ValueError):
+        build_scenario(cfg)  # the clutter generator is seeded even without clutter
+    # a scenario whose config is given a negative seed after it was built
+    sc = build_scenario(_simple_config(noise_sigma_m=0.05))
+    sc.config.seed = -1
+    with pytest.raises(ValueError):
+        sc.sample_imu(0, 0.3)
+    with pytest.raises(ValueError):
+        sc.sample_point_cloud(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**34),
+    cid=st.integers(0, 1),
+    t=st.floats(0.0, 4.0, allow_nan=False),
+    dt=st.sampled_from([0.01, 0.5]),
+    sigma=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+)
+def test_imu_sample_equals_reference_property(seed, cid, t, dt, sigma):
+    sc = build_scenario(_simple_config(noise_sigma_m=sigma, seed=seed))
+    _assert_imu_matches_reference(sc, cid, t, dt)
