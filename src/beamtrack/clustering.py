@@ -25,7 +25,7 @@ class DbscanParams:
 class Cluster:
     label: int
     core_point: np.ndarray  # (2,) centroid of member (x, y)
-    mean_doppler_mps: float
+    mean_doppler_mps: float | None  # over members with a finite doppler; None if none has one
     point_count: int
     member_indices: list[int]
     velocity_mps: np.ndarray | None = None  # filled by the tracker once matched
@@ -50,8 +50,10 @@ def dbscan(
     a non-finite x, y or z is in no neighborhood, so it is noise. Clusters are
     labeled 0, 1, ... in discovery order with points scanned in input order;
     border points reachable from several clusters go to the first one
-    discovered. Returns the clusters and the indices of noise points. finite,
-    if given, is finite_rows(points), for a caller that also needs it.
+    discovered. A non-finite doppler leaves its row in the clustering but out
+    of the cluster's mean doppler. Returns the clusters and the indices of
+    noise points. finite, if given, is finite_rows(points), for a caller that
+    also needs it.
     """
     if not 0.0 < params.eps_m < math.inf:
         raise ValidationError("eps_m must be > 0 and finite")
@@ -66,14 +68,19 @@ def dbscan(
     labels[finite] = _labels(pts[finite, :3], params.eps_m, params.min_pts)
     n_clusters = int(labels.max()) + 1
 
+    finite_doppler = np.isfinite(pts[:, 3])
+    every_doppler_finite = finite_doppler.all()
     clusters = []
     for label in range(n_clusters):
         members = np.flatnonzero(labels == label)
+        doppler = pts[members, 3]
+        if not every_doppler_finite:
+            doppler = doppler[finite_doppler[members]]
         clusters.append(
             Cluster(
                 label=label,
                 core_point=pts[members, :2].mean(axis=0),
-                mean_doppler_mps=float(pts[members, 3].mean()),
+                mean_doppler_mps=float(doppler.mean()) if doppler.size else None,
                 point_count=len(members),
                 member_indices=members.tolist(),
             )
@@ -195,14 +202,14 @@ def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, int]:
 def filter_background(
     clusters: list[Cluster], points: np.ndarray, doppler_zero_tol: float = 1e-3
 ) -> list[Cluster]:
-    """Drop clusters whose every member has |doppler| <= doppler_zero_tol.
+    """Drop clusters with no member whose finite doppler exceeds doppler_zero_tol.
 
     Static objects return exactly zero doppler; anything alive keeps at least
     a few moving points, so one non-zero member is enough to retain a cluster.
+    A non-finite doppler is no evidence of motion.
     """
-    pts = np.asarray(points, dtype=float)
-    kept = []
-    for c in clusters:
-        if np.any(np.abs(pts[c.member_indices, 3]) > doppler_zero_tol):
-            kept.append(c)
-    return kept
+    if not clusters:
+        return []
+    speed = np.abs(np.asarray(points, dtype=float)[:, 3])
+    live = (speed > doppler_zero_tol) & (speed < math.inf)
+    return [c for c in clusters if live[c.member_indices].any()]

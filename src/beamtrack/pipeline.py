@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import struct
 import time
 from collections import Counter
@@ -185,6 +187,7 @@ class FrameReport:
     identified: bool
     events: list[str]
     non_finite_points: int = 0  # radar rows with a non-finite x, y or z
+    non_finite_doppler: int = 0  # radar rows with a non-finite doppler
 
 
 class Pipeline:
@@ -294,6 +297,7 @@ class Pipeline:
 
         # radar tier: cluster, drop static background, correct surface bias
         finite = finite_rows(points)  # the other rows are noise
+        doppler = np.asarray(points, dtype=float).reshape(-1, 4)[:, 3]
         raw_clusters, _ = dbscan(points, p.dbscan, finite)
         moving = filter_background(raw_clusters, points, p.doppler_zero_tol_mps)
         measured = [self._to_world(c) for c in moving]
@@ -429,6 +433,7 @@ class Pipeline:
             identified=identified,
             events=events,
             non_finite_points=len(points) - len(finite),
+            non_finite_doppler=len(doppler) - int(np.count_nonzero(np.isfinite(doppler))),
         )
 
 
@@ -496,9 +501,15 @@ class CaptureWriter:
 
 
 def replay_capture(path: str | Path):
-    """Yield (imu_batches, cloud) frames from a capture file in recorded order."""
+    """Yield (imu_batches, cloud) frames from a capture file in recorded order.
+
+    A damaged file yields the whole frames before the damage, then raises
+    DatagramError.
+    """
     batches: dict[int, list[ImuSample]] = {}
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        left = st.st_size if stat.S_ISREG(st.st_mode) else math.inf  # bytes not yet read
         while True:
             head = fh.read(_RECORD_HEADER.size)
             if not head:
@@ -506,6 +517,9 @@ def replay_capture(path: str | Path):
             if len(head) < _RECORD_HEADER.size:
                 raise DatagramError("truncated capture record header")
             length, tag = _RECORD_HEADER.unpack(head)
+            left -= len(head) + length
+            if left < 0:  # checked first, so a garbled length allocates nothing
+                raise DatagramError("truncated capture record")
             payload = fh.read(length)
             if len(payload) < length:
                 raise DatagramError("truncated capture record")
@@ -559,6 +573,7 @@ class RunReport:
     imu_dropped_non_finite: dict[int, int] = field(default_factory=dict)
     imu_dropped_stale: dict[int, int] = field(default_factory=dict)
     non_finite_points: int = 0
+    non_finite_doppler: int = 0
 
 
 @dataclass
@@ -598,7 +613,7 @@ def frame_record(
             "label": c.label,
             "core": _xy(c.core_point),
             "count": int(c.point_count),
-            "mean_doppler": float(c.mean_doppler_mps),
+            "mean_doppler": None if c.mean_doppler_mps is None else float(c.mean_doppler_mps),
             "velocity": None if c.velocity_mps is None else _xy(c.velocity_mps),
         }
         for c in report.clusters
@@ -860,6 +875,7 @@ def _run(
             cid: sum(r.clients[cid].imu_dropped_stale for r in reports) for cid in (0, 1)
         },
         non_finite_points=sum(r.non_finite_points for r in reports),
+        non_finite_doppler=sum(r.non_finite_doppler for r in reports),
     )
 
 

@@ -2,8 +2,11 @@
 
 Produces the two sensor streams a live deployment would provide: radar point
 clouds from a fixed imaging radar, and per-client IMU samples. Everything is a
-pure function of (config, seed, time), so equal configs reproduce byte-identical
-streams.
+pure function of the config and the sample's key, never of call order, so equal
+configs reproduce byte-identical streams. A cloud's noise is keyed by (seed,
+radar instant); an IMU reading's noise by (seed, client, seq), drawn in blocks
+of 256 readings per generator, so each client's sequence number, rising with
+time, picks its noise row.
 
 Geometry: paths, clutter and the radar pose live in a shared world frame.
 Point clouds are reported in the radar frame, which is the world frame
@@ -47,21 +50,8 @@ _STREAM_CLUTTER = 0
 _STREAM_CLOUD = 1
 _STREAM_IMU = 2
 
-_U32 = 1 << 32
-
-
-def _seeded_rng(*words: int) -> np.random.Generator:
-    """np.random.default_rng(list(words)), from a uint32 array when every word fits.
-
-    SeedSequence builds the same entropy pool from the array as from the list
-    of ints, without converting each Python int to words on the way. Any other
-    word (negative, 2**32 or wider, not an int) takes the list, which splits or
-    rejects it as before.
-    """
-    for w in words:
-        if type(w) is not int or not 0 <= w < _U32:
-            return np.random.default_rng(list(words))
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+# IMU readings per noise generator, one row of six standard normals each
+IMU_NOISE_BLOCK = 256
 
 
 def _wrap_pi(a: float) -> float:
@@ -126,6 +116,8 @@ class ScenarioConfig:
             raise ValidationError("noise_sigma_m must be >= 0")
         if self.body_radius_m < 0:
             raise ValidationError("body_radius_m must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.points_per_client_per_frame < 1:
             raise ValidationError("points_per_client_per_frame must be >= 1")
         if self.radar_rate_hz <= 0:
@@ -273,11 +265,16 @@ class Scenario:
         self._tables = [_PathTable(p) for p in (*config.clients, *config.distractors)]
         self._radar = np.asarray(config.radar_pose, dtype=float)
         self._clutter_points = self._build_clutter()
+        # client id -> (block number, its noise rows): per instance, so a new
+        # Scenario draws its noise afresh, and one tuple, so threads sampling
+        # at once at worst draw a block twice and never pair a number with
+        # another block's rows
+        self._imu_blocks: dict[int, tuple[int, list[list[float]]]] = {}
 
     def _build_clutter(self) -> np.ndarray:
         """Scatter clutter once; static objects return the same points every frame."""
         rows = []
-        rng = _seeded_rng(self.config.seed, _STREAM_CLUTTER)
+        rng = np.random.default_rng([self.config.seed, _STREAM_CLUTTER])
         for spec in self.config.clutter:
             center = np.asarray(spec.position, dtype=float)
             offsets = rng.normal(0.0, CLUTTER_SPREAD_M, size=(spec.point_count, 3))
@@ -311,7 +308,7 @@ class Scenario:
         t = frame_index / self.config.radar_rate_hz
         self._check_time(t)
         cfg = self.config
-        rng = _seeded_rng(cfg.seed, _STREAM_CLOUD, frame_index)
+        rng = np.random.default_rng([cfg.seed, _STREAM_CLOUD, frame_index])
         n = cfg.points_per_client_per_frame
         blocks = []
         for table in self._tables:
@@ -349,6 +346,14 @@ class Scenario:
         motion exactly (the sums telescope). dt is the sensor's report
         interval: 0.01 for a 100 Hz device, or one pipeline frame for
         frame-cadence feeds.
+
+        The noise is a pure function of (seed, client_id, seq): row
+        seq % IMU_NOISE_BLOCK of
+        default_rng([seed, _STREAM_IMU, client_id, seq // IMU_NOISE_BLOCK])
+        .standard_normal((IMU_NOISE_BLOCK, 6)), accel noise first. Callers give
+        each reading of a client its own seq, rising with time; the last block
+        drawn per client is kept, so a rising seq builds one generator per
+        IMU_NOISE_BLOCK readings.
         """
         if not (0 <= client_id < len(self.config.clients)):
             raise KeyError(f"unknown client_id {client_id}")
@@ -369,13 +374,17 @@ class Scenario:
 
         sigma = self.config.noise_sigma_m
         if sigma > 0.0:
-            rng = _seeded_rng(self.config.seed, _STREAM_IMU, client_id, int(round(t * 1e6)))
-            # what normal(0.0, scale, 3) draws for accel and then for gyro: 0.0 + scale * z
-            z0, z1, z2, z3, z4, z5 = rng.standard_normal(6).tolist()
+            number = seq // IMU_NOISE_BLOCK
+            block = self._imu_blocks.get(client_id)
+            if block is None or block[0] != number:
+                rng = np.random.default_rng([self.config.seed, _STREAM_IMU, client_id, number])
+                block = (number, rng.standard_normal((IMU_NOISE_BLOCK, 6)).tolist())
+                self._imu_blocks[client_id] = block
+            z0, z1, z2, z3, z4, z5 = block[1][seq % IMU_NOISE_BLOCK]
             sa = IMU_ACCEL_NOISE_PER_SIGMA * sigma
             sg = IMU_GYRO_NOISE_PER_SIGMA * sigma
-            accel = [accel[0] + (0.0 + sa * z0), accel[1] + (0.0 + sa * z1), accel[2] + (0.0 + sa * z2)]
-            gyro = [gyro[0] + (0.0 + sg * z3), gyro[1] + (0.0 + sg * z4), gyro[2] + (0.0 + sg * z5)]
+            accel = [accel[0] + sa * z0, accel[1] + sa * z1, accel[2] + sa * z2]
+            gyro = [gyro[0] + sg * z3, gyro[1] + sg * z4, gyro[2] + sg * z5]
         return ImuSample(client_id, seq, t, np.array(accel), np.array(gyro))
 
 

@@ -271,8 +271,12 @@ def pose_on_path_reference(path, t: float):
     return wps[i] + dirs[i] * (s - cum[i]), dirs[i] * path.speed_mps, math.atan2(dirs[i, 1], dirs[i, 0])
 
 
-def imu_sample_reference(config, client_id: int, t: float, dt: float):
-    """(accel, gyro) of one simulated reading: backward differences of the true motion."""
+def imu_sample_reference(config, client_id: int, t: float, dt: float, seq: int):
+    """(accel, gyro) of one simulated reading: backward differences of the true motion.
+
+    The noise is row seq % 256 of the 256 x 6 standard normals drawn by the
+    generator keyed (seed, IMU stream, client, seq // 256), redrawn on every call.
+    """
     path = config.clients[client_id]
     _, vel, heading = pose_on_path_reference(path, t)
     _, vel0, heading0 = pose_on_path_reference(path, max(0.0, t - dt))
@@ -292,11 +296,10 @@ def imu_sample_reference(config, client_id: int, t: float, dt: float):
     gyro = np.array([0.0, 0.0, yaw_rate])
     sigma = config.noise_sigma_m
     if sigma > 0.0:
-        rng = np.random.default_rng(
-            [config.seed, sim._STREAM_IMU, client_id, int(round(t * 1e6))]
-        )
-        accel = accel + rng.normal(0.0, sim.IMU_ACCEL_NOISE_PER_SIGMA * sigma, 3)
-        gyro = gyro + rng.normal(0.0, sim.IMU_GYRO_NOISE_PER_SIGMA * sigma, 3)
+        rng = np.random.default_rng([config.seed, sim._STREAM_IMU, client_id, seq // 256])
+        z = rng.standard_normal((256, 6))[seq % 256]
+        accel = accel + sim.IMU_ACCEL_NOISE_PER_SIGMA * sigma * z[:3]
+        gyro = gyro + sim.IMU_GYRO_NOISE_PER_SIGMA * sigma * z[3:]
     return accel, gyro
 
 

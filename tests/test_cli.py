@@ -112,3 +112,16 @@ def test_udp_telemetry_run(tmp_path, capsys):
     assert "telemetry: received" in out
     received = int(out.split("telemetry: received ")[1].split()[0])
     assert received > 0
+
+
+def test_negative_seed_exits_with_the_validation_message(tmp_path, capsys, config_file):
+    log = tmp_path / "run.jsonl"
+    assert main(["run", "--config", str(config_file), "--seed", "-1", "--log", str(log)]) == 2
+    data = json.loads(config_file.read_text())
+    data["seed"] = -1
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps(data))
+    assert main(["run", "--config", str(negative)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: seed must be >= 0"] * 2
+    assert captured.out == ""

@@ -187,6 +187,27 @@ def test_nan_row_in_a_demo_frame_is_noise_and_changes_nothing_else():
     assert noise_nan == noise + [len(pts)]
 
 
+def test_non_finite_doppler_stays_in_the_cluster_and_out_of_its_mean():
+    pts = _frame(default_config(0), 10)
+    params = DbscanParams()
+    clusters, noise = dbscan(pts, params)
+    poisoned = pts.copy()
+    poisoned[::10, 3] = np.nan
+    poisoned[5, 3] = np.inf
+    bad = ~np.isfinite(poisoned[:, 3])
+    clusters_bad, noise_bad = dbscan(poisoned, params)
+    assert [c.member_indices for c in clusters_bad] == [c.member_indices for c in clusters]
+    assert noise_bad == noise
+    for c in clusters_bad:
+        members = np.array(c.member_indices)
+        assert bad[members].any()
+        assert c.mean_doppler_mps == pts[members[~bad[members]], 3].mean()
+    # a cluster without one finite doppler has no mean
+    ring = np.column_stack([np.zeros((5, 3)), [np.nan, np.inf, -np.inf, np.nan, np.nan]])
+    (only,), _ = dbscan(ring, DbscanParams(eps_m=0.3, min_pts=5))
+    assert only.mean_doppler_mps is None
+
+
 def test_cores_far_apart_in_every_axis():
     # a linear cell index over the cores' bounding box would overflow 64 bits
     rng = np.random.default_rng(8)
@@ -245,6 +266,17 @@ def test_filter_background_single_live_member_retains():
     pts[2, 3] = 0.01  # one member above the zero-doppler tolerance
     c = Cluster(0, np.zeros(2), 0.0025, 4, [0, 1, 2, 3])
     assert filter_background([c], pts) == [c]
+
+
+def test_filter_background_ignores_non_finite_doppler():
+    pts = np.zeros((4, 4))
+    for bad in (np.nan, np.inf, -np.inf):
+        pts[1, 3] = bad  # a static cluster with one unusable doppler stays static
+        c = Cluster(0, np.zeros(2), 0.0, 4, [0, 1, 2, 3])
+        assert filter_background([c], pts) == []
+        pts[2, 3] = 0.5  # ... and a live member still retains it
+        assert filter_background([c], pts) == [c]
+        pts[2, 3] = 0.0
 
 
 def test_filter_background_tolerance_is_strict():

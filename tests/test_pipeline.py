@@ -2,16 +2,20 @@
 
 import collections
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import inertial_tier_reference, polyline_distance_reference
 
 import beamtrack.pipeline as pipeline_module
 from beamtrack.errors import DatagramError, ValidationError
 from beamtrack.imu import GRAVITY_MPS2, ImuSample
+from beamtrack.telemetry import encode_imu_datagram
 from beamtrack.pipeline import (
     CaptureWriter,
     DbscanParams,
@@ -274,14 +278,42 @@ def test_run_report_totals_drops_and_keeps_them_out_of_the_log():
     assert report.imu_dropped_stale == {0: 0, 1: 1}
     assert report.non_finite_points == 2
     assert [r.non_finite_points for r in report.frames] == [0, 2] + [0] * 6
+    assert report.non_finite_doppler == 1
+    assert [r.non_finite_doppler for r in report.frames] == [0, 1] + [0] * 6
     clean = run_scenario(cfg, mode="algorithm")
     assert clean.imu_dropped_non_finite == clean.imu_dropped_stale == {0: 0, 1: 0}
-    assert clean.non_finite_points == 0
+    assert clean.non_finite_points == clean.non_finite_doppler == 0
     # the counts are not part of the frame record, so logs stay as they were
     assert [sorted(r) for r in report.records] == [sorted(r) for r in clean.records]
     assert [sorted(c) for r in report.records for c in r["clients"]] == [
         sorted(c) for r in clean.records for c in r["clients"]
     ]
+
+
+def test_non_finite_doppler_is_counted_and_the_log_stays_json():
+    # every 10th row of one demo frame has a NaN doppler: the rows are counted,
+    # the cluster means skip them and the frame record is still strict JSON
+    cfg = _short_config()
+    scenario = build_scenario(cfg)
+
+    def poisoned():
+        for k, (batches, cloud) in enumerate(_inline_source(scenario)):
+            if k == 3:
+                points = cloud.points.copy()
+                points[::10, 3] = math.nan
+                cloud = dataclasses.replace(cloud, points=points)
+            yield batches, cloud
+
+    report = pipeline_module._run(scenario, "both", None, None, poisoned())
+    n_bad = (report.frames[3].n_points + 9) // 10  # rows 0, 10, 20, ...
+    assert [r.non_finite_doppler for r in report.frames] == [0, 0, 0, n_bad] + [0] * 4
+    assert report.non_finite_doppler == n_bad and report.non_finite_points == 0
+    assert report.frames[3].clusters
+    for record in report.records:
+        json.dumps(record, allow_nan=False)
+    clean = run_scenario(cfg, mode="both")
+    assert [sorted(r) for r in report.records] == [sorted(r) for r in clean.records]
+    assert report.rms_by_client == clean.rms_by_client
 
 
 def test_tracking_follows_moving_cluster():
@@ -490,3 +522,101 @@ def test_capture_rejects_damaged_files(tmp_path):
         writer.write_imu(sample)  # device samples after the last cloud frame
     with pytest.raises(DatagramError):
         list(replay_capture(trailing))
+
+
+# a capture of three frames: two IMU records (5 + 40 bytes each) then one
+# cloud record (5 + 16 + 32 bytes per point) per frame
+_IMU_RECORD = 45
+
+
+def _three_frame_capture(path):
+    """Write the capture; return its bytes, its frames and each record's (start, end, frame)."""
+    frames, records, pos = [], [], 0
+    with CaptureWriter(path) as writer:
+        for k in range(3):
+            samples = [
+                ImuSample(i, 2 * k + i, 0.1 * k + 0.01 * i, np.array([0.1 * k, -0.2, 9.8]),
+                          np.array([0.01, 0.02 * i, -0.03]))
+                for i in range(2)
+            ]
+            cloud = PointCloudFrame(k, 0.1 * k + 0.05, np.arange(4.0 * (k + 1)).reshape(-1, 4) - k)
+            for sample in samples:
+                writer.write_imu(sample)
+                records.append((pos, pos + _IMU_RECORD, k))
+                pos += _IMU_RECORD
+            writer.write_cloud(cloud)
+            records.append((pos, pos + 21 + 32 * (k + 1), k))
+            pos = records[-1][1]
+            frames.append(({i: [s] for i, s in enumerate(samples)}, cloud))
+    blob = path.read_bytes()
+    assert len(blob) == pos
+    return blob, [_frame_bytes(f) for f in frames], records
+
+
+def _frame_bytes(frame):
+    batches, cloud = frame
+    imu = sorted((cid, [encode_imu_datagram(s) for s in samples]) for cid, samples in batches.items())
+    return imu, cloud.frame_index, np.float64(cloud.timestamp_s).tobytes(), cloud.points.tobytes()
+
+
+def _replay_damaged(path, blob):
+    """The frames replay_capture yields from blob and the exception it ends with, if any."""
+    path.write_bytes(blob)
+    frames = []
+    try:
+        for frame in replay_capture(path):
+            frames.append(_frame_bytes(frame))
+    except DatagramError as exc:
+        return frames, exc
+    return frames, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut=st.integers(0, 10**6))
+def test_truncated_capture_keeps_the_whole_frames_before_the_cut(tmp_path_factory, cut):
+    base = tmp_path_factory.mktemp("capture")
+    blob, frames, records = _three_frame_capture(base / "whole.capture")
+    cut %= len(blob) + 1
+    frame_ends = [end for _, end, _ in records[2::3]]  # every third record is a cloud
+    whole = sum(end <= cut for end in frame_ends)
+    got, error = _replay_damaged(base / "cut.capture", blob[:cut])
+    assert got == frames[:whole]
+    assert (error is None) == (cut in (0, *frame_ends))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_garbled_record_header_raises_after_the_frames_before_it(tmp_path_factory, data):
+    base = tmp_path_factory.mktemp("capture")
+    blob, frames, records = _three_frame_capture(base / "whole.capture")
+    start, end, frame = data.draw(st.sampled_from(records))
+    old_length, old_tag = pipeline_module._RECORD_HEADER.unpack_from(blob, start)
+    if data.draw(st.booleans()):
+        value = data.draw(st.one_of(st.integers(0, 64), st.integers(0, 2**32 - 1)))
+        length, tag = value, old_tag
+    else:
+        value = data.draw(st.integers(0, 255))
+        length, tag = old_length, value
+    if (length, tag) == (old_length, old_tag):
+        return
+    damaged = blob[:start] + pipeline_module._RECORD_HEADER.pack(length, tag) + blob[start + 5:]
+    got, error = _replay_damaged(base / "garbled.capture", damaged)
+    assert got == frames[:frame]
+    assert error is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_garbled_capture_bytes_raise_only_datagram_errors(tmp_path_factory, data):
+    # any overwritten span, cloud headers included: the frames wholly before
+    # it replay unchanged, and replay ends cleanly or with DatagramError
+    base = tmp_path_factory.mktemp("capture")
+    blob, frames, records = _three_frame_capture(base / "whole.capture")
+    start = data.draw(st.integers(0, len(blob) - 1))
+    junk = data.draw(st.binary(min_size=1, max_size=24))
+    damaged = blob[:start] + junk + blob[start + len(junk):]
+    damaged = damaged[: data.draw(st.integers(start, len(damaged)))]
+    changed = next((i for i, (a, b) in enumerate(zip(damaged, blob)) if a != b), len(damaged))
+    intact = sum(end <= changed for _, end, _ in records[2::3])
+    got, _ = _replay_damaged(base / "garbled.capture", damaged)
+    assert got[:intact] == frames[:intact]

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from beamtrack.world import (
     Scenario,
     build_scenario,
     default_config,
-    _seeded_rng,
 )
 
 U32 = 2**32
@@ -51,6 +52,8 @@ def test_config_validation():
         _simple_config(noise_sigma_m=-0.1).validate()
     with pytest.raises(ValidationError):
         _simple_config(radar_rate_hz=2.0).validate()  # < 2 radar instants per frame
+    with pytest.raises(ValidationError):
+        _simple_config(seed=-1).validate()
     bad_path = PathSpec(waypoints=((0.0, 0.0),), speed_mps=0.5)
     with pytest.raises(ValidationError):
         _simple_config(clients=(bad_path, bad_path)).validate()
@@ -253,7 +256,7 @@ def test_sampling_equals_per_call_recomputation():
         for d in np.cumsum(np.hypot(seg[:, 0], seg[:, 1])):
             arrivals.append(path.initial_hold_s + d / path.speed_mps)
     times = sorted(set(arrivals) | {i / rate for i in range(int(cfg.duration_s * rate) + 1)})
-    for t in times:
+    for seq, t in enumerate(times):
         truth = sc.ground_truth(t)
         for cid, path in enumerate(cfg.clients):
             pos, vel, heading = pose_on_path_reference(path, t)
@@ -261,52 +264,126 @@ def test_sampling_equals_per_call_recomputation():
             assert np.array_equal(truth[cid].velocity_mps, vel)
             assert truth[cid].heading_rad == heading
             for dt in (1.0 / rate, cfg.frame_time_s):
-                s = sc.sample_imu(cid, t, dt=dt)
-                accel, gyro = imu_sample_reference(cfg, cid, t, dt)
+                s = sc.sample_imu(cid, t, dt=dt, seq=seq)
+                accel, gyro = imu_sample_reference(cfg, cid, t, dt, seq)
                 assert np.array_equal(s.accel_mps2, accel)
                 assert np.array_equal(s.gyro_radps, gyro)
     for k in range(int(cfg.duration_s * cfg.radar_rate_hz) + 1):
         assert np.array_equal(sc.sample_point_cloud(k).points, point_cloud_reference(cfg, k))
 
 
-def _assert_imu_matches_reference(sc, cid, t, dt=0.01):
-    s = sc.sample_imu(cid, t, dt=dt)
-    accel, gyro = imu_sample_reference(sc.config, cid, t, dt)
-    assert np.array_equal(s.accel_mps2, accel), (cid, t)
-    assert np.array_equal(s.gyro_radps, gyro), (cid, t)
+def _assert_imu_matches_reference(sc, cid, t, dt=0.01, seq=0):
+    s = sc.sample_imu(cid, t, dt=dt, seq=seq)
+    accel, gyro = imu_sample_reference(sc.config, cid, t, dt, seq)
+    assert np.array_equal(s.accel_mps2, accel), (cid, t, seq)
+    assert np.array_equal(s.gyro_radps, gyro), (cid, t, seq)
 
 
-def test_seeded_rng_equals_list_seeding():
-    # the uint32-array fast path and the list fallback draw what default_rng(list) draws
-    rng = np.random.default_rng(5)
-    word_lists = [
-        (0, 0), (U32 - 1, 2, 1, U32 - 1), (U32, 2, 0, 7), (2**64 + 3, 1), (3, 2, 1, U32),
-        (np.int64(4), 2, 0, 9), (True, 2), *[tuple(int(w) for w in rng.integers(0, 2**33, 4))
-                                              for _ in range(200)],
-    ]
-    for words in word_lists:
-        want = np.random.default_rng(list(words)).standard_normal(6)
-        assert np.array_equal(_seeded_rng(*words).standard_normal(6), want), words
-    with pytest.raises(ValueError):
-        _seeded_rng(3, 2, -1, 7)
+# the first and last reading of a noise block, the next block, the last u32 seq
+EDGE_SEQS = (0, 255, 256, 511, 512, U32 - 1)
 
 
 def test_imu_noise_for_seeds_beyond_32_bits():
-    # a seed of 2**32 or more is two words in the list form, so it takes the fallback
+    # a seed of 2**32 or more is two words of the generator's key
     for seed in (U32 - 1, U32, U32 + 5, 2**64 + 1):
         sc = build_scenario(_simple_config(noise_sigma_m=0.05, seed=seed))
         for cid in (0, 1):
             for t in (0.0, 0.01, 0.3, 1.27, 4.0):
-                _assert_imu_matches_reference(sc, cid, t)
+                for seq in EDGE_SEQS:
+                    _assert_imu_matches_reference(sc, cid, t, seq=seq)
 
 
 def test_imu_noise_for_instants_beyond_32_bit_microseconds():
-    # instants past 4,294.967295 s have a microsecond index of 2**32 or more
+    # the noise is keyed by seq, not by the instant: a run past 4,294.967296 s
+    # (2**32 microseconds) reads what the oracle reads at its 100 Hz seq
     sc = build_scenario(_simple_config(noise_sigma_m=0.05, duration_s=4300.0))
     for t in (4294.967295, 4294.967296, 4294.97, 4299.99, 4300.0):
         for cid in (0, 1):
-            _assert_imu_matches_reference(sc, cid, t)
-    assert int(round(4294.967296 * 1e6)) == U32
+            _assert_imu_matches_reference(sc, cid, t, seq=int(round(t * 100)))
+            _assert_imu_matches_reference(sc, cid, t, seq=U32 - 1)
+
+
+def test_imu_noise_is_independent_of_call_order():
+    # the same (client, seq) reads the same whatever was drawn before it, on
+    # this scenario or on a fresh one
+    cfg = _simple_config(noise_sigma_m=0.05, seed=11)
+    seqs = dict.fromkeys((*range(250, 262), *EDGE_SEQS, 1000, 3))  # distinct, in this order
+    keys = [(cid, seq) for seq in seqs for cid in (0, 1)]
+    t = 1.5
+
+    def read(sc, order):
+        out = {}
+        for cid, seq in order:
+            s = sc.sample_imu(cid, t, seq=seq)
+            out[cid, seq] = np.concatenate([s.accel_mps2, s.gyro_radps])
+        return out
+
+    ascending = read(build_scenario(cfg), sorted(keys, key=lambda k: k[1]))
+    shuffled = list(keys)
+    np.random.default_rng(0).shuffle(shuffled)
+    sc = build_scenario(cfg)
+    first = read(sc, shuffled)
+    again = read(sc, keys[::-1])  # the same scenario, its blocks already drawn
+    other = read(build_scenario(dataclasses.replace(cfg, seed=12)), keys)
+    fresh = read(build_scenario(cfg), shuffled[::-1])  # after another seed's blocks
+    for key in keys:
+        accel, gyro = imu_sample_reference(cfg, key[0], t, 0.01, key[1])
+        want = np.concatenate([accel, gyro])
+        for got in (ascending, first, again, fresh):
+            assert np.array_equal(got[key], want), key
+    # distinct seeds, clients and seqs read distinct noise
+    assert len({tuple(v) for v in (*ascending.values(), *other.values())}) == 2 * len(keys)
+
+
+def test_imu_noise_is_exact_under_concurrent_readers():
+    # UDP mode samples each client from its own sender thread while calibration
+    # samples both: the per-client block cache may be drawn twice, never mixed
+    cfg = _simple_config(noise_sigma_m=0.05, seed=5)
+    seqs = range(0, 1024, 3)
+    want = {
+        (cid, seq): build_scenario(cfg).sample_imu(cid, 1.0, seq=seq).accel_mps2
+        for cid in (0, 1) for seq in seqs
+    }
+    sc = build_scenario(cfg)
+    bad = []
+
+    def reader(k):
+        for seq in (seqs if k % 2 else reversed(seqs)):
+            for cid in (k % 2, 1 - k % 2):
+                if not np.array_equal(sc.sample_imu(cid, 1.0, seq=seq).accel_mps2, want[cid, seq]):
+                    bad.append((k, cid, seq))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_imu_noise_statistics_across_blocks():
+    # 4,096 readings of a client standing still (16 noise blocks): each noise
+    # channel has the configured scale and no lag-1 or block-period correlation
+    sigma = 0.05
+    cfg = _simple_config(noise_sigma_m=sigma, seed=2)
+    sc = build_scenario(cfg)
+    n = 4096
+    reads = [sc.sample_imu(0, 0.3, seq=seq) for seq in range(n)]  # inside the 0.5 s hold
+    accel = np.array([s.accel_mps2 for s in reads]) - [0.0, 0.0, 9.81]
+    gyro = np.array([s.gyro_radps for s in reads])
+    for noise, scale in ((accel, 0.4 * sigma), (gyro, 0.002 * sigma)):
+        assert abs(noise.std() / scale - 1.0) < 0.05
+        for channel in noise.T:
+            z = channel - channel.mean()
+            for lag in (1, 256):
+                r = (z[:-lag] @ z[lag:]) / (z @ z)
+                assert abs(r) < 0.05, (lag, r)
 
 
 def test_noiseless_imu_matches_reference():
@@ -320,7 +397,7 @@ def test_negative_seed_is_rejected_as_before():
     cfg = _simple_config(noise_sigma_m=0.05, seed=-1)
     assert cfg.clutter == ()
     with pytest.raises(ValueError):
-        build_scenario(cfg)  # the clutter generator is seeded even without clutter
+        build_scenario(cfg)  # the config's validation, a ValueError
     # a scenario whose config is given a negative seed after it was built
     sc = build_scenario(_simple_config(noise_sigma_m=0.05))
     sc.config.seed = -1
@@ -337,7 +414,8 @@ def test_negative_seed_is_rejected_as_before():
     t=st.floats(0.0, 4.0, allow_nan=False),
     dt=st.sampled_from([0.01, 0.5]),
     sigma=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+    seq=st.one_of(st.sampled_from(EDGE_SEQS), st.integers(0, U32 - 1)),
 )
-def test_imu_sample_equals_reference_property(seed, cid, t, dt, sigma):
+def test_imu_sample_equals_reference_property(seed, cid, t, dt, sigma, seq):
     sc = build_scenario(_simple_config(noise_sigma_m=sigma, seed=seed))
-    _assert_imu_matches_reference(sc, cid, t, dt)
+    _assert_imu_matches_reference(sc, cid, t, dt, seq)
