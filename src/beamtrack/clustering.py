@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -135,12 +135,14 @@ def _labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         key = np.flatnonzero(seen)
     else:
         key = np.unique(key)
+    # Either way the keys come out sorted, so the core-core edges are already
+    # in row-major order: they are the compressed rows of the cell graph as is.
+    # Weights are float64, the dtype connected_components converts any graph to.
     row, col = np.divmod(key, side)
     both_core = (row < n_cells) & (col < n_cells)
-    graph = coo_matrix(
-        (np.ones(np.count_nonzero(both_core), dtype=np.int8), (row[both_core], col[both_core])),
-        shape=(n_cells, n_cells),
-    )
+    row, col = row[both_core], col[both_core]
+    indptr = np.searchsorted(row, np.arange(n_cells + 1))
+    graph = csr_matrix((np.ones(len(col)), col, indptr), shape=(n_cells, n_cells))
     n_clusters, comp_of_cell = connected_components(graph, directed=False)
 
     # Clusters are numbered by first appearance of a core in scan order.

@@ -3,13 +3,19 @@
 Conventions: body frame is x forward, y left, z up; quaternions are [w, x, y, z]
 and rotate body-frame vectors into the global frame. An accelerometer at rest
 reads +GRAVITY_MPS2 along body z.
+
+A reading crosses simulation, the wire codec and dead reckoning once per
+device sample, so its 3- and 4-vectors travel as tuples of Python floats: the
+per-element arithmetic is the same IEEE arithmetic numpy performs, without
+building a small array per step. The inertial functions also accept ndarray
+vectors and convert each once.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +29,17 @@ MIN_CALIBRATION_SAMPLES = 10
 
 @dataclass
 class ImuSample:
-    """One inertial measurement as produced by a client device."""
+    """One inertial measurement as produced by a client device.
+
+    The vectors are tuples of Python floats, as Scenario.sample_imu and
+    decode_imu_datagram build them.
+    """
 
     client_id: int
     seq: int
     timestamp_s: float
-    accel_mps2: np.ndarray  # (3,) body frame, includes gravity
-    gyro_radps: np.ndarray  # (3,) body frame angular rate
+    accel_mps2: tuple[float, float, float]  # body frame, includes gravity
+    gyro_radps: tuple[float, float, float]  # body frame angular rate
 
 
 @dataclass
@@ -40,11 +50,11 @@ class CalibrationProfile:
 
 @dataclass
 class ClientMotion:
-    """Integrated motion state for one client."""
+    """Integrated motion state for one client, its vectors tuples of Python floats."""
 
     client_id: int
-    velocity_mps: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    orientation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
+    velocity_mps: tuple[float, float, float] = (0.0, 0.0, 0.0)  # global frame
+    orientation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)  # body -> global
     last_update_s: float = 0.0
 
 
@@ -66,18 +76,22 @@ def calibrate(rest_samples: list[ImuSample]) -> CalibrationProfile:
     )
 
 
-def integrate_velocity(
-    v_prev: np.ndarray, a_prev: np.ndarray, a_curr: np.ndarray, t: float
-) -> np.ndarray:
-    """Trapezoidal velocity update of (3,) vectors: v + t * (a_prev + a_curr) / 2."""
+def as_floats(v):
+    """A vector's elements as Python floats: an ndarray via one tolist, a tuple as it is."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
+def integrate_velocity(v_prev, a_prev, a_curr, t: float) -> tuple[float, float, float]:
+    """Trapezoidal velocity update of 3-vectors: v + t * (a_prev + a_curr) / 2.
+
+    The vectors are float tuples or (3,) arrays; the result is a float tuple.
+    """
     if t < 0:
         raise ValueError(f"integration interval must be >= 0, got {t}")
-    vx, vy, vz = np.asarray(v_prev, dtype=float).tolist()
-    px, py, pz = np.asarray(a_prev, dtype=float).tolist()
-    cx, cy, cz = np.asarray(a_curr, dtype=float).tolist()
-    return np.array(
-        [vx + t * (px + cx) / 2.0, vy + t * (py + cy) / 2.0, vz + t * (pz + cz) / 2.0]
-    )
+    vx, vy, vz = as_floats(v_prev)
+    px, py, pz = as_floats(a_prev)
+    cx, cy, cz = as_floats(a_curr)
+    return (vx + t * (px + cx) / 2.0, vy + t * (py + cy) / 2.0, vz + t * (pz + cz) / 2.0)
 
 
 def _qmul(w1, x1, y1, z1, w2, x2, y2, z2) -> tuple:
@@ -96,14 +110,19 @@ def _rotate(w, x, y, z, vx, vy, vz) -> tuple:
     return _qmul(pw, px, py, pz, w, -x, -y, -z)[1:]
 
 
-def _unit_norm(q: np.ndarray) -> float:
-    """sqrt(q . q) exactly as np.linalg.norm computes it for a 1-D float array.
+def _unit_norm(w: float, x: float, y: float, z: float) -> float:
+    """|q| exactly as np.linalg.norm computes it for the float array [w, x, y, z].
 
-    Orientation renormalisation divides by this value, so its last bit reaches
-    the frame log. numpy's dot is a BLAS ddot, which OpenBLAS runs as a chain of
-    fused multiply-adds; sqrt(w*w + x*x + y*y + z*z) in Python floats rounds
-    differently on about 12% of random quaternions.
+    madgwick_update renormalises the orientation by this value, so its last
+    bit reaches the frame log, and this norm must stay numpy's dot of a 4-array.
+    That dot is a BLAS ddot, which OpenBLAS runs as a chain of fused
+    multiply-adds; sqrt(w*w + x*x + y*y + z*z) in Python floats rounds
+    differently on about 12% of random quaternions. Dividing each component by
+    the result as a Python float is the same IEEE division numpy performs. The
+    unit-length check in _to_global only compares a norm with a 1e-6
+    tolerance, so it uses the Python sum of squares.
     """
+    q = np.array((w, x, y, z))
     return math.sqrt(q.dot(q))
 
 
@@ -131,12 +150,14 @@ def rotate_by_quat(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def _to_global(v_body: np.ndarray, orientation: np.ndarray) -> tuple:
-    q = np.asarray(orientation, dtype=float)
-    norm = _unit_norm(q)
+def _to_global(v_body, orientation) -> tuple:
+    """Rotate v_body into the global frame; ValueError unless |orientation| is 1 within 1e-6."""
+    w, x, y, z = as_floats(orientation)
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"orientation quaternion norm {norm:.8f} is not 1 within 1e-6")
-    return _rotate(*q.tolist(), *np.asarray(v_body, dtype=float).tolist())
+    vx, vy, vz = as_floats(v_body)
+    return _rotate(w, x, y, z, vx, vy, vz)
 
 
 def to_global_frame(v_body: np.ndarray, orientation: np.ndarray) -> np.ndarray:
@@ -144,13 +165,18 @@ def to_global_frame(v_body: np.ndarray, orientation: np.ndarray) -> np.ndarray:
 
     Raises ValueError if the quaternion is not unit length to within 1e-6.
     """
-    return np.array(_to_global(v_body, orientation))
+    return np.array(_to_global(v_body, orientation), dtype=float)
 
 
-def gravity_compensate(accel_body: np.ndarray, orientation: np.ndarray) -> np.ndarray:
-    """Rotate a body-frame accelerometer reading to global axes and remove gravity."""
+def gravity_compensate(accel_body, orientation) -> tuple[float, float, float]:
+    """Rotate a body-frame accelerometer reading to global axes and remove gravity.
+
+    accel_body and orientation are float tuples or arrays; the result is a
+    float tuple. Raises ValueError if the quaternion is not unit length to
+    within 1e-6.
+    """
     x, y, z = _to_global(accel_body, orientation)
-    return np.array([x, y, z - GRAVITY_MPS2])
+    return (x, y, z - GRAVITY_MPS2)
 
 
 def madgwick_update(
@@ -163,20 +189,21 @@ def madgwick_update(
     even when readings are consumed sparsely (a first-order step loses
     (|w|dt)^3/12 radians per step, ruinous once a single reading spans a
     corner). The accelerometer term is one normalized gradient-descent step of
-    size beta * dt toward gravity alignment. Returns a new ClientMotion with
-    the updated quaternion; velocity is left untouched. A zero-norm
-    accelerometer reading skips the correction (gyro-only update) and is
-    logged; a non-finite reading raises ValueError.
+    size beta * dt toward gravity alignment. The sample's vectors and the
+    state's orientation may be float tuples or arrays. Returns a new
+    ClientMotion with the updated quaternion as a float tuple; velocity is left
+    untouched. A zero-norm accelerometer reading skips the correction
+    (gyro-only update) and is logged; a non-finite reading raises ValueError.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    gx, gy, gz = np.asarray(sample.gyro_radps, dtype=float).tolist()
-    ax, ay, az = np.asarray(sample.accel_mps2, dtype=float).tolist()
+    gx, gy, gz = as_floats(sample.gyro_radps)
+    ax, ay, az = as_floats(sample.accel_mps2)
     if not all(map(math.isfinite, (gx, gy, gz, ax, ay, az))):
         raise ValueError(
             f"client {sample.client_id}: non-finite IMU reading at t={sample.timestamp_s:.3f}"
         )
-    q1, q2, q3, q4 = np.asarray(state.orientation, dtype=float).tolist()
+    q1, q2, q3, q4 = as_floats(state.orientation)
 
     # exact rotation increment for the mean body rate over dt
     rate = math.sqrt(gx * gx + gy * gy + gz * gz)
@@ -210,6 +237,6 @@ def madgwick_update(
             sample.timestamp_s,
         )
 
-    q = np.array([q1, q2, q3, q4])
-    q /= _unit_norm(q)
+    norm = _unit_norm(q1, q2, q3, q4)
+    q = (q1 / norm, q2 / norm, q3 / norm, q4 / norm)
     return ClientMotion(state.client_id, state.velocity_mps, q, sample.timestamp_s)

@@ -51,6 +51,7 @@ from .imu import (
     CalibrationProfile,
     ClientMotion,
     ImuSample,
+    as_floats,
     calibrate,
     gravity_compensate,
     integrate_velocity,
@@ -148,7 +149,7 @@ class ClientTrack:
     client_id: int
     motion: ClientMotion
     calibration: CalibrationProfile
-    prev_accel_global: np.ndarray  # (3,) for the trapezoidal velocity update
+    prev_accel_global: tuple[float, float, float]  # for the trapezoidal velocity update
     fused_velocity: np.ndarray  # (2,) latest velocity at the measurement instant
     fused_heading: float  # latest yaw at the measurement instant
     binding: ClientBinding | None = None
@@ -209,8 +210,6 @@ class Pipeline:
         self.error_flag = False
         self._frame: ClusterFrame | None = None
         self._next_label = 0
-        # the bias-corrected reading that _inertial_update fills for every reading
-        self._corrected = ImuSample(0, 0, 0.0, np.zeros(3), np.zeros(3))
         self.tracks: dict[int, ClientTrack] = {}
         for cid in self.client_ids:
             heading = float(initial_heading_rad.get(cid, 0.0))
@@ -219,9 +218,11 @@ class Pipeline:
                 cal = CalibrationProfile(accel_bias=np.zeros(3), gyro_bias=np.zeros(3))
             self.tracks[cid] = ClientTrack(
                 client_id=cid,
-                motion=ClientMotion(client_id=cid, orientation=quat_from_yaw(heading)),
+                motion=ClientMotion(
+                    client_id=cid, orientation=tuple(quat_from_yaw(heading).tolist())
+                ),
                 calibration=cal,
-                prev_accel_global=np.zeros(3),
+                prev_accel_global=(0.0, 0.0, 0.0),
                 fused_velocity=np.zeros(2),
                 fused_heading=heading,
             )
@@ -229,21 +230,22 @@ class Pipeline:
     def _inertial_update(
         self, track: ClientTrack, sample: ImuSample, accel_bias: list, gyro_bias: list
     ) -> str | None:
-        """Advance the track by one reading; why it was dropped, or None if applied."""
+        """Advance the track by one reading; why it was dropped, or None if applied.
+
+        The biases are lists of Python floats and array readings are converted,
+        so no numpy scalar enters the per-reading arithmetic.
+        """
         t = sample.timestamp_s
-        ax, ay, az = np.asarray(sample.accel_mps2, dtype=float).tolist()
-        gx, gy, gz = np.asarray(sample.gyro_radps, dtype=float).tolist()
+        ax, ay, az = as_floats(sample.accel_mps2)
+        gx, gy, gz = as_floats(sample.gyro_radps)
         if not all(map(math.isfinite, (t, ax, ay, az, gx, gy, gz))):
             return _NON_FINITE  # unusable reading: dropped as if it never arrived
         dt = t - track.motion.last_update_s
         if dt <= 0:
             return _STALE  # stale or duplicate reading
-        # rewritten in place: the inertial functions keep no reference to it
-        corrected = self._corrected
-        corrected.client_id, corrected.seq, corrected.timestamp_s = sample.client_id, sample.seq, t
-        accel, gyro = corrected.accel_mps2, corrected.gyro_radps
-        accel[0], accel[1], accel[2] = ax - accel_bias[0], ay - accel_bias[1], az - accel_bias[2]
-        gyro[0], gyro[1], gyro[2] = gx - gyro_bias[0], gy - gyro_bias[1], gz - gyro_bias[2]
+        accel = (ax - accel_bias[0], ay - accel_bias[1], az - accel_bias[2])
+        gyro = (gx - gyro_bias[0], gy - gyro_bias[1], gz - gyro_bias[2])
+        corrected = ImuSample(sample.client_id, sample.seq, t, accel, gyro)
         motion = madgwick_update(track.motion, corrected, dt, self.params.madgwick_beta)
         a_global = gravity_compensate(accel, motion.orientation)
         motion.velocity_mps = integrate_velocity(
@@ -292,7 +294,7 @@ class Pipeline:
                         fused = track.motion
             finally:  # a reading that raises keeps the snapshot of those before it
                 if fused is not None:
-                    track.fused_velocity = fused.velocity_mps[:2].copy()
+                    track.fused_velocity = np.array(fused.velocity_mps[:2])
                     track.fused_heading = yaw_from_quat(fused.orientation)
 
         # radar tier: cluster, drop static background, correct surface bias

@@ -7,22 +7,22 @@ Wire formats (little-endian, fixed size):
 * Feedback downlink, 16 bytes: ``u32 client_id, u32 frame_index,
   f32 bearing_deg, u32 sector`` with ``0xFFFFFFFF`` meaning "no sector".
 
-Datagrams of any other length are rejected and counted, never parsed.
+Datagrams of any other length are rejected and counted, never parsed; so are
+IMU datagrams holding a non-finite timestamp or sensor value.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DatagramError
-from .imu import ImuSample
+from .imu import ImuSample, as_floats
 
 log = logging.getLogger(__name__)
 
@@ -38,22 +38,30 @@ _SEND_BACKOFF_S = 0.001
 
 
 def encode_imu_datagram(sample: ImuSample) -> bytes:
+    """Pack a sample; its vectors may be float tuples or (3,) arrays."""
     return _IMU_DATAGRAM.pack(
         sample.client_id,
         sample.seq,
         sample.timestamp_s,
-        *np.asarray(sample.accel_mps2, dtype=float).tolist(),
-        *np.asarray(sample.gyro_radps, dtype=float).tolist(),
+        *as_floats(sample.accel_mps2),
+        *as_floats(sample.gyro_radps),
     )
 
 
 def decode_imu_datagram(data: bytes) -> ImuSample:
+    """The sample in an uplink datagram, its vectors as tuples of Python floats.
+
+    Raises DatagramError for a wrong length or a non-finite timestamp, accel
+    or gyro value.
+    """
     if len(data) != IMU_DATAGRAM_SIZE:
         raise DatagramError(
             f"bad IMU datagram length {len(data)}, expected {IMU_DATAGRAM_SIZE}"
         )
     client_id, seq, ts, ax, ay, az, gx, gy, gz = _IMU_DATAGRAM.unpack(data)
-    return ImuSample(client_id, seq, ts, np.array([ax, ay, az]), np.array([gx, gy, gz]))
+    if not all(map(math.isfinite, (ts, ax, ay, az, gx, gy, gz))):
+        raise DatagramError(f"non-finite IMU datagram payload from client {client_id}")
+    return ImuSample(client_id, seq, ts, (ax, ay, az), (gx, gy, gz))
 
 
 def quantize_imu(sample: ImuSample) -> ImuSample:
@@ -137,9 +145,10 @@ class LatestStore:
 class TelemetryServer:
     """Receives IMU datagrams on one UDP socket per port, thread per socket.
 
-    Bad-length datagrams are counted and dropped. The source address of each
-    client's most recent datagram is remembered so feedback can be sent back
-    without any registration step. Port 0 binds an ephemeral port; read the
+    Datagrams that do not decode (a bad length or a non-finite value) are
+    counted and dropped. The source address of each client's most recent
+    datagram is remembered so feedback can be sent back without any
+    registration step. Port 0 binds an ephemeral port; read the
     actual ports from :attr:`ports` after construction.
     """
 
@@ -254,7 +263,7 @@ def run_sim_client(
 ) -> ClientRunStats:
     """Stream IMU datagrams to a server at a fixed rate (wall-clock paced).
 
-    ``sample_fn(client_id, t, dt, seq)`` supplies each reading; sequence
+    ``sample_fn(client_id, t, dt, seq=seq)`` supplies each reading; sequence
     numbers count up from 0. Transient send failures are retried a few times
     with a short backoff, then counted and skipped.
     """
@@ -269,7 +278,7 @@ def run_sim_client(
         start = time.monotonic()
         for seq in range(n):
             t = (seq + 1) * period
-            sample = sample_fn(client_id, t, period, seq)
+            sample = sample_fn(client_id, t, period, seq=seq)
             payload = encode_imu_datagram(sample)
             for attempt in range(_SEND_RETRIES):
                 try:

@@ -337,8 +337,8 @@ class Scenario:
         points = np.vstack(blocks) if blocks else np.empty((0, 4))
         return PointCloudFrame(frame_index=frame_index, timestamp_s=t, points=points)
 
-    def sample_imu(self, client_id: int, t: float, dt: float = 0.01, seq: int = 0) -> ImuSample:
-        """Inertial reading for one client at time t.
+    def sample_imu(self, client_id: int, t: float, dt: float = 0.01, *, seq: int) -> ImuSample:
+        """Inertial reading for one client at time t, as tuples of Python floats.
 
         Acceleration and angular rate are backward differences of the true
         velocity and heading profiles over dt, expressed in the body frame with
@@ -353,7 +353,8 @@ class Scenario:
         .standard_normal((IMU_NOISE_BLOCK, 6)), accel noise first. Callers give
         each reading of a client its own seq, rising with time; the last block
         drawn per client is kept, so a rising seq builds one generator per
-        IMU_NOISE_BLOCK readings.
+        IMU_NOISE_BLOCK readings. seq has no default: one shared value would
+        give every instant the same noise row, a constant bias.
         """
         if not (0 <= client_id < len(self.config.clients)):
             raise KeyError(f"unknown client_id {client_id}")
@@ -369,8 +370,8 @@ class Scenario:
 
         # world -> body rotation about z
         c, s = math.cos(-heading), math.sin(-heading)
-        accel = [c * ax - s * ay, s * ax + c * ay, GRAVITY_MPS2]
-        gyro = [0.0, 0.0, yaw_rate]
+        accel = (c * ax - s * ay, s * ax + c * ay, GRAVITY_MPS2)
+        gyro = (0.0, 0.0, yaw_rate)
 
         sigma = self.config.noise_sigma_m
         if sigma > 0.0:
@@ -383,9 +384,9 @@ class Scenario:
             z0, z1, z2, z3, z4, z5 = block[1][seq % IMU_NOISE_BLOCK]
             sa = IMU_ACCEL_NOISE_PER_SIGMA * sigma
             sg = IMU_GYRO_NOISE_PER_SIGMA * sigma
-            accel = [accel[0] + sa * z0, accel[1] + sa * z1, accel[2] + sa * z2]
-            gyro = [gyro[0] + sg * z3, gyro[1] + sg * z4, gyro[2] + sg * z5]
-        return ImuSample(client_id, seq, t, np.array(accel), np.array(gyro))
+            accel = (accel[0] + sa * z0, accel[1] + sa * z1, accel[2] + sa * z2)
+            gyro = (gyro[0] + sg * z3, gyro[1] + sg * z4, gyro[2] + sg * z5)
+        return ImuSample(client_id, seq, t, accel, gyro)
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:

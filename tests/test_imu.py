@@ -289,14 +289,21 @@ def test_inertial_update_is_bit_identical_to_array_formulation(q, gyro, accel, d
     if revolution is not None:
         gyro, dt = revolution
     gyro, accel = np.array(gyro), np.array(accel)
-    state = ClientMotion(client_id=0, orientation=q.copy())
-    out = madgwick_update(state, _sample(accel, gyro, t=1.0), dt=dt, beta=beta).orientation
-    want = madgwick_reference(q, gyro, accel, dt, beta)
-    assert np.array_equal(out, want)
-
-    a_global = gravity_compensate(accel, out)
-    assert np.array_equal(a_global, gravity_compensate_reference(accel, out, GRAVITY_MPS2))
-
     v_prev, a_prev = accel[::-1] / 3.0, gyro / 7.0
-    v = integrate_velocity(v_prev, a_prev, a_global, dt)
-    assert np.array_equal(v, integrate_velocity_reference(v_prev, a_prev, a_global, dt))
+    results = []
+    # the same chain fed tuples of Python floats, then (n,) arrays
+    for to_input in (lambda v: tuple(np.asarray(v).tolist()), np.array):
+        state = ClientMotion(client_id=0, orientation=to_input(q))
+        sample = ImuSample(0, 0, 1.0, to_input(accel), to_input(gyro))
+        out = madgwick_update(state, sample, dt=dt, beta=beta).orientation
+        assert np.array_equal(out, madgwick_reference(q, gyro, accel, dt, beta))
+
+        a_global = gravity_compensate(to_input(accel), to_input(out))
+        assert np.array_equal(a_global, gravity_compensate_reference(accel, out, GRAVITY_MPS2))
+
+        v = integrate_velocity(to_input(v_prev), to_input(a_prev), to_input(a_global), dt)
+        assert np.array_equal(v, integrate_velocity_reference(v_prev, a_prev, a_global, dt))
+        for vector in (out, a_global, v):
+            assert type(vector) is tuple and all(type(x) is float for x in vector)
+        results.append(np.array([*out, *a_global, *v]).tobytes())
+    assert results[0] == results[1]

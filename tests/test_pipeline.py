@@ -157,6 +157,31 @@ def test_inertial_tier_calls_each_stage_once_per_fresh_sample(monkeypatch):
     assert pipe.tracks[0].motion.last_update_s == 0.1 * n
 
 
+def _assert_python_floats(vector, n):
+    assert type(vector) is tuple and [type(x) for x in vector] == [float] * n, vector
+
+
+def test_inline_readings_and_inertial_state_are_python_floats():
+    # the inertial tier's per-reading cost rests on plain float arithmetic: one
+    # numpy scalar in a reading or in the state makes every later step numpy's
+    cfg = _short_config()
+    scenario = build_scenario(cfg)
+    headings = {gt.client_id: gt.heading_rad for gt in scenario.ground_truth(0.0)}
+    pipe = Pipeline(PipelineParams.for_config(cfg), headings, calibrate_clients(scenario))
+    batches, cloud = next(_inline_source(scenario))
+    assert sorted(len(samples) for samples in batches.values()) == [50, 50]
+    for samples in batches.values():
+        for s in samples:
+            _assert_python_floats(s.accel_mps2, 3)
+            _assert_python_floats(s.gyro_radps, 3)
+    pipe.process_frame(0, cfg.frame_time_s, cloud.points, batches, cloud.timestamp_s)
+    for track in pipe.tracks.values():
+        assert track.motion.last_update_s == pytest.approx(cfg.frame_time_s)
+        _assert_python_floats(track.motion.orientation, 4)
+        _assert_python_floats(track.motion.velocity_mps, 3)
+        _assert_python_floats(track.prev_accel_global, 3)
+
+
 def _sparse_radar_reports(edit):
     """Frame reports of the seed-0 demo walks at 200 returns per body, no clutter.
 
@@ -199,10 +224,12 @@ def test_non_finite_imu_sample_is_dropped_like_a_missing_one():
         def poison(k, batches):
             if k == 2:
                 sample = batches[0][10]
-                if index is None:
-                    setattr(sample, field, bad)
-                else:
-                    getattr(sample, field)[index] = bad
+                value = bad
+                if index is not None:  # the vectors are tuples: rebuild one
+                    value = list(getattr(sample, field))
+                    value[index] = bad
+                    value = tuple(value)
+                batches[0][10] = dataclasses.replace(sample, **{field: value})
 
         reports = _sparse_radar_reports(poison)
         assert [frame_record(r) for r in reports] == want, (field, bad)
@@ -522,6 +549,17 @@ def test_capture_rejects_damaged_files(tmp_path):
         writer.write_imu(sample)  # device samples after the last cloud frame
     with pytest.raises(DatagramError):
         list(replay_capture(trailing))
+
+    non_finite = tmp_path / "non_finite.capture"
+    with CaptureWriter(non_finite) as writer:
+        sample, cloud = _tiny_capture(tmp_path / "scratch.capture")
+        writer.write_cloud(cloud)
+        writer.write_imu(dataclasses.replace(sample, accel_mps2=(0.0, math.nan, 9.81)))
+        writer.write_cloud(cloud)
+    replay = replay_capture(non_finite)
+    assert next(replay)[1].frame_index == cloud.frame_index  # the frame before the damage
+    with pytest.raises(DatagramError, match="non-finite"):
+        next(replay)
 
 
 # a capture of three frames: two IMU records (5 + 40 bytes each) then one

@@ -71,8 +71,9 @@ def test_quantize_is_idempotent():
 
 
 def _assert_codec_packs_field_by_field(s):
-    """The codec writes what struct.pack of each field in turn writes, errors included,
-    and decodes it to Python ints, a Python float and (3,) float64 arrays, bit for bit."""
+    """The codec writes what struct.pack of each field in turn writes, errors included.
+    Decoding raises DatagramError if a wire value is not finite, and otherwise gives
+    Python ints, a Python float and tuples of three Python floats, bit for bit."""
     sensors = [float(v) for v in s.accel_mps2] + [float(v) for v in s.gyro_radps]
     try:
         want = struct.pack("<IId6f", s.client_id, s.seq, s.timestamp_s, *sensors)
@@ -84,14 +85,18 @@ def _assert_codec_packs_field_by_field(s):
     data = encode_imu_datagram(s)
     assert data == want
     cid, seq, t, *wire = struct.unpack("<IId6f", want)
+    if not all(map(math.isfinite, (t, *wire))):
+        with pytest.raises(DatagramError, match="non-finite"):
+            decode_imu_datagram(data)
+        return
     out = decode_imu_datagram(data)
     assert (type(out.client_id), out.client_id) == (int, cid)
     assert (type(out.seq), out.seq) == (int, seq)
     assert type(out.timestamp_s) is float
     assert struct.pack("<d", out.timestamp_s) == struct.pack("<d", t)
     for got, values in ((out.accel_mps2, wire[:3]), (out.gyro_radps, wire[3:])):
-        assert (got.dtype, got.shape) == (np.float64, (3,))
-        assert got.tobytes() == struct.pack("<3d", *values)
+        assert type(got) is tuple and [type(v) for v in got] == [float] * 3
+        assert struct.pack("<3d", *got) == struct.pack("<3d", *values)
 
 
 F32_MAX = float(np.finfo(np.float32).max)
@@ -136,6 +141,36 @@ def test_imu_codec_raises_beyond_the_wire_range():
         _assert_codec_packs_field_by_field(_sample(client=client, seq=seq))
         with pytest.raises(struct.error):
             quantize_imu(_sample(client=client, seq=seq))
+
+
+def test_non_finite_payload_rejected():
+    for bad in (_sample(t=math.nan), _sample(accel=(0.1, math.inf, 9.8)),
+                _sample(gyro=(0.0, 0.0, -math.inf))):
+        with pytest.raises(DatagramError, match="non-finite"):
+            decode_imu_datagram(encode_imu_datagram(bad))
+
+
+def test_server_rejects_non_finite_datagram_and_keeps_the_store():
+    store = LatestStore()
+    with TelemetryServer(store, ports=(0,)) as server:
+        port = server.ports[0]
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.sendto(encode_imu_datagram(_sample(client=2, seq=1)), ("127.0.0.1", port))
+            deadline = time.monotonic() + 2.0
+            while server.datagrams_received < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            before = store.get(2)
+            poisoned = _sample(client=2, seq=2, t=math.nan, accel=(math.inf, 0.0, 9.8))
+            sock.sendto(encode_imu_datagram(poisoned), ("127.0.0.1", port))
+            while server.datagrams_rejected < 1 and time.monotonic() < deadline + 2.0:
+                time.sleep(0.01)
+        finally:
+            sock.close()
+        assert (server.datagrams_received, server.datagrams_rejected) == (1, 1)
+        assert before is not None and before.seq == 1
+        assert store.get(2) is before
+        assert store.snapshot() == {2: before}
 
 
 def test_wrong_length_rejected():

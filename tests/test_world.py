@@ -186,7 +186,7 @@ def test_imu_matches_velocity_difference():
     # backward difference: accel integrates the velocity change over dt exactly
     sc = build_scenario(_simple_config())
     t, dt = 0.505, 0.01  # straddles the end of client 0's hold
-    s = sc.sample_imu(0, t=t, dt=dt)
+    s = sc.sample_imu(0, t=t, dt=dt, seq=50)
     v_now = sc.ground_truth(t)[0].velocity_mps
     v_prev = sc.ground_truth(t - dt)[0].velocity_mps
     accel_world = np.array([*(v_now - v_prev) / dt, 0.0])
@@ -206,7 +206,7 @@ def test_imu_gyro_integrates_heading_change():
         )
     )
     # the corner at (1,0) is reached at t = 2.0; one sample straddles it
-    s = sc.sample_imu(0, t=2.005, dt=0.01)
+    s = sc.sample_imu(0, t=2.005, dt=0.01, seq=200)
     assert s.gyro_radps[2] * 0.01 == pytest.approx(math.pi / 2.0, abs=1e-9)
 
 
@@ -221,12 +221,31 @@ def test_imu_noise_is_seeded_and_scaled():
     assert np.allclose(quiet.accel_mps2, [0.0, 0.0, 9.81])
 
 
+def test_imu_seq_is_a_required_keyword():
+    # a default seq would give every instant the same noise row
+    sc = build_scenario(_simple_config(noise_sigma_m=0.05))
+    with pytest.raises(TypeError):
+        sc.sample_imu(0, t=0.3, dt=0.01)
+    with pytest.raises(TypeError):
+        sc.sample_imu(0, 0.3, 0.01, 30)
+
+
+def test_imu_noise_differs_between_instants_with_distinct_seq():
+    # both instants fall in the hold, so the true motion is the same and only
+    # the noise row that seq picks tells the readings apart
+    sc = build_scenario(_simple_config(noise_sigma_m=0.05))
+    a = sc.sample_imu(0, t=0.1, dt=0.01, seq=10)
+    b = sc.sample_imu(0, t=0.2, dt=0.01, seq=20)
+    for x, y in zip(a.accel_mps2 + a.gyro_radps, b.accel_mps2 + b.gyro_radps):
+        assert x != y
+
+
 def test_imu_rejects_out_of_range_queries():
     sc = build_scenario(_simple_config())
     with pytest.raises(ValueError):
-        sc.sample_imu(0, t=4.6)
+        sc.sample_imu(0, t=4.6, seq=460)
     with pytest.raises(KeyError):
-        sc.sample_imu(5, t=1.0)
+        sc.sample_imu(5, t=1.0, seq=100)
 
 
 def test_default_config_is_valid_and_stable():
@@ -402,7 +421,7 @@ def test_negative_seed_is_rejected_as_before():
     sc = build_scenario(_simple_config(noise_sigma_m=0.05))
     sc.config.seed = -1
     with pytest.raises(ValueError):
-        sc.sample_imu(0, 0.3)
+        sc.sample_imu(0, 0.3, seq=30)
     with pytest.raises(ValueError):
         sc.sample_point_cloud(3)
 
