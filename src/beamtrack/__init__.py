@@ -19,7 +19,6 @@ from .clustering import Cluster, DbscanParams, dbscan, filter_background
 from .errors import CalibrationError, DatagramError, IdentificationError, ValidationError
 from .identification import (
     ClientBinding,
-    IdentificationGate,
     identify_clients,
     should_identify,
 )
@@ -59,6 +58,7 @@ from .tracking import (
     Matching,
     ThresholdParams,
     displacement_threshold,
+    lex_min_assignment,
     match_clusters,
     update_clusters,
 )
@@ -90,7 +90,6 @@ __all__ = [
     "FrameReport",
     "GroundTruthPose",
     "IdentificationError",
-    "IdentificationGate",
     "ImuSample",
     "KalmanConfig",
     "KalmanState",
@@ -128,6 +127,7 @@ __all__ = [
     "kf_init",
     "kf_reacquire",
     "kf_step",
+    "lex_min_assignment",
     "madgwick_update",
     "match_clusters",
     "path_distances",

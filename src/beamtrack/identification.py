@@ -7,16 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentificationError
+from .tracking import lex_min_assignment
 
 # identification runs inside this early frame window, then only on error
 WINDOW_FIRST_FRAME = 2
 WINDOW_LAST_FRAME = 5
-
-
-@dataclass(frozen=True)
-class IdentificationGate:
-    frame_index: int
-    error_flag: bool
 
 
 @dataclass
@@ -26,18 +21,13 @@ class ClientBinding:
     bound_at_frame: int
 
 
-def should_identify(gate: IdentificationGate, endpoints_only: bool = False) -> bool:
+def should_identify(frame_index: int, error_flag: bool) -> bool:
     """True when identification must run this frame.
 
-    The early window is frames [2, 5] inclusive (endpoints_only restricts it to
-    exactly frames 2 and 5); outside the window identification runs only when
-    the error flag is raised.
+    The early window is frames [2, 5] inclusive; outside the window
+    identification runs only when the error flag is raised.
     """
-    if gate.error_flag:
-        return True
-    if endpoints_only:
-        return gate.frame_index in (WINDOW_FIRST_FRAME, WINDOW_LAST_FRAME)
-    return WINDOW_FIRST_FRAME <= gate.frame_index <= WINDOW_LAST_FRAME
+    return error_flag or WINDOW_FIRST_FRAME <= frame_index <= WINDOW_LAST_FRAME
 
 
 def identify_clients(
@@ -47,11 +37,13 @@ def identify_clients(
 ) -> tuple[ClientBinding, ClientBinding]:
     """Assign each client the cluster whose velocity matches its IMU velocity.
 
-    Searches ordered pairs of distinct cluster labels minimizing
-    ||v_cluster(i) - v_client(0)|| + ||v_cluster(j) - v_client(1)||; ties go to
-    the lexicographically lowest label pair. Raises IdentificationError when
-    fewer than two clusters carry a velocity, when a velocity is not finite,
-    or when no pair has a finite cost.
+    The 2 x n case of lex_min_assignment: rows are clients 0 and 1, columns
+    are clusters in ascending label order, entries ||v_cluster - v_client||.
+    So the labels i != j minimize ||v_cluster(i) - v_client(0)|| +
+    ||v_cluster(j) - v_client(1)||, and ties go to the lexicographically
+    lowest pair (i, j). Raises IdentificationError when fewer than two clusters
+    carry a velocity, when a velocity is not finite, or when no pair has a
+    finite cost.
     """
     if len(client_velocities) != 2:
         raise ValueError(f"expected exactly 2 client velocities, got {len(client_velocities)}")
@@ -63,29 +55,19 @@ def identify_clients(
         ((label, np.asarray(v, dtype=float)) for label, v in cluster_velocities),
         key=lambda e: e[0],
     )
-    v0 = np.asarray(client_velocities[0], dtype=float)
-    v1 = np.asarray(client_velocities[1], dtype=float)
-    for cid, v in enumerate((v0, v1)):
+    clients = [np.asarray(v, dtype=float) for v in client_velocities]
+    for cid, v in enumerate(clients):
         if not np.isfinite(v).all():
             raise IdentificationError(f"client {cid} velocity is not finite: {v.tolist()}")
     for label, v in entries:
         if not np.isfinite(v).all():
             raise IdentificationError(f"cluster {label} velocity is not finite: {v.tolist()}")
 
-    best_pair: tuple[int, int] | None = None
-    best_cost = np.inf
-    for label_i, vel_i in entries:
-        cost_i = float(np.linalg.norm(vel_i - v0))
-        for label_j, vel_j in entries:
-            if label_j == label_i:
-                continue
-            cost = cost_i + float(np.linalg.norm(vel_j - v1))
-            if cost < best_cost:  # strict: first hit wins ties, labels ascend
-                best_cost = cost
-                best_pair = (label_i, label_j)
-    if best_pair is None:  # finite velocities whose distances overflow
+    cost = np.array([[float(np.linalg.norm(v - client)) for _, v in entries] for client in clients])
+    pairs, _ = lex_min_assignment(cost)
+    if not pairs:  # finite velocities whose distances overflow
         raise IdentificationError("no cluster pair has a finite velocity mismatch")
-    return (
-        ClientBinding(client_id=0, cluster_label=best_pair[0], bound_at_frame=frame_index),
-        ClientBinding(client_id=1, cluster_label=best_pair[1], bound_at_frame=frame_index),
+    return tuple(
+        ClientBinding(client_id=cid, cluster_label=entries[col][0], bound_at_frame=frame_index)
+        for cid, col in pairs
     )

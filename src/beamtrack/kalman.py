@@ -19,14 +19,12 @@ _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 class KalmanConfig:
     sigma_accel_mps2: float = 1.0
     sigma_meas_m: float = 0.1
-    dt_nominal_s: float = 0.5
 
 
 @dataclass
 class KalmanState:
     x: np.ndarray  # (4,) [x, y, vx, vy]
     P: np.ndarray  # (4, 4)
-    last_t: float = 0.0
 
 
 def _f_matrix(dt: float) -> np.ndarray:
@@ -93,7 +91,7 @@ def kf_step(
         ikh = np.eye(4) - K @ _H
         P = ikh @ P @ ikh.T + K @ R @ K.T  # Joseph form
     P = (P + P.T) / 2.0
-    return KalmanState(x=x, P=P, last_t=state.last_t + dt)
+    return KalmanState(x=x, P=P)
 
 
 def kf_reacquire(

@@ -43,7 +43,6 @@ from .clustering import Cluster, DbscanParams, dbscan, filter_background, finite
 from .errors import DatagramError, IdentificationError, ValidationError
 from .identification import (
     ClientBinding,
-    IdentificationGate,
     identify_clients,
     should_identify,
 )
@@ -118,7 +117,6 @@ class PipelineParams:
     body_radius_m: float = 0.25
     radar_xy: tuple[float, float] = (0.0, 0.0)
     surface_bias_correction: bool = True
-    endpoints_only: bool = False
     reacquire_limit: int = 3
     gate_sigma: float = 3.0
     madgwick_beta: float = 0.1
@@ -134,9 +132,7 @@ class PipelineParams:
         """
         return cls(
             frame_time_s=config.frame_time_s,
-            kalman=KalmanConfig(
-                sigma_accel_mps2=2.0, sigma_meas_m=0.02, dt_nominal_s=config.frame_time_s
-            ),
+            kalman=KalmanConfig(sigma_accel_mps2=2.0, sigma_meas_m=0.02),
             body_radius_m=config.body_radius_m,
             radar_xy=(config.radar_pose[0], config.radar_pose[1]),
         )
@@ -319,8 +315,7 @@ class Pipeline:
         # identification: velocity matching inside the early window or on error
         identified = False
         need = self.error_flag or any(self.tracks[c].binding is None for c in self.client_ids)
-        gate = IdentificationGate(frame_index=frame_index, error_flag=self.error_flag)
-        if need and should_identify(gate, p.endpoints_only):
+        if need and should_identify(frame_index, self.error_flag):
             cluster_velocities = [
                 (c.label, c.velocity_mps)
                 for c in self._frame.clusters
@@ -479,7 +474,9 @@ class CaptureWriter:
         self._fh = open(path, "wb")
 
     def write_imu(self, sample: ImuSample) -> None:
+        """Append a sample; raises DatagramError, writing nothing, if replay would reject it."""
         payload = encode_imu_datagram(sample)
+        decode_imu_datagram(payload)
         self._fh.write(_RECORD_HEADER.pack(len(payload), TAG_IMU))
         self._fh.write(payload)
 

@@ -8,6 +8,7 @@ inherit the previous label and gain a displacement velocity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,30 +51,92 @@ def displacement_threshold(params: ThresholdParams, frame_time_s: float) -> floa
     return (params.v_mean_mps + params.k_sigma * params.v_std_mps) * frame_time_s
 
 
-def _canonical_cost(pairs: list[tuple[int, int]], dist: np.ndarray) -> float:
-    total = 0.0
-    for r, c in sorted(pairs):
-        total += dist[r, c]
-    return total
+# relative slack on the lower bound: a float fold of non-negative terms can sit
+# below the real-valued optimum by a few ulps, never by this much
+_BOUND_SLACK = 1.0 - 1e-12
 
 
-def _optimal_completion(
-    dist: np.ndarray, rows_free: list[int], cols_free: list[int]
-) -> list[tuple[int, int]]:
-    if not rows_free or not cols_free:
-        return []
-    sub = dist[np.ix_(rows_free, cols_free)]
-    rr, cc = linear_sum_assignment(sub)
-    return [(rows_free[a], cols_free[b]) for a, b in zip(rr, cc)]
+def _optimum(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """linear_sum_assignment's (rows, cols), or None when no finite assignment exists."""
+    try:
+        return linear_sum_assignment(cost)
+    except ValueError:  # "cost matrix is infeasible"
+        return None
+
+
+def _extend(
+    cost: np.ndarray,
+    chosen: list[tuple[int, int]],
+    partial: float,
+    first_row: int,
+    free_cols: list[int],
+    best: list,
+) -> None:
+    """Depth-first search for lex_min_assignment below the prefix chosen.
+
+    Candidates (r, c) come in lexicographic order: rows from first_row up,
+    then free columns ascending, so leaves arrive in sorted pair-list order.
+    best is [total, pairs] and is updated in place.
+    """
+    n_rows = cost.shape[0]
+    left = min(n_rows, cost.shape[1]) - len(chosen) - 1  # pairs after this one
+    for r in range(first_row, n_rows - left):
+        for c in free_cols:
+            total = partial + cost[r, c]
+            if total > best[0]:
+                continue  # folds of non-negative terms never decrease
+            pairs = chosen + [(r, c)]
+            if not left:
+                if total < best[0] or (total == best[0] and pairs < best[1]):
+                    best[0], best[1] = total, pairs
+                continue
+            cols = [x for x in free_cols if x != c]
+            sub = cost[r + 1 :, cols]
+            found = _optimum(sub)
+            if found is None or (total + sum(sub[found].tolist())) * _BOUND_SLACK > best[0]:
+                continue
+            _extend(cost, pairs, total, r + 1, cols, best)
+
+
+def lex_min_assignment(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    """Exact least-cost assignment of a non-negative cost matrix, lexicographic ties.
+
+    Returns the min(rows, cols) (row, col) pairs, ascending, whose entries
+    summed left to right in row order (0.0 + ...) are least, and that sum.
+    Among equal float sums the lexicographically smallest pair list wins.
+    Returns ([], inf) when no assignment has a finite sum.
+
+    The linear_sum_assignment optimum (Crouse, IEEE TAES 2016) is the first
+    incumbent; a depth-first search in lexicographic order then cuts every
+    branch whose partial sum, or whose partial sum plus the optimum of the
+    rows and columns left (less a 1e-12 relative slack), exceeds the best sum.
+    The run time grows exponentially only with the number of pairings that tie
+    the optimum to within 1e-12; cluster cores of a radar cloud do not
+    produce such ties.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.size == 0:
+        return [], 0.0
+    best: list = [math.inf, []]
+    found = _optimum(cost)
+    if found is not None:
+        pairs = [(int(r), int(c)) for r, c in zip(*found)]
+        total = 0.0
+        for r, c in pairs:
+            total += cost[r, c]
+        if total < math.inf:
+            best = [total, pairs]
+    _extend(cost, [], 0.0, 0, list(range(cost.shape[1])), best)
+    return best[1], best[0]
 
 
 def match_clusters(prev: ClusterFrame, curr: ClusterFrame) -> Matching:
     """Exact min-cost injective matching of cluster core points across frames.
 
-    Matches min(|prev|, |curr|) pairs minimizing the summed Euclidean core
-    distance. Cost ties are resolved deterministically: among optimal
-    assignments, the sorted (prev_label, curr_label) pair list that compares
-    lexicographically smallest wins.
+    Matches min(|prev|, |curr|) pairs minimizing the Euclidean core distances
+    summed in sorted (prev_label, curr_label) order: exact least cost, with
+    lexicographic ties, by lex_min_assignment. Among optimal assignments the
+    sorted pair list that compares lexicographically smallest wins.
     """
     prev_sorted = sorted(prev.clusters, key=lambda c: c.label)
     curr_sorted = sorted(curr.clusters, key=lambda c: c.label)
@@ -87,66 +150,16 @@ def match_clusters(prev: ClusterFrame, curr: ClusterFrame) -> Matching:
     p_cores = np.array([c.core_point for c in prev_sorted])
     c_cores = np.array([c.core_point for c in curr_sorted])
     diff = p_cores[:, None, :] - c_cores[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    n_rows, n_cols = dist.shape
-    n_pairs = min(n_rows, n_cols)
+    best_pairs, total = lex_min_assignment(np.sqrt(np.sum(diff * diff, axis=2)))
 
-    best_pairs = _optimal_completion(dist, list(range(n_rows)), list(range(n_cols)))
-    best_cost = _canonical_cost(best_pairs, dist)
-
-    # lexicographic refinement: greedily fix the smallest (row, col) pair that
-    # still completes to an assignment of exactly the optimal cost; sorted pair
-    # lists have strictly increasing rows, so candidates scan rows past the
-    # last fixed one
-    for _attempt in range(8):
-        chosen: list[tuple[int, int]] = []
-        used_rows: set[int] = set()
-        used_cols: set[int] = set()
-        last_row = -1
-        improved = False
-        while len(chosen) < n_pairs:
-            placed = False
-            for r in range(last_row + 1, n_rows):
-                for c in range(n_cols):
-                    if c in used_cols:
-                        continue
-                    rows_free = [x for x in range(n_rows) if x not in used_rows and x != r]
-                    cols_free = [x for x in range(n_cols) if x not in used_cols and x != c]
-                    completion = _optimal_completion(dist, rows_free, cols_free)
-                    total = _canonical_cost(chosen + [(r, c)] + completion, dist)
-                    if total < best_cost:
-                        # resummation order found a lower canonical total; adopt it
-                        best_cost = total
-                        best_pairs = chosen + [(r, c)] + completion
-                        improved = True
-                        break
-                    if total == best_cost:
-                        chosen.append((r, c))
-                        used_rows.add(r)
-                        used_cols.add(c)
-                        last_row = r
-                        placed = True
-                        break
-                if placed or improved:
-                    break
-            if not placed:
-                break
-        if len(chosen) == n_pairs:
-            best_pairs = chosen
-            break
-        if not improved:
-            break  # keep the plain assignment; cost is still optimal
-
-    pairs = sorted(
-        (prev_sorted[r].label, curr_sorted[c].label) for r, c in best_pairs
-    )
+    pairs = [(prev_sorted[r].label, curr_sorted[c].label) for r, c in best_pairs]
     matched_prev = {p for p, _ in pairs}
     matched_curr = {c for _, c in pairs}
     return Matching(
         pairs=pairs,
         unmatched_prev=[c.label for c in prev_sorted if c.label not in matched_prev],
         unmatched_curr=[c.label for c in curr_sorted if c.label not in matched_curr],
-        total_cost_m=_canonical_cost(best_pairs, dist),
+        total_cost_m=total,
     )
 
 

@@ -84,6 +84,28 @@ def matching_reference(prev_cores: np.ndarray, curr_cores: np.ndarray):
     return best_pairs, best_cost
 
 
+def identification_reference(cluster_velocities, client_velocities):
+    """Exhaustive search over ordered pairs of distinct cluster labels.
+
+    Scans (label_i, label_j) in ascending label order and keeps the first pair
+    with the least ||v_i - client 0|| + ||v_j - client 1||, so ties go to the
+    lexicographically lowest pair. Returns None when no pair has a finite cost.
+    """
+    entries = sorted((label, np.asarray(v, dtype=float)) for label, v in cluster_velocities)
+    v0, v1 = (np.asarray(v, dtype=float) for v in client_velocities)
+    best_pair = None
+    best_cost = math.inf
+    for label_i, vel_i in entries:
+        for label_j, vel_j in entries:
+            if label_j == label_i:
+                continue
+            cost = float(np.linalg.norm(vel_i - v0)) + float(np.linalg.norm(vel_j - v1))
+            if cost < best_cost:
+                best_cost = cost
+                best_pair = (label_i, label_j)
+    return best_pair
+
+
 def interp_accel(break_t: np.ndarray, break_a: np.ndarray, t: float) -> np.ndarray:
     """Evaluate a piecewise-linear acceleration profile at time t (per axis)."""
     return np.array([np.interp(t, break_t, break_a[:, i]) for i in range(break_a.shape[1])])

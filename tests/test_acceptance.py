@@ -214,7 +214,7 @@ def test_7_filter_beats_raw_and_stays_psd(capsys):
     cov_ok = True
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        cfg = KalmanConfig(sigma_accel_mps2=1.0, sigma_meas_m=0.1, dt_nominal_s=0.5)
+        cfg = KalmanConfig(sigma_accel_mps2=1.0, sigma_meas_m=0.1)
         x0 = rng.uniform(-5.0, 5.0, 2)
         v = rng.uniform(-1.0, 1.0, 2)
         st = kf_init(x0 + rng.normal(0.0, 0.1, 2), v, cfg)

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack.errors import IdentificationError
 from beamtrack.identification import (
     WINDOW_FIRST_FRAME,
     WINDOW_LAST_FRAME,
-    IdentificationGate,
     should_identify,
     identify_clients,
 )
+
+from oracles import identification_reference
 
 
 def test_window_constants():
@@ -19,23 +22,13 @@ def test_window_constants():
 
 
 def test_should_identify_window_is_inclusive():
-    got = [should_identify(IdentificationGate(frame_index=i, error_flag=False)) for i in range(8)]
+    got = [should_identify(i, error_flag=False) for i in range(8)]
     assert got == [False, False, True, True, True, True, False, False]
-
-
-def test_should_identify_endpoints_only():
-    got = [
-        should_identify(IdentificationGate(frame_index=i, error_flag=False), endpoints_only=True)
-        for i in range(8)
-    ]
-    assert got == [False, False, True, False, False, True, False, False]
 
 
 def test_error_flag_forces_identification_anywhere():
     for i in (0, 3, 7, 100):
-        assert should_identify(IdentificationGate(frame_index=i, error_flag=True))
-        assert should_identify(IdentificationGate(frame_index=i, error_flag=True),
-                               endpoints_only=True)
+        assert should_identify(i, error_flag=True)
 
 
 def test_identify_straightforward_assignment():
@@ -125,17 +118,35 @@ def test_identify_exhaustive_against_brute_force():
         clusters = list(zip(labels, vels))
         clients = [rng.normal(0.0, 1.0, 2), rng.normal(0.0, 1.0, 2)]
         b0, b1 = identify_clients(clusters, clients, frame_index=2)
-        # brute force over ordered distinct pairs in ascending label order
-        best = None
-        best_cost = np.inf
-        for li, vi in sorted(clusters):
-            for lj, vj in sorted(clusters):
-                if li == lj:
-                    continue
-                cost = float(np.linalg.norm(vi - clients[0])) + float(
-                    np.linalg.norm(vj - clients[1])
-                )
-                if cost < best_cost:
-                    best_cost = cost
-                    best = (li, lj)
-        assert (b0.cluster_label, b1.cluster_label) == best
+        assert (b0.cluster_label, b1.cluster_label) == identification_reference(clusters, clients)
+
+
+_UNIT = st.sampled_from([-1.0, 0.0, 1.0])
+_TIE_VELOCITY = st.tuples(_UNIT, _UNIT).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=2, max_size=6, unique=True),
+    st.data(),
+)
+def test_identify_matches_reference_on_tie_heavy_velocities(labels, data):
+    # velocities on the {-1, 0, 1}^2 grid make many label pairs cost the same
+    vels = data.draw(st.lists(_TIE_VELOCITY, min_size=len(labels), max_size=len(labels)))
+    clients = data.draw(st.lists(_TIE_VELOCITY, min_size=2, max_size=2))
+    clusters = list(zip(labels, vels))  # labels in drawn, not ascending, order
+    b0, b1 = identify_clients(clusters, clients, frame_index=3)
+    assert (b0.cluster_label, b1.cluster_label) == identification_reference(clusters, clients)
+    assert (b0.client_id, b1.client_id) == (0, 1)
+
+
+def test_identify_raises_when_only_one_cluster_has_finite_costs():
+    # cluster 0 is the only finite choice for both clients: no pair of distinct
+    # labels has a finite cost, which is an IdentificationError, not a solver error
+    clusters = [
+        (0, np.array([1.0, 1.0])),
+        (1, np.array([1e308, 1e308])),
+        (2, np.array([-1e308, 1e308])),
+    ]
+    with np.errstate(over="ignore"), pytest.raises(IdentificationError, match="finite"):
+        identify_clients(clusters, [np.zeros(2), np.zeros(2)], frame_index=2)

@@ -16,7 +16,6 @@ def test_init_state_and_covariance():
     st = kf_init(np.array([1.0, 2.0]), np.array([0.5, -0.5]), KalmanConfig())
     assert np.allclose(st.x, [1.0, 2.0, 0.5, -0.5])
     assert np.allclose(st.P, np.diag([10.0, 10.0, 4.0, 4.0]))
-    assert st.last_t == 0.0
 
 
 def test_init_rejects_non_finite():
@@ -71,7 +70,6 @@ def test_step_advances_time_and_rejects_bad_dt():
     cfg = KalmanConfig()
     st = kf_init(np.zeros(2), np.zeros(2), cfg)
     st = kf_step(st, np.zeros(2), 0.5, cfg)
-    assert st.last_t == pytest.approx(0.5)
     with pytest.raises(ValueError):
         kf_step(st, np.zeros(2), 0.0, cfg)
 

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def _params():
     return PipelineParams(
         frame_time_s=0.5,
         dbscan=DbscanParams(eps_m=0.3, min_pts=4),
-        kalman=KalmanConfig(sigma_accel_mps2=1.0, sigma_meas_m=0.02, dt_nominal_s=0.5),
+        kalman=KalmanConfig(sigma_accel_mps2=1.0, sigma_meas_m=0.02),
         body_radius_m=0.0,
         radar_xy=(0.0, 0.0),
     )
@@ -84,7 +85,6 @@ def test_params_for_config():
     assert params.frame_time_s == cfg.frame_time_s
     assert params.kalman.sigma_accel_mps2 == 2.0
     assert params.kalman.sigma_meas_m == 0.02
-    assert params.kalman.dt_nominal_s == cfg.frame_time_s
     assert params.radar_xy == (cfg.radar_pose[0], cfg.radar_pose[1])
     assert params.body_radius_m == cfg.body_radius_m
 
@@ -550,17 +550,39 @@ def test_capture_rejects_damaged_files(tmp_path):
     with pytest.raises(DatagramError):
         list(replay_capture(trailing))
 
+    # a non-finite IMU record, written byte by byte since CaptureWriter refuses it
+    sample, cloud = _tiny_capture(tmp_path / "scratch.capture")
+    bad = encode_imu_datagram(dataclasses.replace(sample, accel_mps2=(0.0, math.nan, 9.81)))
     non_finite = tmp_path / "non_finite.capture"
     with CaptureWriter(non_finite) as writer:
-        sample, cloud = _tiny_capture(tmp_path / "scratch.capture")
         writer.write_cloud(cloud)
-        writer.write_imu(dataclasses.replace(sample, accel_mps2=(0.0, math.nan, 9.81)))
-        writer.write_cloud(cloud)
+    cloud_record = non_finite.read_bytes()
+    imu_record = struct.pack("<IB", len(bad), pipeline_module.TAG_IMU) + bad
+    non_finite.write_bytes(cloud_record + imu_record + cloud_record)
     replay = replay_capture(non_finite)
     assert next(replay)[1].frame_index == cloud.frame_index  # the frame before the damage
     with pytest.raises(DatagramError, match="non-finite"):
         next(replay)
 
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_capture_writer_refuses_a_sample_replay_would_reject(tmp_path, bad):
+    good = tmp_path / "good.capture"
+    sample, cloud = _tiny_capture(good)
+    path = tmp_path / "refused.capture"
+    with CaptureWriter(path) as writer:
+        writer.write_imu(sample)
+        with pytest.raises(DatagramError, match="non-finite"):
+            writer.write_imu(dataclasses.replace(sample, gyro_radps=(0.0, 0.0, bad)))
+        with pytest.raises(DatagramError, match="non-finite"):
+            writer.write_imu(dataclasses.replace(sample, timestamp_s=bad))
+        writer.write_cloud(cloud)
+    # the refused samples left no byte behind: the file replays whole
+    assert path.stat().st_size == good.stat().st_size
+    assert path.read_bytes() == good.read_bytes()
+    (batches, got), = list(replay_capture(path))
+    assert batches[0][0].seq == sample.seq and got.frame_index == cloud.frame_index
 
 # a capture of three frames: two IMU records (5 + 40 bytes each) then one
 # cloud record (5 + 16 + 32 bytes per point) per frame

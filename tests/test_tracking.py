@@ -1,7 +1,11 @@
 """Frame-to-frame cluster matching and label inheritance."""
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamtrack.clustering import Cluster
 from beamtrack.errors import ValidationError
@@ -9,6 +13,7 @@ from beamtrack.tracking import (
     ClusterFrame,
     ThresholdParams,
     displacement_threshold,
+    lex_min_assignment,
     match_clusters,
     update_clusters,
 )
@@ -98,6 +103,73 @@ def test_match_agrees_with_enumeration_on_random_instances():
         want_pairs, want_cost = matching_reference(prev_cores, curr_cores)
         assert got.pairs == [tuple(p) for p in want_pairs]
         assert got.total_cost_m == want_cost
+
+
+# linear_sum_assignment's optimum here sums to 3.8284271247461903 in sorted
+# order; another optimal assignment sums one ulp lower
+_ULP_PREV = [(1.0, 2.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+_ULP_CURR = [(1.0, 0.0), (1.0, 0.0), (0.0, 0.0)]
+# here several 6 x 6 assignments tie exactly
+_TIE_PREV = [(0.0, 0.0), (0.0, 0.0), (0.0, 2.0), (2.0, 1.0), (0.0, 0.0), (1.0, 1.0)]
+_TIE_CURR = [(1.0, 1.0), (2.0, 0.0), (2.0, 2.0), (2.0, 2.0), (0.0, 2.0), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "prev, curr, pairs, cost",
+    [
+        (_ULP_PREV, _ULP_CURR, [(1, 0), (2, 2), (3, 1)], 3.82842712474619),
+        (_TIE_PREV, _TIE_CURR, [(0, 1), (1, 2), (2, 4), (3, 5), (4, 0), (5, 3)], 7.65685424949238),
+    ],
+)
+def test_match_pinned_tie_instances(prev, curr, pairs, cost):
+    m = match_clusters(_frame(0, prev), _frame(1, curr))
+    assert m.pairs == pairs
+    assert m.total_cost_m == cost
+
+
+@st.composite
+def _tie_heavy_clouds(draw):
+    """Two clouds of 0-6 cores whose coordinates come from {0, 1, 2} or a few floats."""
+    pool = draw(
+        st.one_of(
+            st.just([0.0, 1.0, 2.0]),
+            st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=3),
+        )
+    )
+    coord = st.sampled_from(pool)
+    cloud = st.lists(st.tuples(coord, coord), max_size=6)
+    return draw(cloud), draw(cloud)
+
+
+@settings(max_examples=300, deadline=None)
+@example((_ULP_PREV, _ULP_CURR))
+@example((_TIE_PREV, _TIE_CURR))
+@given(_tie_heavy_clouds())
+def test_match_equals_enumeration_on_tie_heavy_clouds(clouds):
+    prev, curr = clouds
+    got = match_clusters(_frame(0, prev), _frame(1, curr))
+    want_pairs, want_cost = matching_reference(prev, curr)
+    assert got.pairs == [tuple(p) for p in want_pairs]
+    assert got.total_cost_m == want_cost
+
+
+def test_lex_min_assignment_reports_no_finite_assignment():
+    inf = np.inf
+    assert lex_min_assignment(np.array([[1.0, inf], [2.0, inf]])) == ([], inf)
+    assert lex_min_assignment(np.array([[1.0, inf], [inf, 2.0]])) == ([(0, 0), (1, 1)], 3.0)
+    assert lex_min_assignment(np.zeros((0, 3))) == ([], 0.0)
+
+
+def test_match_leaves_no_cyclic_garbage():
+    # an 8 x 8 frame pair, the size of the crowd workload's frames
+    rng = np.random.default_rng(5)
+    cores = rng.uniform(-3.0, 8.0, size=(8, 2))
+    prev = _frame(0, cores)
+    curr = _frame(1, cores + rng.uniform(-0.3, 0.3, size=(8, 2)))
+    gc.collect()
+    m = match_clusters(prev, curr)
+    assert gc.collect() == 0
+    assert m.pairs == [(i, i) for i in range(8)]
 
 
 def test_update_inherits_label_and_velocity():
