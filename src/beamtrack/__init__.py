@@ -30,6 +30,7 @@ from .imu import (
     gravity_compensate,
     integrate_velocity,
     madgwick_update,
+    window_readings,
 )
 from .kalman import KalmanConfig, KalmanState, kf_init, kf_reacquire, kf_step
 from .pipeline import (
@@ -138,5 +139,6 @@ __all__ = [
     "should_identify",
     "simulate_gain",
     "update_clusters",
+    "window_readings",
     "wrap_deg",
 ]

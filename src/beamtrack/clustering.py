@@ -182,7 +182,10 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float) -> np.ndarray:
         r = math.nextafter(r, 0.0)
     while (up := math.nextafter(r, math.inf)) * up <= s_max:
         r = up
-    tree = cKDTree(xyz)
+    # The pair set does not depend on the tree's shape, only the time to find
+    # it: larger leaves, midpoint splits and uncompacted nodes build and walk
+    # these clouds fastest.
+    tree = cKDTree(xyz, leafsize=32, balanced_tree=False, compact_nodes=False)
     if r * r == s_max:
         return tree.query_pairs(r, output_type="ndarray")
     pairs = tree.query_pairs(r * (1.0 + 2.0**-40), output_type="ndarray")

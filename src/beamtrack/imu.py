@@ -29,10 +29,12 @@ MIN_CALIBRATION_SAMPLES = 10
 
 @dataclass
 class ImuSample:
-    """One inertial measurement as produced by a client device.
+    """One inertial measurement as produced by a client device, or a window of them.
 
-    The vectors are tuples of Python floats, as Scenario.sample_imu and
-    decode_imu_datagram build them.
+    The vectors of one reading are tuples of Python floats, as
+    Scenario.sample_imu and decode_imu_datagram build them. A window holds n
+    readings of one client at once: seq and timestamp_s are (n,) arrays, the
+    vectors (n, 3) arrays; window_readings splits it into single readings.
     """
 
     client_id: int
@@ -58,22 +60,38 @@ class ClientMotion:
     last_update_s: float = 0.0
 
 
-def calibrate(rest_samples: list[ImuSample]) -> CalibrationProfile:
+def calibrate(rest: list[ImuSample] | ImuSample) -> CalibrationProfile:
     """Estimate sensor biases from samples taken while the device is at rest.
 
-    The gyro bias is the mean angular rate; the accel bias is the mean reading
-    minus the expected gravity vector (0, 0, +g) for an upright device.
+    rest is a list of samples or one window of them. The gyro bias is the
+    mean angular rate; the accel bias is the mean reading minus the expected
+    gravity vector (0, 0, +g) for an upright device.
     """
-    if len(rest_samples) < MIN_CALIBRATION_SAMPLES:
+    if isinstance(rest, ImuSample):
+        accel, gyro = rest.accel_mps2, rest.gyro_radps
+    else:
+        accel, gyro = [s.accel_mps2 for s in rest], [s.gyro_radps for s in rest]
+    if len(accel) < MIN_CALIBRATION_SAMPLES:
         raise CalibrationError(
-            f"need at least {MIN_CALIBRATION_SAMPLES} rest samples, got {len(rest_samples)}"
+            f"need at least {MIN_CALIBRATION_SAMPLES} rest samples, got {len(accel)}"
         )
-    accel = np.mean([s.accel_mps2 for s in rest_samples], axis=0)
-    gyro = np.mean([s.gyro_radps for s in rest_samples], axis=0)
     return CalibrationProfile(
-        accel_bias=accel - np.array([0.0, 0.0, GRAVITY_MPS2]),
-        gyro_bias=gyro,
+        accel_bias=np.mean(accel, axis=0) - np.array([0.0, 0.0, GRAVITY_MPS2]),
+        gyro_bias=np.mean(gyro, axis=0),
     )
+
+
+def window_readings(window: ImuSample) -> list[ImuSample]:
+    """A window's readings in order, each of Python ints, floats and float tuples."""
+    return [
+        ImuSample(window.client_id, seq, t, tuple(a), tuple(g))
+        for seq, t, a, g in zip(
+            window.seq.tolist(),
+            window.timestamp_s.tolist(),
+            window.accel_mps2.tolist(),
+            window.gyro_radps.tolist(),
+        )
+    ]
 
 
 def as_floats(v):

@@ -56,6 +56,7 @@ from .imu import (
     integrate_velocity,
     madgwick_update,
     quat_from_yaw,
+    window_readings,
     yaw_from_quat,
 )
 from .kalman import KalmanConfig, KalmanState, kf_init, kf_reacquire, kf_step
@@ -680,17 +681,12 @@ def calibrate_clients(scenario: Scenario) -> dict[int, CalibrationProfile]:
         MIN_CALIBRATION_WINDOW_S,
         min(MAX_CALIBRATION_WINDOW_S, min(holds) if holds else 0.0),
     )
-    n = int(round(window * INLINE_IMU_RATE_HZ))
-    out = {}
-    for cid in range(len(config.clients)):
-        samples = [
-            quantize_imu(
-                scenario.sample_imu(cid, i / INLINE_IMU_RATE_HZ, dt=1.0 / INLINE_IMU_RATE_HZ, seq=i)
-            )
-            for i in range(1, n + 1)
-        ]
-        out[cid] = calibrate(samples)
-    return out
+    rate = INLINE_IMU_RATE_HZ
+    seq = np.arange(1, int(round(window * rate)) + 1)
+    return {
+        cid: calibrate(quantize_imu(scenario.sample_imu(cid, seq / rate, dt=1.0 / rate, seq=seq)))
+        for cid in range(len(config.clients))
+    }
 
 
 def _inline_source(scenario: Scenario, capture: CaptureWriter | None = None):
@@ -701,13 +697,12 @@ def _inline_source(scenario: Scenario, capture: CaptureWriter | None = None):
     for k in range(scenario.n_frames):
         i0 = int(math.floor(k * config.frame_time_s * rate + 1e-9)) + 1
         i1 = int(math.floor((k + 1) * config.frame_time_s * rate + 1e-9))
+        seq = np.arange(i0, i1 + 1)
         batches: dict[int, list[ImuSample]] = {}
         tee: list[ImuSample] = []
         for cid in range(len(config.clients)):
-            lst = [
-                quantize_imu(scenario.sample_imu(cid, i / rate, dt=1.0 / rate, seq=i))
-                for i in range(i0, i1 + 1)
-            ]
+            window = scenario.sample_imu(cid, seq / rate, dt=1.0 / rate, seq=seq)
+            lst = window_readings(quantize_imu(window))
             batches[cid] = lst
             tee.extend(lst)
         cloud = scenario.sample_point_cloud((k + 1) * per - 1)

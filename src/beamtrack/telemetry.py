@@ -8,27 +8,39 @@ Wire formats (little-endian, fixed size):
   f32 bearing_deg, u32 sector`` with ``0xFFFFFFFF`` meaning "no sector".
 
 Datagrams of any other length are rejected and counted, never parsed; so are
-IMU datagrams holding a non-finite timestamp or sensor value.
+IMU datagrams holding a non-finite timestamp or sensor value. Encoding raises
+DatagramError for a sample the layout cannot hold. The IMU layout is the one
+structured dtype IMU_DATAGRAM, for a single datagram and for a window of
+readings (see Scenario.sample_imu) alike.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DatagramError
-from .imu import ImuSample, as_floats
+from .imu import ImuSample
 
 log = logging.getLogger(__name__)
 
-IMU_DATAGRAM_FORMAT = "<IId6f"
-IMU_DATAGRAM_SIZE = struct.calcsize(IMU_DATAGRAM_FORMAT)  # 40
-_IMU_DATAGRAM = struct.Struct(IMU_DATAGRAM_FORMAT)
+# the uplink layout, for one datagram and for a window of them alike
+IMU_DATAGRAM = np.dtype(
+    [
+        ("client_id", "<u4"),
+        ("seq", "<u4"),
+        ("timestamp_s", "<f8"),
+        ("accel_mps2", "<f4", (3,)),
+        ("gyro_radps", "<f4", (3,)),
+    ]
+)
+IMU_DATAGRAM_SIZE = IMU_DATAGRAM.itemsize  # 40
 FEEDBACK_FORMAT = "<IIfI"
 FEEDBACK_SIZE = struct.calcsize(FEEDBACK_FORMAT)  # 16
 NO_SECTOR = 0xFFFFFFFF
@@ -37,15 +49,50 @@ _SEND_RETRIES = 3
 _SEND_BACKOFF_S = 0.001
 
 
+def _imu_records(sample: ImuSample) -> np.ndarray:
+    """The sample's datagrams as IMU_DATAGRAM records: one, or one per reading of a window.
+
+    Raises DatagramError if client_id or a seq is not an integer in
+    [0, 2**32), or if a finite sensor value rounds to an infinite float32.
+    """
+    seq = np.asarray(sample.seq)
+    rec = np.empty(seq.size, IMU_DATAGRAM)
+    for name, ids in (("client_id", np.asarray(sample.client_id)), ("seq", seq)):
+        if ids.dtype.kind not in "iu" or (
+            ids.size and (ids.min() < 0 or ids.max() > 0xFFFFFFFF)
+        ):
+            raise DatagramError(f"IMU datagram {name} outside u32 from client {sample.client_id}")
+        rec[name] = ids
+    rec["timestamp_s"] = sample.timestamp_s
+    for name in ("accel_mps2", "gyro_radps"):
+        values = np.asarray(getattr(sample, name), dtype=float)
+        with np.errstate(over="ignore"):
+            rec[name] = values
+        if np.any(np.isinf(rec[name]) & np.isfinite(values)):
+            raise DatagramError(
+                f"IMU datagram {name} beyond float32 range from client {sample.client_id}"
+            )
+    return rec
+
+
+def _sensors(rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) accel and gyro of IMU_DATAGRAM records; DatagramError if a value is non-finite."""
+    accel = rec["accel_mps2"].astype(float)
+    gyro = rec["gyro_radps"].astype(float)
+    if not (np.isfinite(rec["timestamp_s"]).all() and np.isfinite(accel).all()
+            and np.isfinite(gyro).all()):
+        raise DatagramError(f"non-finite IMU datagram payload from client {rec['client_id'][0]}")
+    return accel, gyro
+
+
 def encode_imu_datagram(sample: ImuSample) -> bytes:
-    """Pack a sample; its vectors may be float tuples or (3,) arrays."""
-    return _IMU_DATAGRAM.pack(
-        sample.client_id,
-        sample.seq,
-        sample.timestamp_s,
-        *as_floats(sample.accel_mps2),
-        *as_floats(sample.gyro_radps),
-    )
+    """Pack a sample, or a window of readings as their datagrams back to back.
+
+    A sample's vectors may be float tuples or (3,) arrays. Raises
+    DatagramError for an id or seq outside u32 or a finite sensor value
+    beyond float32 range.
+    """
+    return _imu_records(sample).tobytes()
 
 
 def decode_imu_datagram(data: bytes) -> ImuSample:
@@ -58,15 +105,24 @@ def decode_imu_datagram(data: bytes) -> ImuSample:
         raise DatagramError(
             f"bad IMU datagram length {len(data)}, expected {IMU_DATAGRAM_SIZE}"
         )
-    client_id, seq, ts, ax, ay, az, gx, gy, gz = _IMU_DATAGRAM.unpack(data)
-    if not all(map(math.isfinite, (ts, ax, ay, az, gx, gy, gz))):
-        raise DatagramError(f"non-finite IMU datagram payload from client {client_id}")
-    return ImuSample(client_id, seq, ts, (ax, ay, az), (gx, gy, gz))
+    rec = np.frombuffer(data, IMU_DATAGRAM)
+    accel, gyro = _sensors(rec)
+    ((cid, seq, t, _, _),), (a,), (g,) = rec.tolist(), accel.tolist(), gyro.tolist()
+    return ImuSample(cid, seq, t, tuple(a), tuple(g))
 
 
 def quantize_imu(sample: ImuSample) -> ImuSample:
-    """Round-trip a sample through the wire encoding (f32 sensor fields)."""
-    return decode_imu_datagram(encode_imu_datagram(sample))
+    """Round-trip a sample, or a window, through the wire encoding (f32 sensor fields).
+
+    A window (seq a 1-D array, as Scenario.sample_imu gives it) comes back as
+    a window of arrays, each reading as it would come back on its own.
+    """
+    if np.ndim(sample.seq) != 1:
+        return decode_imu_datagram(encode_imu_datagram(sample))
+    rec = _imu_records(sample)
+    accel, gyro = _sensors(rec)
+    seq, ts = rec["seq"].astype(np.int64), rec["timestamp_s"].copy()
+    return ImuSample(int(sample.client_id), seq, ts, accel, gyro)
 
 
 def encode_feedback(

@@ -233,8 +233,22 @@ class _PathTable:
         self.speed_mps = path.speed_mps
         self.wps = [tuple(w) for w in wps.tolist()]
         self.dirs = [tuple(d) for d in dirs.tolist()]
-        self.cum = np.concatenate([[0.0], np.cumsum(seg_len)]).tolist()
+        self._cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        self.cum = self._cum.tolist()
         self.headings = [math.atan2(dy, dx) for dx, dy in self.dirs]
+        # per motion state, as states() numbers them (the hold, each segment,
+        # the path's end): the world -> body rotation's cos and sin, and per
+        # pair of states (now, before) the change of velocity and of heading,
+        # each computed as the scalar expressions of pose() would give them
+        speed = self.speed_mps
+        headings = [self.headings[0], *self.headings, self.headings[-1]]
+        vx = [0.0, *(dx * speed for dx, _ in self.dirs), 0.0]
+        vy = [0.0, *(dy * speed for _, dy in self.dirs), 0.0]
+        self.state_cos = np.array([math.cos(-h) for h in headings])
+        self.state_sin = np.array([math.sin(-h) for h in headings])
+        self.dvx = np.array([[a - b for b in vx] for a in vx])
+        self.dvy = np.array([[a - b for b in vy] for a in vy])
+        self.turn = np.array([[_wrap_pi(a - b) for b in headings] for a in headings])
 
     def pose(self, t: float) -> tuple[tuple[float, float], tuple[float, float], float]:
         """Position, velocity and heading along the path at time t.
@@ -254,6 +268,19 @@ class _PathTable:
         pos = (wx + dx * along, wy + dy * along)
         return pos, (dx * self.speed_mps, dy * self.speed_mps), self.headings[i]
 
+    def states(self, t: np.ndarray) -> np.ndarray:
+        """Motion state at each time of a 1-D array, by pose()'s rule.
+
+        0 is the hold, 1 + i segment i and len(dirs) + 1 the end of the path.
+        As cum runs from 0 to the path's length, bisect_right(cum, s) is the
+        state wherever t > hold.
+        """
+        if self.speed_mps == 0.0:
+            return np.zeros(t.shape, dtype=np.intp)
+        state = self._cum.searchsorted((t - self.hold_s) * self.speed_mps, side="right")
+        state[t <= self.hold_s] = 0
+        return state
+
 
 class Scenario:
     """A validated, immutable world that can be sampled at any instant."""
@@ -269,7 +296,7 @@ class Scenario:
         # Scenario draws its noise afresh, and one tuple, so threads sampling
         # at once at worst draw a block twice and never pair a number with
         # another block's rows
-        self._imu_blocks: dict[int, tuple[int, list[list[float]]]] = {}
+        self._imu_blocks: dict[int, tuple[int, np.ndarray]] = {}
 
     def _build_clutter(self) -> np.ndarray:
         """Scatter clutter once; static objects return the same points every frame."""
@@ -337,8 +364,16 @@ class Scenario:
         points = np.vstack(blocks) if blocks else np.empty((0, 4))
         return PointCloudFrame(frame_index=frame_index, timestamp_s=t, points=points)
 
-    def sample_imu(self, client_id: int, t: float, dt: float = 0.01, *, seq: int) -> ImuSample:
-        """Inertial reading for one client at time t, as tuples of Python floats.
+    def sample_imu(
+        self, client_id: int, t: float | np.ndarray, dt: float = 0.01, *, seq: int | np.ndarray
+    ) -> ImuSample:
+        """Inertial readings of one client: one at a time or a window at once.
+
+        With scalar t and seq, one reading whose vectors are tuples of Python
+        floats. With t and seq equal-length 1-D arrays, a window: an ImuSample
+        whose seq and timestamp_s are the (n,) arrays and whose accel_mps2 and
+        gyro_radps are (n, 3) arrays, row k equal bit for bit to the reading
+        at (t[k], seq[k]). A scalar call is computed as the window of one.
 
         Acceleration and angular rate are backward differences of the true
         velocity and heading profiles over dt, expressed in the body frame with
@@ -358,35 +393,60 @@ class Scenario:
         """
         if not (0 <= client_id < len(self.config.clients)):
             raise KeyError(f"unknown client_id {client_id}")
-        self._check_time(t)
+        window = np.ndim(t) == 1
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        seqs = np.atleast_1d(seq)
+        if np.ndim(seq) != np.ndim(t) or times.ndim != 1 or seqs.shape != times.shape:
+            raise ValueError("t and seq must both be scalars or equal-length 1-D arrays")
+        if times.size and not (times.min() >= 0.0 and times.max() <= self.config.duration_s):
+            for t_k in times.tolist():
+                self._check_time(t_k)
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
         table = self._tables[client_id]
-        _, (vx, vy), heading = table.pose(t)
-        _, (vx0, vy0), heading0 = table.pose(max(0.0, t - dt))
+        now = table.states(times)
+        before = table.states(np.maximum(0.0, times - dt))
 
-        ax, ay = (vx - vx0) / dt, (vy - vy0) / dt  # global frame, no vertical motion
-        yaw_rate = _wrap_pi(heading - heading0) / dt
+        ax = table.dvx[now, before] / dt  # global frame, no vertical motion
+        ay = table.dvy[now, before] / dt
+        yaw_rate = table.turn[now, before] / dt
 
         # world -> body rotation about z
-        c, s = math.cos(-heading), math.sin(-heading)
-        accel = (c * ax - s * ay, s * ax + c * ay, GRAVITY_MPS2)
-        gyro = (0.0, 0.0, yaw_rate)
+        c, s = table.state_cos[now], table.state_sin[now]
+        accel = np.empty((times.size, 3))
+        accel[:, 0] = c * ax - s * ay
+        accel[:, 1] = s * ax + c * ay
+        accel[:, 2] = GRAVITY_MPS2
+        gyro = np.zeros((times.size, 3))
+        gyro[:, 2] = yaw_rate
 
         sigma = self.config.noise_sigma_m
-        if sigma > 0.0:
-            number = seq // IMU_NOISE_BLOCK
+        if sigma > 0.0 and seqs.size:
+            z = self._imu_noise(client_id, seqs)
+            accel += IMU_ACCEL_NOISE_PER_SIGMA * sigma * z[:, :3]
+            gyro += IMU_GYRO_NOISE_PER_SIGMA * sigma * z[:, 3:]
+        if window:
+            return ImuSample(client_id, seqs, times, accel, gyro)
+        (a,), (g,) = accel.tolist(), gyro.tolist()
+        return ImuSample(client_id, seq, t, tuple(a), tuple(g))
+
+    def _imu_noise(self, client_id: int, seqs: np.ndarray) -> np.ndarray:
+        """(n, 6) standard normals: row seq % IMU_NOISE_BLOCK of each seq's block."""
+        numbers = seqs // IMU_NOISE_BLOCK
+        rows = seqs % IMU_NOISE_BLOCK
+        # runs of one block number: one run for most windows of a rising seq,
+        # two where it crosses into the next block
+        cuts = [0, *(np.flatnonzero(numbers[1:] != numbers[:-1]) + 1).tolist(), seqs.size]
+        z = np.empty((seqs.size, 6))
+        for a, b in zip(cuts, cuts[1:]):
+            number = int(numbers[a])
             block = self._imu_blocks.get(client_id)
             if block is None or block[0] != number:
                 rng = np.random.default_rng([self.config.seed, _STREAM_IMU, client_id, number])
-                block = (number, rng.standard_normal((IMU_NOISE_BLOCK, 6)).tolist())
+                block = (number, rng.standard_normal((IMU_NOISE_BLOCK, 6)))
                 self._imu_blocks[client_id] = block
-            z0, z1, z2, z3, z4, z5 = block[1][seq % IMU_NOISE_BLOCK]
-            sa = IMU_ACCEL_NOISE_PER_SIGMA * sigma
-            sg = IMU_GYRO_NOISE_PER_SIGMA * sigma
-            accel = (accel[0] + sa * z0, accel[1] + sa * z1, accel[2] + sa * z2)
-            gyro = (gyro[0] + sg * z3, gyro[1] + sg * z4, gyro[2] + sg * z5)
-        return ImuSample(client_id, seq, t, accel, gyro)
+            z[a:b] = block[1][rows[a:b]]
+        return z
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:

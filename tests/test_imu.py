@@ -21,6 +21,7 @@ from beamtrack.imu import (
     quat_multiply,
     rotate_by_quat,
     to_global_frame,
+    window_readings,
     yaw_from_quat,
 )
 
@@ -69,6 +70,20 @@ def test_calibrate_needs_enough_samples():
     with pytest.raises(CalibrationError):
         calibrate(samples)
     calibrate(samples + samples[:1])  # 10 is enough
+
+
+def test_calibrate_from_a_window_equals_from_its_readings():
+    rng = np.random.default_rng(4)
+    for n in (10, 100, 257):
+        accel = np.float32(rng.normal([0.02, -0.01, GRAVITY_MPS2], 0.05, (n, 3))).astype(float)
+        gyro = np.float32(rng.normal(0.001, 0.002, (n, 3))).astype(float)
+        window = ImuSample(1, np.arange(n), np.arange(n) / 100.0, accel, gyro)
+        got, want = calibrate(window), calibrate(window_readings(window))
+        assert got.accel_bias.tobytes() == want.accel_bias.tobytes()
+        assert got.gyro_bias.tobytes() == want.gyro_bias.tobytes()
+    window = ImuSample(1, np.arange(9), np.arange(9) / 100.0, accel[:9], gyro[:9])
+    with pytest.raises(CalibrationError):
+        calibrate(window)
 
 
 def test_integrate_velocity_trapezoid():

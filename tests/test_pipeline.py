@@ -566,17 +566,21 @@ def test_capture_rejects_damaged_files(tmp_path):
 
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e39, -1e39])
 def test_capture_writer_refuses_a_sample_replay_would_reject(tmp_path, bad):
     good = tmp_path / "good.capture"
     sample, cloud = _tiny_capture(good)
     path = tmp_path / "refused.capture"
     with CaptureWriter(path) as writer:
         writer.write_imu(sample)
-        with pytest.raises(DatagramError, match="non-finite"):
-            writer.write_imu(dataclasses.replace(sample, gyro_radps=(0.0, 0.0, bad)))
-        with pytest.raises(DatagramError, match="non-finite"):
-            writer.write_imu(dataclasses.replace(sample, timestamp_s=bad))
+        if math.isfinite(bad):  # beyond float32, the wire's sensor fields
+            with pytest.raises(DatagramError, match="beyond float32 range"):
+                writer.write_imu(dataclasses.replace(sample, gyro_radps=(0.0, 0.0, bad)))
+        else:
+            with pytest.raises(DatagramError, match="non-finite"):
+                writer.write_imu(dataclasses.replace(sample, gyro_radps=(0.0, 0.0, bad)))
+            with pytest.raises(DatagramError, match="non-finite"):
+                writer.write_imu(dataclasses.replace(sample, timestamp_s=bad))
         writer.write_cloud(cloud)
     # the refused samples left no byte behind: the file replays whole
     assert path.stat().st_size == good.stat().st_size

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from beamtrack.errors import DatagramError
-from beamtrack.imu import ImuSample
+from beamtrack.imu import ImuSample, window_readings
 from beamtrack.telemetry import (
     FEEDBACK_SIZE,
     IMU_DATAGRAM_SIZE,
@@ -24,6 +24,7 @@ from beamtrack.telemetry import (
     quantize_imu,
     run_sim_client,
 )
+from beamtrack.world import build_scenario, default_config
 
 
 def _sample(client=1, seq=0, t=0.01, accel=(0.1, -0.2, 9.8), gyro=(0.01, 0.02, -0.03)):
@@ -71,16 +72,16 @@ def test_quantize_is_idempotent():
 
 
 def _assert_codec_packs_field_by_field(s):
-    """The codec writes what struct.pack of each field in turn writes, errors included.
-    Decoding raises DatagramError if a wire value is not finite, and otherwise gives
-    Python ints, a Python float and tuples of three Python floats, bit for bit."""
+    """The codec writes what struct.pack of each field in turn writes, and raises
+    DatagramError where struct.pack raises. Decoding raises DatagramError if a wire
+    value is not finite, and otherwise gives Python ints, a Python float and tuples
+    of three Python floats, bit for bit."""
     sensors = [float(v) for v in s.accel_mps2] + [float(v) for v in s.gyro_radps]
     try:
         want = struct.pack("<IId6f", s.client_id, s.seq, s.timestamp_s, *sensors)
-    except (OverflowError, struct.error) as exc:
-        with pytest.raises(type(exc)) as got:
+    except (OverflowError, struct.error):
+        with pytest.raises(DatagramError):
             encode_imu_datagram(s)
-        assert str(got.value) == str(exc)
         return
     data = encode_imu_datagram(s)
     assert data == want
@@ -135,12 +136,78 @@ def test_imu_codec_raises_beyond_the_wire_range():
     for v in (F32_MAX + 2.0**103, -(F32_MAX + 2.0**103), 1e39, 1e300):
         for accel, gyro in (((v, 0.0, 0.0), (0.0, 0.0, 0.0)), ((0.0, 0.0, 0.0), (0.0, 0.0, v))):
             _assert_codec_packs_field_by_field(_sample(accel=accel, gyro=gyro))
-            with pytest.raises(OverflowError):
+            with pytest.raises(DatagramError):
                 quantize_imu(_sample(accel=accel, gyro=gyro))
     for client, seq in ((-1, 0), (2**32, 0), (0, -1), (0, 2**32)):
         _assert_codec_packs_field_by_field(_sample(client=client, seq=seq))
-        with pytest.raises(struct.error):
+        with pytest.raises(DatagramError):
             quantize_imu(_sample(client=client, seq=seq))
+
+
+def _reading_bytes(s):
+    """Every bit of a single reading, -0.0 apart from 0.0 and the vectors at full width."""
+    return struct.pack("<qqd6d", s.client_id, s.seq, s.timestamp_s, *s.accel_mps2, *s.gyro_radps)
+
+
+def test_imu_window_round_trips_as_its_readings():
+    sc = build_scenario(default_config(seed=4))
+    seqs = np.arange(1, 1801)
+    for cid in (0, 1):
+        for start in range(0, len(seqs), 37):  # some windows straddle a noise block
+            seq = seqs[start:start + 37]
+            window = sc.sample_imu(cid, seq / 100.0, dt=0.01, seq=seq)
+            readings = window_readings(window)
+            assert encode_imu_datagram(window) == b"".join(map(encode_imu_datagram, readings))
+            got = window_readings(quantize_imu(window))
+            want = [quantize_imu(r) for r in readings]
+            assert list(map(_reading_bytes, got)) == list(map(_reading_bytes, want))
+            assert all(type(v) is float for r in got for v in (*r.accel_mps2, *r.gyro_radps))
+
+
+def test_imu_window_codec_edge_values():
+    # the special values of the single-datagram test, a float32-typed window,
+    # an empty window
+    below_overflow = float(np.nextafter(F32_MAX + 2.0**103, 0.0))
+    values = [-0.0, 0.0, 5e-324, -1e-310, 1.4e-45, 1e-40, 1e-46, F32_MAX, -below_overflow]
+    n = len(values)
+    accel = np.column_stack([values, values[::-1], np.full(n, 9.81)])
+    gyro = np.column_stack([np.full(n, -0.0), values, np.ones(n)])
+    for window in (
+        ImuSample(3, np.arange(n) + 2**32 - n, np.linspace(0.0, 1.0, n), accel, gyro),
+        ImuSample(3, np.arange(n), np.arange(n) / 7.0, np.float32(accel), np.float32(gyro)),
+        ImuSample(3, np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 3)), np.empty((0, 3))),
+    ):
+        readings = window_readings(window)
+        assert encode_imu_datagram(window) == b"".join(map(encode_imu_datagram, readings))
+        got = window_readings(quantize_imu(window))
+        want = [quantize_imu(r) for r in readings]
+        assert list(map(_reading_bytes, got)) == list(map(_reading_bytes, want))
+
+
+def test_imu_window_raises_what_one_of_its_readings_raises():
+    seq = np.arange(5)
+    ok = np.tile([0.1, -0.2, 9.8], (5, 1))
+    for bad in (F32_MAX + 2.0**103, -1e39, 1e300):
+        accel = ok.copy()
+        accel[3, 1] = bad
+        window = ImuSample(0, seq, seq / 100.0, accel, ok)
+        for codec in (encode_imu_datagram, quantize_imu):
+            with pytest.raises(DatagramError, match="beyond float32 range"):
+                codec(window)
+            with pytest.raises(DatagramError, match="beyond float32 range"):
+                codec(window_readings(window)[3])
+    for bad in (math.nan, math.inf):
+        accel = ok.copy()
+        accel[2, 0] = bad
+        with pytest.raises(DatagramError, match="non-finite"):
+            quantize_imu(ImuSample(0, seq, seq / 100.0, accel, ok))
+        with pytest.raises(DatagramError, match="non-finite"):
+            quantize_imu(ImuSample(0, seq, np.where(seq == 1, bad, seq / 100.0), ok, ok))
+    for client, seqs in ((-1, seq), (2**32, seq), (0, seq - 1), (0, seq + 2**32 - 4),
+                         (0, seq.astype(float))):
+        for codec in (encode_imu_datagram, quantize_imu):
+            with pytest.raises(DatagramError, match="outside u32"):
+                codec(ImuSample(client, seqs, seq / 100.0, ok, ok))
 
 
 def test_non_finite_payload_rejected():

@@ -438,3 +438,101 @@ def test_negative_seed_is_rejected_as_before():
 def test_imu_sample_equals_reference_property(seed, cid, t, dt, sigma, seq):
     sc = build_scenario(_simple_config(noise_sigma_m=sigma, seed=seed))
     _assert_imu_matches_reference(sc, cid, t, dt, seq)
+
+
+def _window_equals_readings(sc, cid, seq, dt):
+    """A window's rows are, bit for bit, the readings of one call each."""
+    seq = np.asarray(seq, dtype=np.int64)
+    window = sc.sample_imu(cid, seq / 100.0, dt=dt, seq=seq)
+    ones = [sc.sample_imu(cid, q / 100.0, dt=dt, seq=q) for q in seq.tolist()]
+    assert window.client_id == cid
+    assert window.seq.tolist() == seq.tolist()
+    for got, field in ((window.timestamp_s, "timestamp_s"), (window.accel_mps2, "accel_mps2"),
+                       (window.gyro_radps, "gyro_radps")):
+        want = np.array([getattr(s, field) for s in ones], dtype=float)
+        # bytes, not ==, so that -0.0 and 0.0 differ
+        assert got.tobytes() == want.tobytes(), (cid, field, seq[0])
+    return window
+
+
+# the default walk: holds of 1 s and 2.5 s, three corners, the end of the
+# path at 14.7 s; one client without a hold; every variant with and without noise
+WINDOW_CONFIGS = [
+    default_config(seed=0),
+    default_config(seed=1),
+    default_config(seed=2),
+    dataclasses.replace(default_config(seed=2), noise_sigma_m=0.0),
+    dataclasses.replace(
+        default_config(seed=3),
+        clients=(dataclasses.replace(default_config().clients[0], initial_hold_s=0.0),
+                 default_config().clients[1]),
+    ),
+    dataclasses.replace(
+        default_config(seed=3),
+        noise_sigma_m=0.0,
+        clients=(dataclasses.replace(default_config().clients[0], initial_hold_s=0.0),
+                 default_config().clients[1]),
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg", WINDOW_CONFIGS)
+def test_imu_window_equals_its_readings(cfg):
+    # 1,800 readings per client (the whole 18 s run at 100 Hz) in the inline
+    # feed's windows of 50 and in windows of 37, some of which straddle a
+    # 256-reading noise block; frame-cadence dt too
+    sc = build_scenario(cfg)
+    seqs = np.arange(1, 1801)
+    for cid in (0, 1):
+        for size, dt in ((50, 0.01), (37, 0.01), (37, 0.5)):
+            for start in range(0, len(seqs), size):
+                _window_equals_readings(sc, cid, seqs[start:start + size], dt)
+    straddling = np.arange(250, 262)
+    assert len(set((straddling // 256).tolist())) == 2
+    _window_equals_readings(build_scenario(cfg), 0, straddling, 0.01)  # neither block drawn yet
+    _window_equals_readings(sc, 1, seqs, 0.01)  # one window of all 1,800, eight blocks
+
+
+def test_imu_window_covers_a_turn_and_the_path_end():
+    cfg = _simple_config(
+        noise_sigma_m=0.05,
+        clients=(
+            PathSpec(waypoints=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), speed_mps=0.5),
+            PathSpec(waypoints=((4.0, 0.0), (4.0, 2.0)), speed_mps=0.5, initial_hold_s=1.0),
+        ),
+    )
+    sc = build_scenario(cfg)
+    # client 0 turns at 2.0 s and stops at 4.0 s, the scenario's last instant
+    window = _window_equals_readings(sc, 0, np.arange(195, 401), 0.01)
+    turn = window.seq.tolist().index(201)
+    assert window.gyro_radps[turn, 2] * 0.01 == pytest.approx(math.pi / 2.0, abs=1e-2)
+
+
+def test_imu_window_raises_the_scalar_errors():
+    sc = build_scenario(_simple_config(noise_sigma_m=0.05))
+    seq = np.arange(10, 20)
+    t = seq / 100.0
+    for bad in (4.6, -0.01, math.nan):
+        with pytest.raises(ValueError) as one:
+            sc.sample_imu(0, bad, seq=19)
+        with pytest.raises(ValueError) as window:
+            sc.sample_imu(0, np.append(t[:-1], bad), seq=seq)
+        assert str(window.value) == str(one.value)
+    for dt in (0.0, -0.01):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            sc.sample_imu(0, t, dt=dt, seq=seq)
+    for cid in (-1, 2, 5):
+        with pytest.raises(KeyError):
+            sc.sample_imu(cid, t, seq=seq)
+    for times, seqs in ((t, seq[:-1]), (t[:-1], seq), (t, 15), (0.15, seq),
+                        (t.reshape(2, 5), seq.reshape(2, 5))):
+        with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+            sc.sample_imu(0, times, seq=seqs)
+
+
+def test_empty_imu_window():
+    window = build_scenario(_simple_config(noise_sigma_m=0.05)).sample_imu(
+        0, np.empty(0), seq=np.empty(0, dtype=np.int64)
+    )
+    assert window.seq.shape == window.timestamp_s.shape == (0,)
+    assert window.accel_mps2.shape == window.gyro_radps.shape == (0, 3)
