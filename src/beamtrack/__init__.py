@@ -17,11 +17,7 @@ from .beams import (
 )
 from .clustering import Cluster, DbscanParams, dbscan, filter_background
 from .errors import CalibrationError, DatagramError, IdentificationError, ValidationError
-from .identification import (
-    ClientBinding,
-    identify_clients,
-    should_identify,
-)
+from .identification import identify_clients, should_identify
 from .imu import (
     CalibrationProfile,
     ClientMotion,
@@ -81,7 +77,6 @@ __all__ = [
     "CalibrationError",
     "CalibrationProfile",
     "CaptureWriter",
-    "ClientBinding",
     "ClientMotion",
     "Cluster",
     "ClusterFrame",

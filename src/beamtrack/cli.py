@@ -45,7 +45,7 @@ def _print_summary(report: RunReport) -> None:
 def _run_udp(config: ScenarioConfig, args) -> RunReport:
     """Run with real UDP telemetry: one simulated sender thread per client."""
     store = LatestStore()
-    ports = tuple(args.ports) if args.ports else (0, 0)
+    ports = tuple(args.ports) if args.ports else (0,) * len(config.clients)
     server = TelemetryServer(store, ports=ports)
     scenario = build_scenario(config)
     threads = []
@@ -66,7 +66,6 @@ def _run_udp(config: ScenarioConfig, args) -> RunReport:
             log_path=args.log,
             capture_path=args.capture,
             store=store,
-            realtime=True,
             feedback=server.send_feedback,
         )
         for t in threads:
@@ -129,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate a scenario and run the pipeline over it")
     run_p.add_argument("--config", type=Path, default=None,
                        help="scenario JSON file (default: built-in two-client demo)")
-    run_p.add_argument("--mode", choices=("algorithm", "beamscan", "both"), default="algorithm",
-                       help="run the tracking pipeline, the scanning baseline, or both")
+    run_p.add_argument("--mode", choices=("algorithm", "both"), default="algorithm",
+                       help="run the tracking pipeline alone, or with the scanning baseline")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument("--log", type=Path, default=None,
                        help="write one JSON record per frame to this file")
@@ -139,14 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--telemetry", choices=("inline", "udp"), default="inline",
                        help="inline: deterministic in-process feed; udp: real sockets, wall-clock paced")
     run_p.add_argument("--ports", type=int, nargs="*", default=None,
-                       help="UDP ports for the telemetry server (0 = ephemeral; udp mode only)")
+                       help="UDP ports for the telemetry server (0 = ephemeral; udp mode only;"
+                            " default one ephemeral port per client)")
     run_p.set_defaults(func=_cmd_run)
 
     replay_p = sub.add_parser("replay", help="re-run the pipeline over a recorded capture")
     replay_p.add_argument("--capture", type=Path, required=True, help="capture file to replay")
     replay_p.add_argument("--config", type=Path, default=None,
                           help="scenario JSON the capture was recorded from (default: demo)")
-    replay_p.add_argument("--mode", choices=("algorithm", "beamscan", "both"), default="algorithm")
+    replay_p.add_argument("--mode", choices=("algorithm", "both"), default="algorithm")
     replay_p.add_argument("--seed", type=int, default=None,
                           help="override the scenario seed (match the recording run)")
     replay_p.add_argument("--log", type=Path, default=None,

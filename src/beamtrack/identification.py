@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IdentificationError
@@ -12,13 +10,6 @@ from .tracking import lex_min_assignment
 # identification runs inside this early frame window, then only on error
 WINDOW_FIRST_FRAME = 2
 WINDOW_LAST_FRAME = 5
-
-
-@dataclass
-class ClientBinding:
-    client_id: int
-    cluster_label: int
-    bound_at_frame: int
 
 
 def should_identify(frame_index: int, error_flag: bool) -> bool:
@@ -32,42 +23,40 @@ def should_identify(frame_index: int, error_flag: bool) -> bool:
 
 def identify_clients(
     cluster_velocities: list[tuple[int, np.ndarray]],
-    client_velocities: list[np.ndarray],
-    frame_index: int,
-) -> tuple[ClientBinding, ClientBinding]:
-    """Assign each client the cluster whose velocity matches its IMU velocity.
+    client_velocities: dict[int, np.ndarray],
+) -> dict[int, int]:
+    """Bind each client to the cluster whose velocity matches its IMU velocity.
 
-    The 2 x n case of lex_min_assignment: rows are clients 0 and 1, columns
-    are clusters in ascending label order, entries ||v_cluster - v_client||.
-    So the labels i != j minimize ||v_cluster(i) - v_client(0)|| +
-    ||v_cluster(j) - v_client(1)||, and ties go to the lexicographically
-    lowest pair (i, j). Raises IdentificationError when fewer than two clusters
-    carry a velocity, when a velocity is not finite, or when no pair has a
-    finite cost.
+    The N x n case of lex_min_assignment: rows are the clients in the
+    mapping's order, columns are clusters in ascending label order, entries
+    ||v_cluster - v_client||. So the distinct labels bound minimize the
+    mismatches summed in client order, and ties go to the lexicographically
+    lowest sequence of labels. Returns client id -> cluster label. Raises
+    IdentificationError when fewer clusters than clients carry a velocity, when
+    a velocity is not finite, or when no assignment has a finite cost.
     """
-    if len(client_velocities) != 2:
-        raise ValueError(f"expected exactly 2 client velocities, got {len(client_velocities)}")
-    if len(cluster_velocities) < 2:
+    if len(cluster_velocities) < len(client_velocities):
         raise IdentificationError(
-            f"need at least 2 velocity-bearing clusters, got {len(cluster_velocities)}"
+            f"need at least {len(client_velocities)} velocity-bearing clusters,"
+            f" got {len(cluster_velocities)}"
         )
     entries = sorted(
         ((label, np.asarray(v, dtype=float)) for label, v in cluster_velocities),
         key=lambda e: e[0],
     )
-    clients = [np.asarray(v, dtype=float) for v in client_velocities]
-    for cid, v in enumerate(clients):
+    clients = {cid: np.asarray(v, dtype=float) for cid, v in client_velocities.items()}
+    for cid, v in clients.items():
         if not np.isfinite(v).all():
             raise IdentificationError(f"client {cid} velocity is not finite: {v.tolist()}")
     for label, v in entries:
         if not np.isfinite(v).all():
             raise IdentificationError(f"cluster {label} velocity is not finite: {v.tolist()}")
 
-    cost = np.array([[float(np.linalg.norm(v - client)) for _, v in entries] for client in clients])
-    pairs, _ = lex_min_assignment(cost)
-    if not pairs:  # finite velocities whose distances overflow
-        raise IdentificationError("no cluster pair has a finite velocity mismatch")
-    return tuple(
-        ClientBinding(client_id=cid, cluster_label=entries[col][0], bound_at_frame=frame_index)
-        for cid, col in pairs
+    cost = np.array(
+        [[float(np.linalg.norm(v - client)) for _, v in entries] for client in clients.values()]
     )
+    pairs, _ = lex_min_assignment(cost)
+    ids = list(clients)
+    if len(pairs) < len(ids):  # finite velocities whose distances overflow
+        raise IdentificationError("no cluster pair has a finite velocity mismatch")
+    return {ids[row]: entries[col][0] for row, col in pairs}

@@ -10,7 +10,12 @@ at the window's penultimate radar instant, then:
 4. binds clusters to clients by velocity agreement (early window or on error),
 5. filters each bound client's position with a constant-velocity Kalman
    filter, gating implausible measurements,
-6. converts the two filtered positions into a peer bearing and beam sector.
+6. steers each client's beam at its peer: the bearing between the two
+   filtered positions, then the beamspace check, then the sector.
+
+The clients are the keys of the initial headings. The link rule, exactly two
+clients, each the other's peer, is the pipeline's peer map and is checked
+nowhere else.
 
 Fused quantities (velocity, heading) are snapshotted at the radar measurement
 instant so estimate-versus-truth comparisons are contemporaneous.
@@ -41,11 +46,7 @@ from .beams import (
 )
 from .clustering import Cluster, DbscanParams, dbscan, filter_background, finite_rows
 from .errors import DatagramError, IdentificationError, ValidationError
-from .identification import (
-    ClientBinding,
-    identify_clients,
-    should_identify,
-)
+from .identification import identify_clients, should_identify
 from .imu import (
     CalibrationProfile,
     ClientMotion,
@@ -86,6 +87,13 @@ _RECORD_HEADER = struct.Struct("<IB")
 _CLOUD_HEADER = struct.Struct("<IdI")
 _POINT_BYTES = 32  # 4 little-endian f64 per point
 
+# walking-speed statistics behind the frame-to-frame displacement threshold
+WALKING_SPEED = ThresholdParams(v_mean_mps=1.4, v_std_mps=0.4)
+# the clients' antenna sector grid
+SECTORS = SectorTable()
+# gated measurements in a row that raise the error flag
+REACQUIRE_LIMIT = 3
+
 # why _inertial_update dropped a reading
 _NON_FINITE = "non-finite"
 _STALE = "stale"
@@ -105,22 +113,36 @@ def debias_core(core_xy_radar: np.ndarray, body_radius_m: float) -> np.ndarray:
     return core * (1.0 + surface_bias_m(body_radius_m) / r)
 
 
+def _steer(
+    client_id: int, own_xy, heading_rad: float, peer_xy, table: SectorTable
+) -> BeamDecision | None:
+    """The steering rule: bearing to the peer, then the beamspace check, then the sector.
+
+    None when the two positions coincide and so give no bearing.
+    """
+    try:
+        bearing = beam_angle(own_xy, heading_rad, peer_xy)
+    except ValueError:
+        return None
+    reachable = in_beamspace(bearing)
+    sector, clamped = angle_to_sector(bearing, 0.0, table) if reachable else (None, False)
+    return BeamDecision(
+        client_id=client_id,
+        bearing_deg=bearing,
+        elevation_deg=0.0,
+        sector=sector,
+        in_beamspace=reachable,
+        clamped=clamped,
+    )
+
+
 @dataclass
 class PipelineParams:
     frame_time_s: float = 0.5
     dbscan: DbscanParams = field(default_factory=DbscanParams)
-    threshold: ThresholdParams = field(
-        default_factory=lambda: ThresholdParams(v_mean_mps=1.4, v_std_mps=0.4)
-    )
     kalman: KalmanConfig = field(default_factory=KalmanConfig)
-    sectors: SectorTable = field(default_factory=SectorTable)
-    doppler_zero_tol_mps: float = 1e-3
     body_radius_m: float = 0.25
     radar_xy: tuple[float, float] = (0.0, 0.0)
-    surface_bias_correction: bool = True
-    reacquire_limit: int = 3
-    gate_sigma: float = 3.0
-    madgwick_beta: float = 0.1
 
     @classmethod
     def for_config(cls, config: ScenarioConfig) -> "PipelineParams":
@@ -149,7 +171,7 @@ class ClientTrack:
     prev_accel_global: tuple[float, float, float]  # for the trapezoidal velocity update
     fused_velocity: np.ndarray  # (2,) latest velocity at the measurement instant
     fused_heading: float  # latest yaw at the measurement instant
-    binding: ClientBinding | None = None
+    bound_label: int | None = None
     kf: KalmanState | None = None
     reacquire_count: int = 0
     coasting: bool = False
@@ -189,27 +211,35 @@ class FrameReport:
 
 
 class Pipeline:
-    """Stateful two-client tracking and beam-steering pipeline."""
+    """Stateful tracking and beam-steering pipeline for a linked pair of clients.
+
+    The clients are the keys of ``initial_heading_rad``, kept in ascending id
+    order; any number but two raises ValidationError. Calibrations missing from
+    ``calibrations`` default to zero biases.
+    """
 
     def __init__(
         self,
         params: PipelineParams,
         initial_heading_rad: dict[int, float],
         calibrations: dict[int, CalibrationProfile] | None = None,
-        client_ids: tuple[int, int] = (0, 1),
     ) -> None:
-        if len(client_ids) != 2:
-            raise ValidationError("the pipeline tracks exactly two clients")
+        # the link rule: exactly two clients, each the other's peer
+        if len(initial_heading_rad) != 2:
+            raise ValidationError(
+                f"the pipeline tracks exactly two clients, got {len(initial_heading_rad)}"
+            )
+        a, b = sorted(initial_heading_rad)
+        self.peer = {a: b, b: a}
         self.params = params
-        self.client_ids = tuple(client_ids)
         self._radar_xy = np.asarray(params.radar_xy, dtype=float)
-        self._threshold_m = displacement_threshold(params.threshold, params.frame_time_s)
+        self._threshold_m = displacement_threshold(WALKING_SPEED, params.frame_time_s)
         self.error_flag = False
         self._frame: ClusterFrame | None = None
         self._next_label = 0
-        self.tracks: dict[int, ClientTrack] = {}
-        for cid in self.client_ids:
-            heading = float(initial_heading_rad.get(cid, 0.0))
+        self.tracks: dict[int, ClientTrack] = {}  # in ascending client id order
+        for cid in self.peer:
+            heading = float(initial_heading_rad[cid])
             cal = (calibrations or {}).get(cid)
             if cal is None:
                 cal = CalibrationProfile(accel_bias=np.zeros(3), gyro_bias=np.zeros(3))
@@ -243,7 +273,7 @@ class Pipeline:
         accel = (ax - accel_bias[0], ay - accel_bias[1], az - accel_bias[2])
         gyro = (gx - gyro_bias[0], gy - gyro_bias[1], gz - gyro_bias[2])
         corrected = ImuSample(sample.client_id, sample.seq, t, accel, gyro)
-        motion = madgwick_update(track.motion, corrected, dt, self.params.madgwick_beta)
+        motion = madgwick_update(track.motion, corrected, dt)
         a_global = gravity_compensate(accel, motion.orientation)
         motion.velocity_mps = integrate_velocity(
             track.motion.velocity_mps, track.prev_accel_global, a_global, dt
@@ -253,9 +283,7 @@ class Pipeline:
         return None
 
     def _to_world(self, cluster: Cluster) -> Cluster:
-        core = cluster.core_point
-        if self.params.surface_bias_correction:
-            core = debias_core(core, self.params.body_radius_m)
+        core = debias_core(cluster.core_point, self.params.body_radius_m)
         return replace(cluster, core_point=core + self._radar_xy)
 
     def process_frame(
@@ -274,9 +302,8 @@ class Pipeline:
         # inertial tier: per-sample orientation and velocity integration; the
         # fused state is the one after the last applied reading at or before
         # the measurement instant
-        dropped = {cid: Counter() for cid in self.client_ids}  # reason -> readings
-        for cid in self.client_ids:
-            track = self.tracks[cid]
+        dropped = {cid: Counter() for cid in self.tracks}  # reason -> readings
+        for cid, track in self.tracks.items():
             accel_bias = np.asarray(track.calibration.accel_bias, dtype=float).tolist()
             gyro_bias = np.asarray(track.calibration.gyro_bias, dtype=float).tolist()
             fused = None
@@ -298,7 +325,7 @@ class Pipeline:
         finite = finite_rows(points)  # the other rows are noise
         doppler = np.asarray(points, dtype=float).reshape(-1, 4)[:, 3]
         raw_clusters, _ = dbscan(points, p.dbscan, finite)
-        moving = filter_background(raw_clusters, points, p.doppler_zero_tol_mps)
+        moving = filter_background(raw_clusters, points)
         measured = [self._to_world(c) for c in moving]
         self._frame, self._next_label = update_clusters(
             self._frame, measured, self._threshold_m, p.frame_time_s, self._next_label, frame_index
@@ -306,115 +333,87 @@ class Pipeline:
         by_label = self._frame.by_label()
 
         # a bound cluster that disappeared invalidates the binding
-        for cid in self.client_ids:
-            track = self.tracks[cid]
-            if track.binding is not None and track.binding.cluster_label not in by_label:
-                events.append(f"client {cid} binding to cluster {track.binding.cluster_label} lost")
-                track.binding = None
+        for cid, track in self.tracks.items():
+            if track.bound_label is not None and track.bound_label not in by_label:
+                events.append(f"client {cid} binding to cluster {track.bound_label} lost")
+                track.bound_label = None
                 self.error_flag = True
 
         # identification: velocity matching inside the early window or on error
         identified = False
-        need = self.error_flag or any(self.tracks[c].binding is None for c in self.client_ids)
+        need = self.error_flag or any(t.bound_label is None for t in self.tracks.values())
         if need and should_identify(frame_index, self.error_flag):
             cluster_velocities = [
                 (c.label, c.velocity_mps)
                 for c in self._frame.clusters
                 if c.velocity_mps is not None
             ]
-            client_velocities = [self.tracks[c].fused_velocity for c in self.client_ids]
+            client_velocities = {cid: t.fused_velocity for cid, t in self.tracks.items()}
             try:
-                bindings = identify_clients(cluster_velocities, client_velocities, frame_index)
+                labels = identify_clients(cluster_velocities, client_velocities)
             except IdentificationError as exc:
                 events.append(f"identification unavailable: {exc}")
             else:
                 identified = True
-                for cid, binding in zip(self.client_ids, bindings):
+                for cid, label in labels.items():
                     track = self.tracks[cid]
-                    rebound = (
-                        track.binding is None
-                        or track.binding.cluster_label != binding.cluster_label
-                    )
-                    track.binding = binding
-                    if rebound or track.kf is None:
-                        c = by_label[binding.cluster_label]
+                    if track.bound_label != label or track.kf is None:
+                        c = by_label[label]
                         vel = c.velocity_mps if c.velocity_mps is not None else np.zeros(2)
                         track.kf = kf_init(c.core_point, vel, p.kalman)
                         track.fresh_bind = True
+                    track.bound_label = label
                     track.reacquire_count = 0
-                    events.append(f"client {cid} bound to cluster {binding.cluster_label}")
+                    events.append(f"client {cid} bound to cluster {label}")
                 self.error_flag = False
 
         # filtering tier
-        for cid in self.client_ids:
-            track = self.tracks[cid]
+        for cid, track in self.tracks.items():
             track.coasting = False
             track.measurement = None
-            if track.binding is None:
+            if track.bound_label is None:
                 if track.kf is not None:
                     track.kf = kf_step(track.kf, None, p.frame_time_s, p.kalman)
                     track.coasting = True
                 continue
-            cluster = by_label[track.binding.cluster_label]
+            cluster = by_label[track.bound_label]
             z = cluster.core_point
             track.measurement = z
             if track.fresh_bind:
                 # the filter was just initialized from this measurement
                 track.fresh_bind = False
                 continue
-            if kf_reacquire(track.kf, z, p.frame_time_s, p.kalman, p.gate_sigma):
+            if kf_reacquire(track.kf, z, p.frame_time_s, p.kalman):
                 track.kf = kf_step(track.kf, None, p.frame_time_s, p.kalman)
                 track.coasting = True
                 track.reacquire_count += 1
                 events.append(f"client {cid} gated measurement from cluster {cluster.label}")
-                if track.reacquire_count >= p.reacquire_limit and not self.error_flag:
+                if track.reacquire_count >= REACQUIRE_LIMIT and not self.error_flag:
                     self.error_flag = True
                     events.append(f"client {cid} reacquire limit reached")
             else:
                 track.kf = kf_step(track.kf, z, p.frame_time_s, p.kalman)
                 track.reacquire_count = 0
 
-        # beam tier: bearing to the peer's filtered position, own heading
-        decisions: dict[int, BeamDecision | None] = {}
-        for cid in self.client_ids:
-            peer = self.client_ids[1] if cid == self.client_ids[0] else self.client_ids[0]
-            own, other = self.tracks[cid], self.tracks[peer]
-            if own.kf is None or other.kf is None:
-                decisions[cid] = None
-                continue
-            try:
-                bearing = beam_angle(own.kf.x[:2], own.fused_heading, other.kf.x[:2])
-            except ValueError:
-                decisions[cid] = None
-                continue
-            reachable = in_beamspace(bearing)
-            sector: int | None = None
-            clamped = False
-            if reachable:
-                sector, clamped = angle_to_sector(bearing, 0.0, p.sectors)
-            decisions[cid] = BeamDecision(
-                client_id=cid,
-                bearing_deg=bearing,
-                elevation_deg=0.0,
-                sector=sector,
-                in_beamspace=reachable,
-                clamped=clamped,
-            )
-
+        # beam tier: steer from the own filtered position and heading at the
+        # peer's filtered position
         clients = []
-        for cid in self.client_ids:
-            track = self.tracks[cid]
+        for cid, track in self.tracks.items():
+            peer = self.tracks[self.peer[cid]]
+            beam = None
+            if track.kf is not None and peer.kf is not None:
+                beam = _steer(cid, track.kf.x[:2], track.fused_heading, peer.kf.x[:2], SECTORS)
             clients.append(
                 ClientFrameState(
                     client_id=cid,
-                    bound_label=track.binding.cluster_label if track.binding else None,
+                    bound_label=track.bound_label,
                     measurement_m=None if track.measurement is None else track.measurement.copy(),
                     kf_position_m=None if track.kf is None else track.kf.x[:2].copy(),
                     kf_velocity_mps=None if track.kf is None else track.kf.x[2:].copy(),
                     imu_velocity_mps=track.fused_velocity.copy(),
                     heading_rad=track.fused_heading,
                     coasting=track.coasting,
-                    beam=decisions[cid],
+                    beam=beam,
                     imu_dropped_non_finite=dropped[cid][_NON_FINITE],
                     imu_dropped_stale=dropped[cid][_STALE],
                 )
@@ -576,38 +575,20 @@ class RunReport:
     non_finite_doppler: int = 0
 
 
-@dataclass
-class _TruthInfo:
-    pose: GroundTruthPose
-    bearing_deg: float | None
-    sector: int | None
-
-
-def _truth_info(truth: list[GroundTruthPose], table: SectorTable) -> list[_TruthInfo]:
-    out = []
-    for i, pose in enumerate(truth):
-        peer = truth[1 - i]
-        try:
-            bearing = beam_angle(pose.position_m, pose.heading_rad, peer.position_m)
-        except ValueError:
-            bearing = None
-        sector = None
-        if bearing is not None and in_beamspace(bearing):
-            sector = angle_to_sector(bearing, 0.0, table)[0]
-        out.append(_TruthInfo(pose=pose, bearing_deg=bearing, sector=sector))
-    return out
-
-
 def _xy(arr) -> list[float]:
     return [float(arr[0]), float(arr[1])]
 
 
 def frame_record(
     report: FrameReport,
-    truth_infos: list[_TruthInfo] | None = None,
+    truth: list[tuple[GroundTruthPose, BeamDecision | None]] | None = None,
     beamscan_sectors: dict[int, int | None] | None = None,
 ) -> dict:
-    """One frame as a plain JSON-serializable dict (stable key set)."""
+    """One frame as a plain JSON-serializable dict (stable key set).
+
+    ``truth`` pairs each true pose with the beam steered from it at its peer's
+    true pose.
+    """
     clusters = [
         {
             "label": c.label,
@@ -654,17 +635,17 @@ def frame_record(
         "identified": report.identified,
         "events": list(report.events),
     }
-    if truth_infos is not None:
+    if truth is not None:
         rec["truth"] = [
             {
-                "id": ti.pose.client_id,
-                "position": _xy(ti.pose.position_m),
-                "velocity": _xy(ti.pose.velocity_mps),
-                "heading_rad": float(ti.pose.heading_rad),
-                "bearing_deg": None if ti.bearing_deg is None else float(ti.bearing_deg),
-                "sector": ti.sector,
+                "id": pose.client_id,
+                "position": _xy(pose.position_m),
+                "velocity": _xy(pose.velocity_mps),
+                "heading_rad": float(pose.heading_rad),
+                "bearing_deg": None if beam is None else float(beam.bearing_deg),
+                "sector": None if beam is None else beam.sector,
             }
-            for ti in truth_infos
+            for pose, beam in truth
         ]
     return rec
 
@@ -689,7 +670,7 @@ def calibrate_clients(scenario: Scenario) -> dict[int, CalibrationProfile]:
     }
 
 
-def _inline_source(scenario: Scenario, capture: CaptureWriter | None = None):
+def _inline_source(scenario: Scenario):
     """Deterministic device-rate feed: every IMU sample plus one cloud per frame."""
     config = scenario.config
     rate = INLINE_IMU_RATE_HZ
@@ -698,38 +679,36 @@ def _inline_source(scenario: Scenario, capture: CaptureWriter | None = None):
         i0 = int(math.floor(k * config.frame_time_s * rate + 1e-9)) + 1
         i1 = int(math.floor((k + 1) * config.frame_time_s * rate + 1e-9))
         seq = np.arange(i0, i1 + 1)
-        batches: dict[int, list[ImuSample]] = {}
-        tee: list[ImuSample] = []
-        for cid in range(len(config.clients)):
-            window = scenario.sample_imu(cid, seq / rate, dt=1.0 / rate, seq=seq)
-            lst = window_readings(quantize_imu(window))
-            batches[cid] = lst
-            tee.extend(lst)
-        cloud = scenario.sample_point_cloud((k + 1) * per - 1)
-        if capture is not None:
-            for s in sorted(tee, key=lambda s: (s.timestamp_s, s.client_id)):
-                capture.write_imu(s)
-            capture.write_cloud(cloud)
-        yield batches, cloud
+        batches = {
+            cid: window_readings(
+                quantize_imu(scenario.sample_imu(cid, seq / rate, dt=1.0 / rate, seq=seq))
+            )
+            for cid in range(len(config.clients))
+        }
+        yield batches, scenario.sample_point_cloud((k + 1) * per - 1)
 
 
-def _store_source(scenario: Scenario, store, realtime: bool, capture: CaptureWriter | None):
-    """Frame feed for live telemetry: snapshot the latest datagram per client."""
+def _store_source(scenario: Scenario, store):
+    """Frame feed for live telemetry: the latest datagram per client, once per frame period."""
     config = scenario.config
     per = _radar_instants_per_frame(config)
     start = time.monotonic()
     for k in range(scenario.n_frames):
-        if realtime:
-            delay = start + (k + 1) * config.frame_time_s - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+        delay = start + (k + 1) * config.frame_time_s - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
         snap = store.snapshot()
-        cloud = scenario.sample_point_cloud((k + 1) * per - 1)
-        if capture is not None:
-            for s in sorted(snap.values(), key=lambda s: (s.timestamp_s, s.client_id)):
-                capture.write_imu(s)
-            capture.write_cloud(cloud)
-        yield {cid: [s] for cid, s in snap.items()}, cloud
+        yield {cid: [s] for cid, s in snap.items()}, scenario.sample_point_cloud((k + 1) * per - 1)
+
+
+def _tee(source, capture: CaptureWriter):
+    """Pass a feed's frames on, first writing each: readings by (time, client), then the cloud."""
+    for batches, cloud in source:
+        readings = [s for batch in batches.values() for s in batch]
+        for s in sorted(readings, key=lambda s: (s.timestamp_s, s.client_id)):
+            capture.write_imu(s)
+        capture.write_cloud(cloud)
+        yield batches, cloud
 
 
 def _scan_schedule(config: ScenarioConfig) -> dict[tuple[int, int], list[int]]:
@@ -756,26 +735,21 @@ def _scan_schedule(config: ScenarioConfig) -> dict[tuple[int, int], list[int]]:
 def _run(
     scenario: Scenario,
     mode: str,
-    params: PipelineParams | None,
     log_path: str | Path | None,
     frame_source,
     feedback=None,
 ) -> RunReport:
     config = scenario.config
-    if len(config.clients) != 2:
-        raise ValidationError("tracking runs need exactly 2 clients")
-    if mode not in ("algorithm", "beamscan", "both"):
+    if mode not in ("algorithm", "both"):
         raise ValidationError(f"unknown mode {mode!r}")
-    params = params or PipelineParams.for_config(config)
-    table = params.sectors
     pipeline = Pipeline(
-        params,
+        PipelineParams.for_config(config),
         initial_heading_rad={gt.client_id: gt.heading_rad for gt in scenario.ground_truth(0.0)},
         calibrations=calibrate_clients(scenario),
     )
-    scanning = mode in ("beamscan", "both")
+    scanning = mode == "both"
     schedule = _scan_schedule(config) if scanning else {}
-    scan_sector: dict[int, int | None] = {0: None, 1: None}
+    scan_sector: dict[int, int | None] = dict.fromkeys(pipeline.tracks)
     scan_events: list[ScanEvent] = []
     spent_total = 0
     alg_samples: list[float] = []
@@ -789,52 +763,58 @@ def _run(
             report = pipeline.process_frame(
                 k, t_end, cloud.points, imu_batches, measurement_time_s=cloud.timestamp_s
             )
-            truth = scenario.ground_truth(min(cloud.timestamp_s, config.duration_s))
-            infos = _truth_info(truth, table)
-            if scanning:
-                for cid in (0, 1):
-                    for widx in schedule.get((k, cid), ()):
-                        true_bearing = infos[cid].bearing_deg
-                        if true_bearing is None:
-                            continue
-                        rng = np.random.default_rng([config.seed, _STREAM_SCAN, cid, widx])
-                        sector, spent = beam_scan_baseline(
-                            true_bearing, 0.0, table, SCAN_GROUP_SIZE, SCAN_NOISE_SIGMA, rng
-                        )
-                        scan_sector[cid] = sector
-                        spent_total += spent
-                        scan_events.append(
-                            ScanEvent(
-                                client_id=cid,
-                                frame_index=k,
-                                waypoint_index=widx,
-                                sector=sector,
-                                frames_spent=spent,
-                                bearing_deg=true_bearing,
-                                gain=simulate_gain(sector, true_bearing, 0.0, table),
-                            )
-                        )
-            for cid in (0, 1):
-                true_bearing = infos[cid].bearing_deg
-                if true_bearing is None:
+            t_truth = min(cloud.timestamp_s, config.duration_s)
+            poses = {pose.client_id: pose for pose in scenario.ground_truth(t_truth)}
+            true_beams = {
+                cid: _steer(
+                    cid, pose.position_m, pose.heading_rad,
+                    poses[pipeline.peer[cid]].position_m, SECTORS,
+                )
+                for cid, pose in poses.items()
+            }
+            # client by client: the baseline's scans, then both systems' scores
+            for cs in report.clients:
+                cid = cs.client_id
+                true_beam = true_beams[cid]
+                if true_beam is None:
                     continue
-                beam = report.clients[cid].beam
-                alg_sec = beam.sector if beam is not None else None
+                true_bearing = true_beam.bearing_deg
+                for widx in schedule.get((k, cid), ()):
+                    rng = np.random.default_rng([config.seed, _STREAM_SCAN, cid, widx])
+                    sector, spent = beam_scan_baseline(
+                        true_bearing, 0.0, SECTORS, SCAN_GROUP_SIZE, SCAN_NOISE_SIGMA, rng
+                    )
+                    scan_sector[cid] = sector
+                    spent_total += spent
+                    scan_events.append(
+                        ScanEvent(
+                            client_id=cid,
+                            frame_index=k,
+                            waypoint_index=widx,
+                            sector=sector,
+                            frames_spent=spent,
+                            bearing_deg=true_bearing,
+                            gain=simulate_gain(sector, true_bearing, 0.0, SECTORS),
+                        )
+                    )
+                alg_sec = cs.beam.sector if cs.beam is not None else None
                 if scanning:
                     # score both systems on the frames where both hold a sector
                     if alg_sec is not None and scan_sector[cid] is not None:
-                        alg_samples.append(simulate_gain(alg_sec, true_bearing, 0.0, table))
+                        alg_samples.append(simulate_gain(alg_sec, true_bearing, 0.0, SECTORS))
                         scan_samples.append(
-                            simulate_gain(scan_sector[cid], true_bearing, 0.0, table)
+                            simulate_gain(scan_sector[cid], true_bearing, 0.0, SECTORS)
                         )
                 elif alg_sec is not None:
-                    alg_samples.append(simulate_gain(alg_sec, true_bearing, 0.0, table))
+                    alg_samples.append(simulate_gain(alg_sec, true_bearing, 0.0, SECTORS))
             if feedback is not None:
                 for cs in report.clients:
                     if cs.beam is not None:
                         feedback(cs.client_id, k, cs.beam.bearing_deg, cs.beam.sector)
             rec = frame_record(
-                report, infos, beamscan_sectors=dict(scan_sector) if scanning else None
+                report,
+                [(pose, true_beams[cid]) for cid, pose in poses.items()],
+                beamscan_sectors=dict(scan_sector) if scanning else None,
             )
             if fh is not None:
                 fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
@@ -843,13 +823,13 @@ def _run(
     finally:
         if fh is not None:
             fh.close()
+    states: dict[int, list[ClientFrameState]] = {cid: [] for cid in pipeline.tracks}
+    for r in reports:
+        for cs in r.clients:
+            states[cs.client_id].append(cs)
     rms: dict[int, float | None] = {}
-    for cid in (0, 1):
-        pts = [
-            r.clients[cid].kf_position_m
-            for r in reports
-            if r.clients[cid].kf_position_m is not None
-        ]
+    for cid, per_frame in states.items():
+        pts = [cs.kf_position_m for cs in per_frame if cs.kf_position_m is not None]
         rms[cid] = compute_rms(np.asarray(pts), config.clients[cid].waypoints) if pts else None
     return RunReport(
         mode=mode,
@@ -863,10 +843,11 @@ def _run(
         scan_frames_spent=spent_total,
         scan_events=scan_events,
         imu_dropped_non_finite={
-            cid: sum(r.clients[cid].imu_dropped_non_finite for r in reports) for cid in (0, 1)
+            cid: sum(cs.imu_dropped_non_finite for cs in per_frame)
+            for cid, per_frame in states.items()
         },
         imu_dropped_stale={
-            cid: sum(r.clients[cid].imu_dropped_stale for r in reports) for cid in (0, 1)
+            cid: sum(cs.imu_dropped_stale for cs in per_frame) for cid, per_frame in states.items()
         },
         non_finite_points=sum(r.non_finite_points for r in reports),
         non_finite_doppler=sum(r.non_finite_doppler for r in reports),
@@ -876,40 +857,36 @@ def _run(
 def run_scenario(
     config: ScenarioConfig,
     mode: str = "algorithm",
-    params: PipelineParams | None = None,
     log_path: str | Path | None = None,
     capture_path: str | Path | None = None,
     store=None,
-    realtime: bool = False,
     feedback=None,
 ) -> RunReport:
     """Simulate a scenario end to end and run the pipeline over it.
 
-    By default the pipeline consumes a deterministic inline feed (every device
-    sample, wire-quantized), so equal configs produce byte-identical logs.
-    Passing a telemetry store switches to latest-datagram consumption, paced by
-    the wall clock when realtime is set.
+    ``mode`` is "algorithm" (the tracker alone) or "both" (the tracker and the
+    beam-scanning baseline, scored on the same frames). By default the pipeline
+    consumes a deterministic inline feed (every device sample, wire-quantized),
+    so equal configs produce byte-identical logs. Passing a telemetry store
+    switches to the latest datagram per client, taken once per frame period of
+    wall-clock time. A capture file records the consumed feed for
+    run_from_capture. ``feedback(client_id, frame, bearing, sector)`` is called
+    for every beam the tracker steers.
     """
     scenario = build_scenario(config)
-    writer = CaptureWriter(capture_path) if capture_path else None
-    try:
-        if store is not None:
-            source = _store_source(scenario, store, realtime=realtime, capture=writer)
-        else:
-            source = _inline_source(scenario, capture=writer)
-        return _run(scenario, mode, params, log_path, source, feedback=feedback)
-    finally:
-        if writer is not None:
-            writer.close()
+    source = _inline_source(scenario) if store is None else _store_source(scenario, store)
+    if capture_path is None:
+        return _run(scenario, mode, log_path, source, feedback)
+    with CaptureWriter(capture_path) as writer:
+        return _run(scenario, mode, log_path, _tee(source, writer), feedback)
 
 
 def run_from_capture(
     config: ScenarioConfig,
     capture_path: str | Path,
     mode: str = "algorithm",
-    params: PipelineParams | None = None,
     log_path: str | Path | None = None,
 ) -> RunReport:
     """Re-run the pipeline over a recorded sensor capture."""
     scenario = build_scenario(config)
-    return _run(scenario, mode, params, log_path, replay_capture(capture_path))
+    return _run(scenario, mode, log_path, replay_capture(capture_path))

@@ -85,25 +85,26 @@ def matching_reference(prev_cores: np.ndarray, curr_cores: np.ndarray):
 
 
 def identification_reference(cluster_velocities, client_velocities):
-    """Exhaustive search over ordered pairs of distinct cluster labels.
+    """Exhaustive search over sequences of distinct cluster labels, one per client.
 
-    Scans (label_i, label_j) in ascending label order and keeps the first pair
-    with the least ||v_i - client 0|| + ||v_j - client 1||, so ties go to the
-    lexicographically lowest pair. Returns None when no pair has a finite cost.
+    Scans the label sequences in lexicographic order of ascending labels and
+    keeps the first with the least ||v_label(0) - client 0|| + ||v_label(1) -
+    client 1|| + ..., summed in client order, so ties go to the
+    lexicographically lowest sequence. Returns None when no sequence has a
+    finite cost.
     """
     entries = sorted((label, np.asarray(v, dtype=float)) for label, v in cluster_velocities)
-    v0, v1 = (np.asarray(v, dtype=float) for v in client_velocities)
-    best_pair = None
+    clients = [np.asarray(v, dtype=float) for v in client_velocities]
+    best_labels = None
     best_cost = math.inf
-    for label_i, vel_i in entries:
-        for label_j, vel_j in entries:
-            if label_j == label_i:
-                continue
-            cost = float(np.linalg.norm(vel_i - v0)) + float(np.linalg.norm(vel_j - v1))
-            if cost < best_cost:
-                best_cost = cost
-                best_pair = (label_i, label_j)
-    return best_pair
+    for chosen in itertools.permutations(entries, len(clients)):
+        cost = 0.0
+        for (_, vel), client in zip(chosen, clients):
+            cost += float(np.linalg.norm(vel - client))
+        if cost < best_cost:
+            best_cost = cost
+            best_labels = tuple(label for label, _ in chosen)
+    return best_labels
 
 
 def interp_accel(break_t: np.ndarray, break_a: np.ndarray, t: float) -> np.ndarray:

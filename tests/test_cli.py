@@ -23,8 +23,9 @@ def test_parser_structure():
     assert args.mode == "both" and args.seed == 3 and args.config is None
     with pytest.raises(SystemExit):
         parser.parse_args([])  # a subcommand is required
-    with pytest.raises(SystemExit):
-        parser.parse_args(["run", "--mode", "sideways"])
+    for mode in ("sideways", "beamscan"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--mode", mode])
 
 
 def test_run_writes_log_and_summary(tmp_path, capsys, config_file):

@@ -33,19 +33,14 @@ def test_error_flag_forces_identification_anywhere():
 
 def test_identify_straightforward_assignment():
     clusters = [(0, np.array([0.5, 0.0])), (1, np.array([0.0, 0.5]))]
-    clients = [np.array([0.45, 0.02]), np.array([0.03, 0.48])]
-    b0, b1 = identify_clients(clusters, clients, frame_index=2)
-    assert (b0.client_id, b0.cluster_label) == (0, 0)
-    assert (b1.client_id, b1.cluster_label) == (1, 1)
-    assert b0.bound_at_frame == 2 and b1.bound_at_frame == 2
+    clients = {0: np.array([0.45, 0.02]), 1: np.array([0.03, 0.48])}
+    assert list(identify_clients(clusters, clients).items()) == [(0, 0), (1, 1)]
 
 
 def test_identify_swapped_velocities_swap_bindings():
     clusters = [(0, np.array([0.5, 0.0])), (1, np.array([0.0, 0.5]))]
-    clients = [np.array([0.0, 0.5]), np.array([0.5, 0.0])]
-    b0, b1 = identify_clients(clusters, clients, frame_index=3)
-    assert b0.cluster_label == 1
-    assert b1.cluster_label == 0
+    clients = {0: np.array([0.0, 0.5]), 1: np.array([0.5, 0.0])}
+    assert identify_clients(clusters, clients) == {0: 1, 1: 0}
 
 
 def test_identify_picks_best_of_many():
@@ -54,59 +49,64 @@ def test_identify_picks_best_of_many():
         (7, np.array([0.0, 1.0])),
         (9, np.array([-1.0, 0.0])),
     ]
-    clients = [np.array([0.0, 0.95]), np.array([-0.9, 0.05])]
-    b0, b1 = identify_clients(clusters, clients, frame_index=4)
-    assert b0.cluster_label == 7
-    assert b1.cluster_label == 9
+    clients = {0: np.array([0.0, 0.95]), 1: np.array([-0.9, 0.05])}
+    assert identify_clients(clusters, clients) == {0: 7, 1: 9}
 
 
 def test_identify_labels_must_be_distinct():
     # one cluster matches both clients perfectly; the other is far from both.
     # the distinct-label rule forces the second binding onto the bad cluster
     clusters = [(0, np.array([0.5, 0.5])), (1, np.array([-5.0, -5.0]))]
-    clients = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
-    b0, b1 = identify_clients(clusters, clients, frame_index=2)
-    assert {b0.cluster_label, b1.cluster_label} == {0, 1}
-    assert b0.cluster_label == 0  # the scan favors the lower label for client 0
+    clients = {0: np.array([0.5, 0.5]), 1: np.array([0.5, 0.5])}
+    labels = identify_clients(clusters, clients)
+    assert set(labels.values()) == {0, 1}
+    assert labels[0] == 0  # the scan favors the lower label for client 0
 
 
 def test_identify_tie_breaks_to_lowest_label_pair():
     # both clusters carry the same velocity: every ordered pair costs the same,
     # so (smallest, next) wins even with labels presented out of order
     clusters = [(4, np.array([0.3, 0.0])), (2, np.array([0.3, 0.0]))]
-    clients = [np.array([0.3, 0.0]), np.array([0.3, 0.0])]
-    b0, b1 = identify_clients(clusters, clients, frame_index=5)
-    assert (b0.cluster_label, b1.cluster_label) == (2, 4)
+    clients = {0: np.array([0.3, 0.0]), 1: np.array([0.3, 0.0])}
+    assert identify_clients(clusters, clients) == {0: 2, 1: 4}
 
 
 def test_identify_needs_two_clusters():
     with pytest.raises(IdentificationError):
-        identify_clients([(0, np.array([0.5, 0.0]))], [np.zeros(2), np.zeros(2)], frame_index=2)
+        identify_clients([(0, np.array([0.5, 0.0]))], {0: np.zeros(2), 1: np.zeros(2)})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_identify_rejects_non_finite_velocities(bad):
     clusters = [(0, np.array([0.5, 0.0])), (1, np.array([0.0, 0.5])), (2, np.zeros(2))]
-    clients = [np.array([0.5, 0.0]), np.array([0.0, 0.5])]
+    clients = {0: np.array([0.5, 0.0]), 1: np.array([0.0, 0.5])}
     with pytest.raises(IdentificationError, match="client 1 velocity is not finite"):
-        identify_clients(clusters, [clients[0], np.array([0.0, bad])], frame_index=2)
+        identify_clients(clusters, {0: clients[0], 1: np.array([0.0, bad])})
+    # the message names the client's own id, not its row
+    with pytest.raises(IdentificationError, match="client 7 velocity is not finite"):
+        identify_clients(clusters, {3: clients[0], 7: np.array([0.0, bad])})
     # one bad cluster would otherwise be skipped by every comparison, silently
     with pytest.raises(IdentificationError, match="cluster 2 velocity is not finite"):
-        identify_clients(clusters[:2] + [(2, np.array([bad, 0.0]))], clients, frame_index=2)
+        identify_clients(clusters[:2] + [(2, np.array([bad, 0.0]))], clients)
 
 
 def test_identify_raises_when_every_cost_overflows():
     clusters = [(0, np.array([1e308, 1e308])), (1, np.array([-1e308, -1e308]))]
     with np.errstate(over="ignore"), pytest.raises(IdentificationError, match="finite"):
-        identify_clients(clusters, [np.zeros(2), np.zeros(2)], frame_index=2)
+        identify_clients(clusters, {0: np.zeros(2), 1: np.zeros(2)})
 
 
-def test_identify_needs_exactly_two_clients():
+def test_identify_needs_a_cluster_per_client():
     clusters = [(0, np.zeros(2)), (1, np.zeros(2))]
-    with pytest.raises(ValueError):
-        identify_clients(clusters, [np.zeros(2)], frame_index=2)
-    with pytest.raises(ValueError):
-        identify_clients(clusters, [np.zeros(2)] * 3, frame_index=2)
+    with pytest.raises(
+        IdentificationError, match="need at least 3 velocity-bearing clusters, got 2"
+    ):
+        identify_clients(clusters, {0: np.zeros(2), 1: np.zeros(2), 2: np.zeros(2)})
+    # the two-client message is the one frame logs carry
+    with pytest.raises(
+        IdentificationError, match="need at least 2 velocity-bearing clusters, got 1"
+    ):
+        identify_clients(clusters[:1], {0: np.zeros(2), 1: np.zeros(2)})
 
 
 def test_identify_exhaustive_against_brute_force():
@@ -117,8 +117,8 @@ def test_identify_exhaustive_against_brute_force():
         vels = [rng.normal(0.0, 1.0, 2) for _ in range(n)]
         clusters = list(zip(labels, vels))
         clients = [rng.normal(0.0, 1.0, 2), rng.normal(0.0, 1.0, 2)]
-        b0, b1 = identify_clients(clusters, clients, frame_index=2)
-        assert (b0.cluster_label, b1.cluster_label) == identification_reference(clusters, clients)
+        labels = identify_clients(clusters, dict(enumerate(clients)))
+        assert tuple(labels.values()) == identification_reference(clusters, clients)
 
 
 _UNIT = st.sampled_from([-1.0, 0.0, 1.0])
@@ -131,13 +131,15 @@ _TIE_VELOCITY = st.tuples(_UNIT, _UNIT).map(np.array)
     st.data(),
 )
 def test_identify_matches_reference_on_tie_heavy_velocities(labels, data):
-    # velocities on the {-1, 0, 1}^2 grid make many label pairs cost the same
+    # velocities on the {-1, 0, 1}^2 grid make many label sequences cost the same
     vels = data.draw(st.lists(_TIE_VELOCITY, min_size=len(labels), max_size=len(labels)))
-    clients = data.draw(st.lists(_TIE_VELOCITY, min_size=2, max_size=2))
+    n_clients = data.draw(st.integers(2, min(3, len(labels))))
+    clients = data.draw(st.lists(_TIE_VELOCITY, min_size=n_clients, max_size=n_clients))
     clusters = list(zip(labels, vels))  # labels in drawn, not ascending, order
-    b0, b1 = identify_clients(clusters, clients, frame_index=3)
-    assert (b0.cluster_label, b1.cluster_label) == identification_reference(clusters, clients)
-    assert (b0.client_id, b1.client_id) == (0, 1)
+    ids = [5, 2, 9][:n_clients]  # rows follow the mapping's order, not the ids'
+    bound = identify_clients(clusters, dict(zip(ids, clients)))
+    assert list(bound) == ids
+    assert tuple(bound.values()) == identification_reference(clusters, clients)
 
 
 def test_identify_raises_when_only_one_cluster_has_finite_costs():
@@ -149,4 +151,4 @@ def test_identify_raises_when_only_one_cluster_has_finite_costs():
         (2, np.array([-1e308, 1e308])),
     ]
     with np.errstate(over="ignore"), pytest.raises(IdentificationError, match="finite"):
-        identify_clients(clusters, [np.zeros(2), np.zeros(2)], frame_index=2)
+        identify_clients(clusters, {0: np.zeros(2), 1: np.zeros(2)})

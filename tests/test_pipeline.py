@@ -91,9 +91,9 @@ def test_params_for_config():
 
 def test_pipeline_requires_two_clients():
     with pytest.raises(ValidationError):
-        Pipeline(_params(), {}, client_ids=(0,))
+        Pipeline(_params(), {0: 0.0})
     with pytest.raises(ValidationError):
-        Pipeline(_params(), {}, client_ids=(0, 1, 2))
+        Pipeline(_params(), {0: 0.0, 1: 0.0, 2: 0.0})
 
 
 def test_calibration_recovers_small_biases():
@@ -124,6 +124,40 @@ def test_identification_window_then_binding():
     assert np.allclose(rep.clients[1].kf_position_m, [2.0, -1.0], atol=1e-9)
     # both peers sit in each other's beamspace, so sectors are assigned
     assert all(c.beam is not None and c.beam.sector is not None for c in rep.clients)
+
+
+def test_pipeline_tracks_the_client_ids_it_is_given():
+    pipe = Pipeline(_params(), {7: 0.0, 3: 0.0})
+    a, b = _ring(2.0, 1.0), _ring(2.0, -1.0)
+    batches = {cid: [_imu(cid, 0, 0.1)] for cid in (3, 7)}
+    reports = [pipe.process_frame(0, 0.5, np.vstack([a, b]), batches)]
+    assert [t.motion.last_update_s for t in pipe.tracks.values()] == [0.1, 0.1]
+    for k in range(1, 5):
+        pts = a if k == 4 else np.vstack([a, b])  # the second clump vanishes at frame 4
+        reports.append(pipe.process_frame(k, (k + 1) * 0.5, pts, {}))
+    assert all([c.client_id for c in r.clients] == [3, 7] for r in reports)
+    bound = reports[2]
+    assert bound.identified
+    assert bound.events == ["client 3 bound to cluster 0", "client 7 bound to cluster 1"]
+    filtered = reports[3]
+    assert [c.bound_label for c in filtered.clients] == [0, 1]
+    assert np.allclose(filtered.clients[0].measurement_m, [2.0, 1.0], atol=1e-9)
+    assert np.allclose(filtered.clients[1].kf_position_m, [2.0, -1.0], atol=1e-9)
+    # each steers at the other from its own heading, which the one gyro
+    # reading turned left: client 7 falls just behind client 3's beamspace
+    beams = [c.beam for c in filtered.clients]
+    turn = math.degrees(filtered.clients[0].heading_rad)
+    assert turn > 0 and filtered.clients[1].heading_rad == filtered.clients[0].heading_rad
+    assert [beam.client_id for beam in beams] == [3, 7]
+    assert [beam.bearing_deg for beam in beams] == pytest.approx([-90.0 - turn, 90.0 - turn])
+    assert [beam.in_beamspace for beam in beams] == [False, True]
+    assert beams[0].sector is None and beams[1].sector is not None
+    lost = reports[4]
+    assert lost.events == [
+        "client 7 binding to cluster 1 lost",
+        "identification unavailable: need at least 2 velocity-bearing clusters, got 1",
+    ]
+    assert lost.clients[1].coasting and lost.clients[0].bound_label == 0
 
 
 def _imu(cid, seq, t, accel=(0.1, 0.0, 9.81)):
@@ -275,7 +309,7 @@ def test_fused_snapshot_equals_per_reading_reference():
         want = inertial_tier_reference(
             headings[cid], cal.accel_bias, cal.gyro_bias,
             [(batches[cid], instant) for batches, instant in feeds],
-            pipe.params.madgwick_beta, GRAVITY_MPS2,
+            0.1, GRAVITY_MPS2,  # madgwick_update's default gain
         )
         for report, (velocity, heading) in zip(reports, want):
             state = report.clients[cid]
@@ -300,7 +334,7 @@ def test_run_report_totals_drops_and_keeps_them_out_of_the_log():
                 cloud = dataclasses.replace(cloud, points=np.vstack([cloud.points, bad_rows]))
             yield batches, cloud
 
-    report = pipeline_module._run(scenario, "algorithm", None, None, poisoned())
+    report = pipeline_module._run(scenario, "algorithm", None, poisoned())
     assert report.imu_dropped_non_finite == {0: 1, 1: 0}
     assert report.imu_dropped_stale == {0: 0, 1: 1}
     assert report.non_finite_points == 2
@@ -331,7 +365,7 @@ def test_non_finite_doppler_is_counted_and_the_log_stays_json():
                 cloud = dataclasses.replace(cloud, points=points)
             yield batches, cloud
 
-    report = pipeline_module._run(scenario, "both", None, None, poisoned())
+    report = pipeline_module._run(scenario, "both", None, poisoned())
     n_bad = (report.frames[3].n_points + 9) // 10  # rows 0, 10, 20, ...
     assert [r.non_finite_doppler for r in report.frames] == [0, 0, 0, n_bad] + [0] * 4
     assert report.non_finite_doppler == n_bad and report.non_finite_points == 0
@@ -441,11 +475,12 @@ def test_short_run_report_texture():
 
 def test_run_rejects_bad_modes_and_configs():
     cfg = _short_config()
-    with pytest.raises(ValidationError):
-        run_scenario(cfg, mode="hold")
-    one_client = dataclasses.replace(cfg, clients=cfg.clients[:1])
-    with pytest.raises(ValidationError):
-        run_scenario(one_client, mode="algorithm")
+    for mode in ("hold", "beamscan"):
+        with pytest.raises(ValidationError, match="unknown mode"):
+            run_scenario(cfg, mode=mode)
+    for clients in (cfg.clients[:1], cfg.clients + cfg.clients[:1]):
+        with pytest.raises(ValidationError, match="exactly two clients"):
+            run_scenario(dataclasses.replace(cfg, clients=clients), mode="algorithm")
 
 
 def test_scan_baseline_bookkeeping():
