@@ -3,7 +3,9 @@
 Bearings are degrees in (-180, 180], measured from the client's heading to the
 line of sight toward its peer. The antenna can steer inside a rectangular
 radiation window (default 60 deg azimuth by 30 deg elevation) split into a
-uniform sector grid, row-major over (elevation row, azimuth column).
+uniform sector grid, row-major over (elevation row, azimuth column). Peers
+walk at the same height, so a peer lies at elevation 0: the tracker steers in
+the row holding 0 deg and gains are scored at 0 deg.
 """
 
 from __future__ import annotations
@@ -63,9 +65,7 @@ class SectorTable:
 
 @dataclass
 class BeamDecision:
-    client_id: int
     bearing_deg: float
-    elevation_deg: float
     sector: int | None  # None when the peer is outside the beamspace
     in_beamspace: bool
     clamped: bool
@@ -85,44 +85,35 @@ def in_beamspace(bearing_deg: float) -> bool:
     return abs(bearing_deg) <= BEAMSPACE_HALF_DEG
 
 
-def angle_to_sector(
-    bearing_deg: float, elevation_deg: float, table: SectorTable
-) -> tuple[int, bool]:
-    """Map a direction to its sector index; out-of-span directions clamp.
+def angle_to_sector(bearing_deg: float, table: SectorTable) -> tuple[int, bool]:
+    """Map a bearing to its sector in the row holding 0 deg elevation.
 
-    Bins are uniform with lower-edge-inclusive boundaries. Returns the sector
-    index and a flag that is True when either coordinate had to be clamped to
-    an edge bin.
+    Bins are uniform with lower-edge-inclusive boundaries, so at an even row
+    count 0 deg falls in the upper of the two middle rows. Returns the sector
+    index and a flag that is True when the bearing had to be clamped to an
+    edge column.
     """
     half_az = table.az_span_deg / 2.0
-    half_el = table.el_span_deg / 2.0
-    clamped = abs(bearing_deg) > half_az or abs(elevation_deg) > half_el
+    clamped = abs(bearing_deg) > half_az
     col = int(math.floor((bearing_deg + half_az) / table.az_pitch_deg))
-    row = int(math.floor((elevation_deg + half_el) / table.el_pitch_deg))
+    row = int(math.floor(table.el_span_deg / 2.0 / table.el_pitch_deg))
     col = min(max(col, 0), table.n_az - 1)
-    row = min(max(row, 0), table.n_el - 1)
     return row * table.n_az + col, clamped
 
 
-def simulate_gain(
-    sector: int, true_bearing_deg: float, true_elevation_deg: float, table: SectorTable
-) -> float:
-    """Link gain proxy for pointing a sector at a true direction.
+def simulate_gain(sector: int, true_bearing_deg: float, table: SectorTable) -> float:
+    """Link gain proxy for pointing a sector at a peer at a true bearing and 0 deg elevation.
 
     100 at a perfect hit, quadratic falloff reaching 0 at one sector pitch of
     pointing error (each axis normalized by its own pitch).
     """
     az, el = table.sector_center(sector)
-    d = math.hypot(
-        (true_bearing_deg - az) / table.az_pitch_deg,
-        (true_elevation_deg - el) / table.el_pitch_deg,
-    )
+    d = math.hypot((true_bearing_deg - az) / table.az_pitch_deg, el / table.el_pitch_deg)
     return 100.0 * max(0.0, 1.0 - d) ** 2
 
 
 def beam_scan_baseline(
     true_bearing_deg: float,
-    true_elevation_deg: float,
     table: SectorTable,
     group_size: int = 8,
     noise_sigma: float = 0.0,
@@ -133,7 +124,7 @@ def beam_scan_baseline(
     Each probe costs one evaluation frame and reports the group's best member
     gain (plus measurement noise); the winning group is then swept member by
     member. Returns (selected sector, frames spent). With zero noise this finds
-    the true best sector; with noise it mis-selects near group boundaries,
+    the lowest-numbered sector of highest gain; with noise it mis-selects near group boundaries,
     which is the cost of scanning instead of computing the angle.
     """
     if group_size < 1:
@@ -154,9 +145,7 @@ def beam_scan_baseline(
     best_group = None
     best_score = -np.inf
     for group in groups:
-        score = noisy(
-            max(simulate_gain(s, true_bearing_deg, true_elevation_deg, table) for s in group)
-        )
+        score = noisy(max(simulate_gain(s, true_bearing_deg, table) for s in group))
         frames += 1
         if score > best_score:
             best_score = score
@@ -164,7 +153,7 @@ def beam_scan_baseline(
     best_sector = None
     best_gain = -np.inf
     for s in best_group:
-        gain = noisy(simulate_gain(s, true_bearing_deg, true_elevation_deg, table))
+        gain = noisy(simulate_gain(s, true_bearing_deg, table))
         frames += 1
         if gain > best_gain:
             best_gain = gain

@@ -11,11 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatagramError, ValidationError
-from .pipeline import RunReport, compute_rms, run_from_capture, run_scenario
+from .pipeline import INLINE_IMU_RATE_HZ, RunReport, compute_rms, device_readings
+from .pipeline import run_from_capture, run_scenario
 from .telemetry import LatestStore, TelemetryServer, run_sim_client
 from .world import ScenarioConfig, build_scenario, default_config
-
-SIM_CLIENT_RATE_HZ = 100.0
 
 
 def _load_config(path: Path | None, seed: int | None) -> ScenarioConfig:
@@ -48,14 +47,18 @@ def _run_udp(config: ScenarioConfig, args) -> RunReport:
     ports = tuple(args.ports) if args.ports else (0,) * len(config.clients)
     server = TelemetryServer(store, ports=ports)
     scenario = build_scenario(config)
+
+    def reading(cid, t, dt, seq):  # senders count from 0, the inline feed from 1
+        return device_readings(scenario, cid, seq + 1)
+
     threads = []
     with server:
         for cid in range(len(config.clients)):
             port = server.ports[cid % len(server.ports)]
             t = threading.Thread(
                 target=run_sim_client,
-                args=(scenario.sample_imu, cid, ("127.0.0.1", port)),
-                kwargs={"rate_hz": SIM_CLIENT_RATE_HZ, "duration_s": config.duration_s},
+                args=(reading, cid, ("127.0.0.1", port)),
+                kwargs={"rate_hz": INLINE_IMU_RATE_HZ, "duration_s": config.duration_s},
                 daemon=True,
             )
             t.start()

@@ -27,13 +27,6 @@ class KalmanState:
     P: np.ndarray  # (4, 4)
 
 
-def _f_matrix(dt: float) -> np.ndarray:
-    F = np.eye(4)
-    F[0, 2] = dt
-    F[1, 3] = dt
-    return F
-
-
 def _q_matrix(dt: float, sigma_accel: float) -> np.ndarray:
     q4 = dt**4 / 4.0
     q3 = dt**3 / 2.0
@@ -47,6 +40,15 @@ def _q_matrix(dt: float, sigma_accel: float) -> np.ndarray:
         ]
     )
     return Q * sigma_accel**2
+
+
+def _predict(state: KalmanState, dt: float, cfg: KalmanConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The constant-velocity prediction dt ahead: state mean and covariance."""
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    F = np.eye(4)
+    F[0, 2] = F[1, 3] = dt
+    return F @ state.x, F @ state.P @ F.T + _q_matrix(dt, cfg.sigma_accel_mps2)
 
 
 def kf_init(position_m: np.ndarray, velocity_mps: np.ndarray, cfg: KalmanConfig) -> KalmanState:
@@ -71,13 +73,7 @@ def kf_step(
     A None or non-finite measurement is rejected: the step is predict-only and
     the position covariance grows.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    F = _f_matrix(dt)
-    Q = _q_matrix(dt, cfg.sigma_accel_mps2)
-    x = F @ state.x
-    P = F @ state.P @ F.T + Q
-
+    x, P = _predict(state, dt, cfg)
     z = None
     if measurement_m is not None:
         z = np.asarray(measurement_m, dtype=float)
@@ -107,15 +103,10 @@ def kf_reacquire(
     the caller should coast the filter and look for a new binding instead of
     accepting the measurement.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    x_pred, P_pred = _predict(state, dt, cfg)
     z = np.asarray(measurement_m, dtype=float)
     if not np.all(np.isfinite(z)):
         return True
-    F = _f_matrix(dt)
-    Q = _q_matrix(dt, cfg.sigma_accel_mps2)
-    x_pred = F @ state.x
-    P_pred = F @ state.P @ F.T + Q
     R = np.eye(2) * cfg.sigma_meas_m**2
     S = _H @ P_pred @ _H.T + R
     nu = z - _H @ x_pred

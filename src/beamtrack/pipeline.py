@@ -113,9 +113,7 @@ def debias_core(core_xy_radar: np.ndarray, body_radius_m: float) -> np.ndarray:
     return core * (1.0 + surface_bias_m(body_radius_m) / r)
 
 
-def _steer(
-    client_id: int, own_xy, heading_rad: float, peer_xy, table: SectorTable
-) -> BeamDecision | None:
+def _steer(own_xy, heading_rad: float, peer_xy) -> BeamDecision | None:
     """The steering rule: bearing to the peer, then the beamspace check, then the sector.
 
     None when the two positions coincide and so give no bearing.
@@ -125,15 +123,8 @@ def _steer(
     except ValueError:
         return None
     reachable = in_beamspace(bearing)
-    sector, clamped = angle_to_sector(bearing, 0.0, table) if reachable else (None, False)
-    return BeamDecision(
-        client_id=client_id,
-        bearing_deg=bearing,
-        elevation_deg=0.0,
-        sector=sector,
-        in_beamspace=reachable,
-        clamped=clamped,
-    )
+    sector, clamped = angle_to_sector(bearing, SECTORS) if reachable else (None, False)
+    return BeamDecision(bearing_deg=bearing, sector=sector, in_beamspace=reachable, clamped=clamped)
 
 
 @dataclass
@@ -402,7 +393,7 @@ class Pipeline:
             peer = self.tracks[self.peer[cid]]
             beam = None
             if track.kf is not None and peer.kf is not None:
-                beam = _steer(cid, track.kf.x[:2], track.fused_heading, peer.kf.x[:2], SECTORS)
+                beam = _steer(track.kf.x[:2], track.fused_heading, peer.kf.x[:2])
             clients.append(
                 ClientFrameState(
                     client_id=cid,
@@ -654,6 +645,15 @@ def _radar_instants_per_frame(config: ScenarioConfig) -> int:
     return int(round(config.radar_rate_hz * config.frame_time_s))
 
 
+def device_readings(scenario: Scenario, client_id: int, seq):
+    """A client device's wire-quantized readings: reading s at time s / INLINE_IMU_RATE_HZ.
+
+    seq is one reading number or a 1-D array of them (a window).
+    """
+    rate = INLINE_IMU_RATE_HZ
+    return quantize_imu(scenario.sample_imu(client_id, seq / rate, dt=1.0 / rate, seq=seq))
+
+
 def calibrate_clients(scenario: Scenario) -> dict[int, CalibrationProfile]:
     """Rest-window bias calibration from each client's initial device samples."""
     config = scenario.config
@@ -662,11 +662,9 @@ def calibrate_clients(scenario: Scenario) -> dict[int, CalibrationProfile]:
         MIN_CALIBRATION_WINDOW_S,
         min(MAX_CALIBRATION_WINDOW_S, min(holds) if holds else 0.0),
     )
-    rate = INLINE_IMU_RATE_HZ
-    seq = np.arange(1, int(round(window * rate)) + 1)
+    seq = np.arange(1, int(round(window * INLINE_IMU_RATE_HZ)) + 1)
     return {
-        cid: calibrate(quantize_imu(scenario.sample_imu(cid, seq / rate, dt=1.0 / rate, seq=seq)))
-        for cid in range(len(config.clients))
+        cid: calibrate(device_readings(scenario, cid, seq)) for cid in range(len(config.clients))
     }
 
 
@@ -680,9 +678,7 @@ def _inline_source(scenario: Scenario):
         i1 = int(math.floor((k + 1) * config.frame_time_s * rate + 1e-9))
         seq = np.arange(i0, i1 + 1)
         batches = {
-            cid: window_readings(
-                quantize_imu(scenario.sample_imu(cid, seq / rate, dt=1.0 / rate, seq=seq))
-            )
+            cid: window_readings(device_readings(scenario, cid, seq))
             for cid in range(len(config.clients))
         }
         yield batches, scenario.sample_point_cloud((k + 1) * per - 1)
@@ -711,24 +707,15 @@ def _tee(source, capture: CaptureWriter):
         yield batches, cloud
 
 
-def _scan_schedule(config: ScenarioConfig) -> dict[tuple[int, int], list[int]]:
+def _scan_schedule(scenario: Scenario) -> dict[tuple[int, int], list[int]]:
     """Frames in which the scanning baseline re-scans: start plus each waypoint."""
     out: dict[tuple[int, int], list[int]] = {}
-    T = config.frame_time_s
-    n_frames = int(math.floor(config.duration_s / T + 1e-9))
-    for cid, path in enumerate(config.clients):
-        times: list[tuple[int, float]] = [(0, 0.0)]
-        if path.speed_mps > 0:
-            wps = np.asarray(path.waypoints, dtype=float)
-            seg = np.diff(wps, axis=0)
-            cum = np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))
-            for widx in range(1, len(wps)):
-                times.append((widx, path.initial_hold_s + cum[widx - 1] / path.speed_mps))
-        for widx, t_arrive in times:
+    T = scenario.config.frame_time_s
+    for cid in range(len(scenario.config.clients)):
+        for widx, t_arrive in enumerate(scenario.waypoint_times(cid)):
             frame = max(0, int(math.ceil(t_arrive / T - 1e-9)) - 1)
-            if frame >= n_frames:
-                continue
-            out.setdefault((frame, cid), []).append(widx)
+            if frame < scenario.n_frames:
+                out.setdefault((frame, cid), []).append(widx)
     return out
 
 
@@ -748,7 +735,7 @@ def _run(
         calibrations=calibrate_clients(scenario),
     )
     scanning = mode == "both"
-    schedule = _scan_schedule(config) if scanning else {}
+    schedule = _scan_schedule(scenario) if scanning else {}
     scan_sector: dict[int, int | None] = dict.fromkeys(pipeline.tracks)
     scan_events: list[ScanEvent] = []
     spent_total = 0
@@ -766,10 +753,7 @@ def _run(
             t_truth = min(cloud.timestamp_s, config.duration_s)
             poses = {pose.client_id: pose for pose in scenario.ground_truth(t_truth)}
             true_beams = {
-                cid: _steer(
-                    cid, pose.position_m, pose.heading_rad,
-                    poses[pipeline.peer[cid]].position_m, SECTORS,
-                )
+                cid: _steer(pose.position_m, pose.heading_rad, poses[pipeline.peer[cid]].position_m)
                 for cid, pose in poses.items()
             }
             # client by client: the baseline's scans, then both systems' scores
@@ -782,7 +766,7 @@ def _run(
                 for widx in schedule.get((k, cid), ()):
                     rng = np.random.default_rng([config.seed, _STREAM_SCAN, cid, widx])
                     sector, spent = beam_scan_baseline(
-                        true_bearing, 0.0, SECTORS, SCAN_GROUP_SIZE, SCAN_NOISE_SIGMA, rng
+                        true_bearing, SECTORS, SCAN_GROUP_SIZE, SCAN_NOISE_SIGMA, rng
                     )
                     scan_sector[cid] = sector
                     spent_total += spent
@@ -794,19 +778,17 @@ def _run(
                             sector=sector,
                             frames_spent=spent,
                             bearing_deg=true_bearing,
-                            gain=simulate_gain(sector, true_bearing, 0.0, SECTORS),
+                            gain=simulate_gain(sector, true_bearing, SECTORS),
                         )
                     )
                 alg_sec = cs.beam.sector if cs.beam is not None else None
                 if scanning:
                     # score both systems on the frames where both hold a sector
                     if alg_sec is not None and scan_sector[cid] is not None:
-                        alg_samples.append(simulate_gain(alg_sec, true_bearing, 0.0, SECTORS))
-                        scan_samples.append(
-                            simulate_gain(scan_sector[cid], true_bearing, 0.0, SECTORS)
-                        )
+                        alg_samples.append(simulate_gain(alg_sec, true_bearing, SECTORS))
+                        scan_samples.append(simulate_gain(scan_sector[cid], true_bearing, SECTORS))
                 elif alg_sec is not None:
-                    alg_samples.append(simulate_gain(alg_sec, true_bearing, 0.0, SECTORS))
+                    alg_samples.append(simulate_gain(alg_sec, true_bearing, SECTORS))
             if feedback is not None:
                 for cs in report.clients:
                     if cs.beam is not None:

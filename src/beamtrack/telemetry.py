@@ -147,55 +147,38 @@ def decode_feedback(data: bytes) -> tuple[int, int, float, int | None]:
 class LatestStore:
     """Thread-safe latest-sample-per-client store.
 
-    Writers race with the pipeline's snapshot reads, so each client slot has
-    its own lock and samples are replaced whole; a snapshot can never observe
-    a half-written sample. Stale or duplicate sequence numbers are dropped.
+    Writers race with the pipeline's snapshot reads, so one lock guards every
+    access and samples are replaced whole; a snapshot can never observe a
+    half-written sample, and a put that returns True stays stored until a
+    newer sample replaces it or clear() removes it. Stale or duplicate
+    sequence numbers are dropped.
     """
 
     def __init__(self) -> None:
-        self._registry_lock = threading.Lock()
-        self._slots: dict[int, list] = {}  # client_id -> [lock, sample|None]
-
-    def _slot(self, client_id: int) -> list:
-        with self._registry_lock:
-            slot = self._slots.get(client_id)
-            if slot is None:
-                slot = [threading.Lock(), None]
-                self._slots[client_id] = slot
-            return slot
+        self._lock = threading.Lock()
+        self._latest: dict[int, ImuSample] = {}
 
     def put(self, sample: ImuSample) -> bool:
         """Store the sample unless a newer (>= seq) one is already held."""
-        slot = self._slot(sample.client_id)
-        with slot[0]:
-            current = slot[1]
+        with self._lock:
+            current = self._latest.get(sample.client_id)
             if current is not None and current.seq >= sample.seq:
                 return False
-            slot[1] = sample
+            self._latest[sample.client_id] = sample
             return True
 
     def get(self, client_id: int) -> ImuSample | None:
-        with self._registry_lock:
-            slot = self._slots.get(client_id)
-        if slot is None:
-            return None
-        with slot[0]:
-            return slot[1]
+        with self._lock:
+            return self._latest.get(client_id)
 
     def snapshot(self) -> dict[int, ImuSample]:
         """Latest sample per client; samples are immutable once stored."""
-        with self._registry_lock:
-            slots = list(self._slots.items())
-        out: dict[int, ImuSample] = {}
-        for client_id, slot in slots:
-            with slot[0]:
-                if slot[1] is not None:
-                    out[client_id] = slot[1]
-        return out
+        with self._lock:
+            return dict(self._latest)
 
     def clear(self) -> None:
-        with self._registry_lock:
-            self._slots.clear()
+        with self._lock:
+            self._latest.clear()
 
 
 class TelemetryServer:
@@ -224,10 +207,9 @@ class TelemetryServer:
             self._socks.append(sock)
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the counters and _last_addr
         self.datagrams_received = 0
         self.datagrams_rejected = 0
-        self._addr_lock = threading.Lock()
         self._last_addr: dict[int, tuple[tuple[str, int], int]] = {}
 
     @property
@@ -273,13 +255,12 @@ class TelemetryServer:
             try:
                 sample = decode_imu_datagram(data)
             except DatagramError as exc:
-                with self._stats_lock:
+                with self._lock:
                     self.datagrams_rejected += 1
                 log.debug("rejected datagram from %s: %s", addr, exc)
                 continue
-            with self._stats_lock:
+            with self._lock:
                 self.datagrams_received += 1
-            with self._addr_lock:
                 self._last_addr[sample.client_id] = (addr, sock_index)
             self.store.put(sample)
 
@@ -287,7 +268,7 @@ class TelemetryServer:
         self, client_id: int, frame_index: int, bearing_deg: float, sector: int | None
     ) -> bool:
         """Send a feedback datagram to the client's last-seen address."""
-        with self._addr_lock:
+        with self._lock:
             entry = self._last_addr.get(client_id)
         if entry is None:
             return False

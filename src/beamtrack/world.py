@@ -319,6 +319,23 @@ class Scenario:
         if not (0.0 <= t <= self.config.duration_s):
             raise ValueError(f"t={t} outside scenario range [0, {self.config.duration_s}]")
 
+    def _client_table(self, client_id: int) -> _PathTable:
+        if not (0 <= client_id < len(self.config.clients)):
+            raise KeyError(f"unknown client_id {client_id}")
+        return self._tables[client_id]
+
+    def waypoint_times(self, client_id: int) -> list[float]:
+        """When a client stands at each waypoint it reaches, in waypoint order.
+
+        The first is 0.0, the start; each later one is the hold plus the arc
+        length to that waypoint over the speed. A path walked at zero speed
+        never leaves its first waypoint and gives [0.0].
+        """
+        table = self._client_table(client_id)
+        if table.speed_mps == 0.0:
+            return [0.0]
+        return [0.0, *(table.hold_s + s / table.speed_mps for s in table.cum[1:])]
+
     def ground_truth(self, t: float) -> list[GroundTruthPose]:
         """True pose of every client (world frame) at time t."""
         self._check_time(t)
@@ -391,8 +408,7 @@ class Scenario:
         IMU_NOISE_BLOCK readings. seq has no default: one shared value would
         give every instant the same noise row, a constant bias.
         """
-        if not (0 <= client_id < len(self.config.clients)):
-            raise KeyError(f"unknown client_id {client_id}")
+        table = self._client_table(client_id)
         window = np.ndim(t) == 1
         times = np.atleast_1d(np.asarray(t, dtype=float))
         seqs = np.atleast_1d(seq)
@@ -403,7 +419,6 @@ class Scenario:
                 self._check_time(t_k)
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        table = self._tables[client_id]
         now = table.states(times)
         before = table.states(np.maximum(0.0, times - dt))
 

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from beamtrack import cli
 from beamtrack.cli import build_parser, main
+from beamtrack.pipeline import _inline_source, build_scenario
+from beamtrack.telemetry import decode_imu_datagram, encode_imu_datagram
 from beamtrack.world import default_config
 
 
@@ -113,6 +116,42 @@ def test_udp_telemetry_run(tmp_path, capsys):
     assert "telemetry: received" in out
     received = int(out.split("telemetry: received ")[1].split()[0])
     assert received > 0
+
+
+def test_udp_senders_send_the_inline_readings(monkeypatch):
+    # no sockets: capture each sender's reading function, run nothing
+    senders = {}
+
+    class Server:
+        ports = (0, 0)
+        datagrams_received = datagrams_rejected = 0
+        send_feedback = None
+
+        def __init__(self, store, ports):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+    monkeypatch.setattr(cli, "TelemetryServer", Server)
+    monkeypatch.setattr(cli, "run_sim_client", lambda fn, cid, *a, **kw: senders.update({cid: fn}))
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **kw: None)
+    config = default_config()
+    cli._run_udp(config, build_parser().parse_args(["run", "--telemetry", "udp"]))
+    inline = {0: [], 1: []}
+    for batches, _ in _inline_source(build_scenario(config)):
+        for cid, readings in batches.items():
+            inline[cid].extend(readings)
+    # a sender numbers its datagrams from 0, the inline feed its readings from
+    # 1; repr tells every float bit apart
+    assert sorted(senders) == [0, 1]
+    for cid, send in senders.items():
+        for seq in range(200):
+            sent = send(cid, (seq + 1) / 100.0, 0.01, seq=seq)
+            assert repr(decode_imu_datagram(encode_imu_datagram(sent))) == repr(inline[cid][seq])
 
 
 def test_negative_seed_exits_with_the_validation_message(tmp_path, capsys, config_file):

@@ -106,6 +106,22 @@ def test_ground_truth_stops_at_path_end():
     assert poses[0].heading_rad == pytest.approx(0.0)  # keeps the last heading
 
 
+def test_waypoint_times_are_when_each_waypoint_is_reached():
+    sc = build_scenario(default_config())
+    for cid, path in enumerate(sc.config.clients):
+        times = sc.waypoint_times(cid)
+        assert len(times) == len(path.waypoints) and times[0] == 0.0
+        assert times[1] == pytest.approx(path.initial_hold_s + 3.0 / path.speed_mps)
+        for t, waypoint in zip(times, path.waypoints):
+            pose = sc.ground_truth(t)[cid]
+            assert np.max(np.abs(pose.position_m - waypoint)) <= 1e-9
+    still = PathSpec(waypoints=((0.0, 0.0), (1.0, 0.0)), speed_mps=0.0, initial_hold_s=2.0)
+    sc = build_scenario(_simple_config(clients=(still, still)))
+    assert sc.waypoint_times(1) == [0.0]
+    with pytest.raises(KeyError):
+        sc.waypoint_times(2)
+
+
 def test_point_cloud_is_deterministic_per_seed():
     cfg = _simple_config(noise_sigma_m=0.05)
     a = build_scenario(cfg).sample_point_cloud(3)
