@@ -50,10 +50,12 @@ def dbscan(
     a non-finite x, y or z is in no neighborhood, so it is noise. Clusters are
     labeled 0, 1, ... in discovery order with points scanned in input order;
     border points reachable from several clusters go to the first one
-    discovered. A non-finite doppler leaves its row in the clustering but out
-    of the cluster's mean doppler. Returns the clusters and the indices of
-    noise points. finite, if given, is finite_rows(points), for a caller that
-    also needs it.
+    discovered. The labels equal that definition's for every finite coordinate
+    (a cloud wider than ~1.3e154 m, whose squared extent overflows, makes the
+    neighbour query raise ValueError). A non-finite doppler leaves its row in
+    the clustering but out of the cluster's mean doppler. Returns the clusters
+    and the indices of noise points. finite, if given, is finite_rows(points),
+    for a caller that also needs it.
     """
     if not 0.0 < params.eps_m < math.inf:
         raise ValidationError("eps_m must be > 0 and finite")
@@ -106,11 +108,10 @@ def _labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     # Core points within eps of each other always share a cluster, so the
     # clusters' core memberships are the connected components of the core-core
     # adjacency graph. Cores sharing a grid cell of side eps/2 are mutually
-    # within eps: the cell diagonal is sqrt(3)/2 * eps ~ 0.87 eps, and the 13%
-    # margin is far beyond the rounding of x / side. So each cell is one node and
-    # the component search runs on the far smaller cell graph. Non-core points
-    # all get the sentinel cell n_cells.
-    cell_of_core, n_cells = _number_cells(np.floor(xyz[core_idx] / (eps / 2)).astype(np.intp))
+    # within eps (see _number_cells), so each cell is one node and the component
+    # search runs on the far smaller cell graph. Non-core points all get the
+    # sentinel cell n_cells.
+    cell_of_core, n_cells = _number_cells(xyz[core_idx] / (eps / 2))
     side = n_cells + 1
     # 32-bit cell ids halve the per-pair arrays while edge keys fit
     cell_of = np.full(n, n_cells, dtype=np.int32 if side * side < 2**31 else np.intp)
@@ -193,15 +194,24 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float) -> np.ndarray:
     return pairs[np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]) <= eps]
 
 
-def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, int]:
-    """Number the distinct rows of (k, 3) integer cell coordinates; returns (number per row, count)."""
-    lo = cells.min(axis=0)
-    spans = cells.max(axis=0) - lo + 1
-    if math.prod(spans.tolist()) <= np.iinfo(np.intp).max:
-        distinct, number = np.unique(np.ravel_multi_index((cells - lo).T, spans), return_inverse=True)
-    else:  # cores spread over more cells than a linear index can count
-        distinct, number = np.unique(cells, axis=0, return_inverse=True)
-    return number.reshape(-1), len(distinct)
+def _number_cells(scaled: np.ndarray) -> tuple[np.ndarray, int]:
+    """Number the cells of (k, 3) core coordinates in cell sides; returns (number per row, count).
+
+    A cell is the floor of each coordinate. Two cores in one cell are within
+    eps: the cell diagonal is sqrt(3)/2 * eps ~ 0.87 eps, and the 13% margin
+    covers the rounding of x / side, under 2**-5 sides while |x / side| < 2**48.
+    A core at or beyond 2**48 sides in some axis gets a cell of its own. Axis
+    by axis, the cells so far times the ranks along the next axis are ranked
+    again, so every key stays below k**2.
+    """
+    cells = np.floor(scaled)
+    # NaN equals nothing, itself included, so each such row ranks alone
+    cells[(np.abs(scaled) >= 2.0**48).any(axis=1), 0] = np.nan
+    _, number = np.unique(cells[:, 0], return_inverse=True, equal_nan=False)
+    for column in cells.T[1:]:
+        values, rank = np.unique(column, return_inverse=True)
+        distinct, number = np.unique(number * len(values) + rank, return_inverse=True)
+    return number, len(distinct)
 
 
 def filter_background(

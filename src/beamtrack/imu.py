@@ -144,10 +144,6 @@ def _unit_norm(w: float, x: float, y: float, z: float) -> float:
     return math.sqrt(q.dot(q))
 
 
-def quat_multiply(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.array(_qmul(*q, *r))
-
-
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
@@ -176,14 +172,6 @@ def _to_global(v_body, orientation) -> tuple:
         raise ValueError(f"orientation quaternion norm {norm:.8f} is not 1 within 1e-6")
     vx, vy, vz = as_floats(v_body)
     return _rotate(w, x, y, z, vx, vy, vz)
-
-
-def to_global_frame(v_body: np.ndarray, orientation: np.ndarray) -> np.ndarray:
-    """Express a body-frame vector in the global frame.
-
-    Raises ValueError if the quaternion is not unit length to within 1e-6.
-    """
-    return np.array(_to_global(v_body, orientation), dtype=float)
 
 
 def gravity_compensate(accel_body, orientation) -> tuple[float, float, float]:

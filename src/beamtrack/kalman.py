@@ -62,6 +62,17 @@ def kf_init(position_m: np.ndarray, velocity_mps: np.ndarray, cfg: KalmanConfig)
     return KalmanState(x=x, P=P)
 
 
+def _innovation(
+    x: np.ndarray, P: np.ndarray, measurement_m: np.ndarray | None, cfg: KalmanConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Innovation, its covariance S and R for a 2-D position; None if it is None or not finite."""
+    z = None if measurement_m is None else np.asarray(measurement_m, dtype=float)
+    if z is None or not np.all(np.isfinite(z)):
+        return None
+    R = np.eye(2) * cfg.sigma_meas_m**2
+    return z - _H @ x, _H @ P @ _H.T + R, R
+
+
 def kf_step(
     state: KalmanState,
     measurement_m: np.ndarray | None,
@@ -74,16 +85,11 @@ def kf_step(
     the position covariance grows.
     """
     x, P = _predict(state, dt, cfg)
-    z = None
-    if measurement_m is not None:
-        z = np.asarray(measurement_m, dtype=float)
-        if not np.all(np.isfinite(z)):
-            z = None
-    if z is not None:
-        R = np.eye(2) * cfg.sigma_meas_m**2
-        S = _H @ P @ _H.T + R
+    innovation = _innovation(x, P, measurement_m, cfg)
+    if innovation is not None:
+        nu, S, R = innovation
         K = P @ _H.T @ np.linalg.inv(S)
-        x = x + K @ (z - _H @ x)
+        x = x + K @ nu
         ikh = np.eye(4) - K @ _H
         P = ikh @ P @ ikh.T + K @ R @ K.T  # Joseph form
     P = (P + P.T) / 2.0
@@ -101,14 +107,11 @@ def kf_reacquire(
 
     Computes the predicted innovation's Mahalanobis distance; beyond gate_sigma
     the caller should coast the filter and look for a new binding instead of
-    accepting the measurement.
+    accepting the measurement. A non-finite measurement is always implausible.
     """
-    x_pred, P_pred = _predict(state, dt, cfg)
-    z = np.asarray(measurement_m, dtype=float)
-    if not np.all(np.isfinite(z)):
+    innovation = _innovation(*_predict(state, dt, cfg), measurement_m, cfg)
+    if innovation is None:
         return True
-    R = np.eye(2) * cfg.sigma_meas_m**2
-    S = _H @ P_pred @ _H.T + R
-    nu = z - _H @ x_pred
+    nu, S, _ = innovation
     d2 = float(nu @ np.linalg.solve(S, nu))
     return math.sqrt(max(d2, 0.0)) > gate_sigma

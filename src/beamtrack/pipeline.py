@@ -165,9 +165,6 @@ class ClientTrack:
     bound_label: int | None = None
     kf: KalmanState | None = None
     reacquire_count: int = 0
-    coasting: bool = False
-    measurement: np.ndarray | None = None
-    fresh_bind: bool = False
 
 
 @dataclass
@@ -332,6 +329,7 @@ class Pipeline:
 
         # identification: velocity matching inside the early window or on error
         identified = False
+        just_bound: set[int] = set()  # clients whose filter starts at this frame's measurement
         need = self.error_flag or any(t.bound_label is None for t in self.tracks.values())
         if need and should_identify(frame_index, self.error_flag):
             cluster_velocities = [
@@ -352,31 +350,28 @@ class Pipeline:
                         c = by_label[label]
                         vel = c.velocity_mps if c.velocity_mps is not None else np.zeros(2)
                         track.kf = kf_init(c.core_point, vel, p.kalman)
-                        track.fresh_bind = True
+                        just_bound.add(cid)
                     track.bound_label = label
                     track.reacquire_count = 0
                     events.append(f"client {cid} bound to cluster {label}")
                 self.error_flag = False
 
         # filtering tier
+        coasting = dict.fromkeys(self.tracks, False)
+        measurement: dict[int, np.ndarray | None] = dict.fromkeys(self.tracks)
         for cid, track in self.tracks.items():
-            track.coasting = False
-            track.measurement = None
             if track.bound_label is None:
                 if track.kf is not None:
                     track.kf = kf_step(track.kf, None, p.frame_time_s, p.kalman)
-                    track.coasting = True
+                    coasting[cid] = True
                 continue
             cluster = by_label[track.bound_label]
-            z = cluster.core_point
-            track.measurement = z
-            if track.fresh_bind:
-                # the filter was just initialized from this measurement
-                track.fresh_bind = False
-                continue
+            z = measurement[cid] = cluster.core_point
+            if cid in just_bound:
+                continue  # the filter was just initialized from this measurement
             if kf_reacquire(track.kf, z, p.frame_time_s, p.kalman):
                 track.kf = kf_step(track.kf, None, p.frame_time_s, p.kalman)
-                track.coasting = True
+                coasting[cid] = True
                 track.reacquire_count += 1
                 events.append(f"client {cid} gated measurement from cluster {cluster.label}")
                 if track.reacquire_count >= REACQUIRE_LIMIT and not self.error_flag:
@@ -394,16 +389,17 @@ class Pipeline:
             beam = None
             if track.kf is not None and peer.kf is not None:
                 beam = _steer(track.kf.x[:2], track.fused_heading, peer.kf.x[:2])
+            z = measurement[cid]
             clients.append(
                 ClientFrameState(
                     client_id=cid,
                     bound_label=track.bound_label,
-                    measurement_m=None if track.measurement is None else track.measurement.copy(),
+                    measurement_m=None if z is None else z.copy(),
                     kf_position_m=None if track.kf is None else track.kf.x[:2].copy(),
                     kf_velocity_mps=None if track.kf is None else track.kf.x[2:].copy(),
                     imu_velocity_mps=track.fused_velocity.copy(),
                     heading_rad=track.fused_heading,
-                    coasting=track.coasting,
+                    coasting=coasting[cid],
                     beam=beam,
                     imu_dropped_non_finite=dropped[cid][_NON_FINITE],
                     imu_dropped_stale=dropped[cid][_STALE],

@@ -167,10 +167,6 @@ class LatestStore:
             self._latest[sample.client_id] = sample
             return True
 
-    def get(self, client_id: int) -> ImuSample | None:
-        with self._lock:
-            return self._latest.get(client_id)
-
     def snapshot(self) -> dict[int, ImuSample]:
         """Latest sample per client; samples are immutable once stored."""
         with self._lock:

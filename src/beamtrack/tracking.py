@@ -140,15 +140,8 @@ def match_clusters(prev: ClusterFrame, curr: ClusterFrame) -> Matching:
     """
     prev_sorted = sorted(prev.clusters, key=lambda c: c.label)
     curr_sorted = sorted(curr.clusters, key=lambda c: c.label)
-    if not prev_sorted or not curr_sorted:
-        return Matching(
-            pairs=[],
-            unmatched_prev=[c.label for c in prev_sorted],
-            unmatched_curr=[c.label for c in curr_sorted],
-            total_cost_m=0.0,
-        )
-    p_cores = np.array([c.core_point for c in prev_sorted])
-    c_cores = np.array([c.core_point for c in curr_sorted])
+    p_cores = np.reshape([c.core_point for c in prev_sorted], (-1, 2))
+    c_cores = np.reshape([c.core_point for c in curr_sorted], (-1, 2))
     diff = p_cores[:, None, :] - c_cores[None, :, :]
     best_pairs, total = lex_min_assignment(np.sqrt(np.sum(diff * diff, axis=2)))
 
@@ -183,29 +176,24 @@ def update_clusters(
     """
     if frame_time_s <= 0:
         raise ValidationError("frame_time_s must be > 0")
-    out: list[Cluster] = []
-    if prev is None or not prev.clusters:
-        for c in curr_clusters:
-            out.append(replace(c, label=next_label, velocity_mps=None))
-            next_label += 1
-        return ClusterFrame(frame_index=frame_index, clusters=out), next_label
-
+    if prev is None:
+        prev = ClusterFrame(frame_index=frame_index, clusters=[])
     curr_frame = ClusterFrame(frame_index=frame_index, clusters=curr_clusters)
     matching = match_clusters(prev, curr_frame)
     prev_by_label = prev.by_label()
     curr_by_label = curr_frame.by_label()
 
-    matched_curr = set()
+    out: list[Cluster] = []
     for prev_label, curr_label in matching.pairs:
-        matched_curr.add(curr_label)
         p = prev_by_label[prev_label]
         c = curr_by_label[curr_label]
         disp = c.core_point - p.core_point
         if float(np.hypot(disp[0], disp[1])) >= threshold_m:
             continue  # implausible jump: delete
         out.append(replace(c, label=prev_label, velocity_mps=disp / frame_time_s))
+    unmatched = set(matching.unmatched_curr)
     for c in curr_clusters:
-        if c.label not in matched_curr:
+        if c.label in unmatched:
             out.append(replace(c, label=next_label, velocity_mps=None))
             next_label += 1
     out.sort(key=lambda c: c.label)

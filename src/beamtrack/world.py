@@ -54,14 +54,6 @@ _STREAM_IMU = 2
 IMU_NOISE_BLOCK = 256
 
 
-def _wrap_pi(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    w = math.fmod(a + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
-
-
 @dataclass(frozen=True)
 class PathSpec:
     """Piecewise-linear waypoint path walked at constant speed after a hold."""
@@ -222,7 +214,12 @@ class PointCloudFrame:
 
 
 class _PathTable:
-    """A path's segment directions, lengths and arc-length table, built once."""
+    """A path's segment directions, lengths and arc-length table, built once.
+
+    Per motion state, as states() numbers them (the hold, each segment, the
+    path's end), the velocity, heading and world -> body rotation that pose()
+    gives there; sample_imu differences the states of two instants.
+    """
 
     def __init__(self, path: PathSpec):
         wps = np.asarray(path.waypoints, dtype=float)
@@ -236,19 +233,13 @@ class _PathTable:
         self._cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         self.cum = self._cum.tolist()
         self.headings = [math.atan2(dy, dx) for dx, dy in self.dirs]
-        # per motion state, as states() numbers them (the hold, each segment,
-        # the path's end): the world -> body rotation's cos and sin, and per
-        # pair of states (now, before) the change of velocity and of heading,
-        # each computed as the scalar expressions of pose() would give them
         speed = self.speed_mps
         headings = [self.headings[0], *self.headings, self.headings[-1]]
-        vx = [0.0, *(dx * speed for dx, _ in self.dirs), 0.0]
-        vy = [0.0, *(dy * speed for _, dy in self.dirs), 0.0]
+        self.state_vx = np.array([0.0, *(dx * speed for dx, _ in self.dirs), 0.0])
+        self.state_vy = np.array([0.0, *(dy * speed for _, dy in self.dirs), 0.0])
+        self.state_heading = np.array(headings)
         self.state_cos = np.array([math.cos(-h) for h in headings])
         self.state_sin = np.array([math.sin(-h) for h in headings])
-        self.dvx = np.array([[a - b for b in vx] for a in vx])
-        self.dvy = np.array([[a - b for b in vy] for a in vy])
-        self.turn = np.array([[_wrap_pi(a - b) for b in headings] for a in headings])
 
     def pose(self, t: float) -> tuple[tuple[float, float], tuple[float, float], float]:
         """Position, velocity and heading along the path at time t.
@@ -422,9 +413,12 @@ class Scenario:
         now = table.states(times)
         before = table.states(np.maximum(0.0, times - dt))
 
-        ax = table.dvx[now, before] / dt  # global frame, no vertical motion
-        ay = table.dvy[now, before] / dt
-        yaw_rate = table.turn[now, before] / dt
+        # global frame, no vertical motion; the heading change wrapped to (-pi, pi]
+        vx, vy, heading = table.state_vx, table.state_vy, table.state_heading
+        ax = (vx[now] - vx[before]) / dt
+        ay = (vy[now] - vy[before]) / dt
+        w = np.fmod(heading[now] - heading[before] + math.pi, 2.0 * math.pi)
+        yaw_rate = (np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi) / dt
 
         # world -> body rotation about z
         c, s = table.state_cos[now], table.state_sin[now]

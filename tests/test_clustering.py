@@ -209,12 +209,46 @@ def test_non_finite_doppler_stays_in_the_cluster_and_out_of_its_mean():
 
 
 def test_cores_far_apart_in_every_axis():
-    # a linear cell index over the cores' bounding box would overflow 64 bits
+    # the cores' bounding box spans more cells than a 64-bit linear index counts
     rng = np.random.default_rng(8)
     pts = np.vstack(
         [_blob(rng, (0.0, 0.0, 0.0), 12), _blob(rng, (2e6, -3e6, 4e6), 12), _blob(rng, (-2e6, 1e6, 3e6), 12)]
     )
     _assert_matches_reference(pts, 0.3, 5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x0, x1", [(1e17, 1e17 + 16.0), (1e19, 3e19)])
+def test_far_blobs_at_huge_coordinates_stay_apart(x0, x1):
+    # At 1e17 m the floats are 16 m apart and x / (eps/2) rounds to multiples
+    # of 128 cells, so both blobs would round into one cell; beyond 2**63 cells
+    # (1e19 m) a cast to int64 is invalid. Cores past 2**48 cells get a cell each.
+    rng = np.random.default_rng(5)
+    blobs = []
+    for x in (x0, x1):
+        blob = np.zeros((6, 4))
+        blob[:, 0] = x
+        blob[:, 1:3] = rng.normal(0.0, 0.03, (6, 2))
+        blobs.append(blob)
+    pts = np.vstack(blobs)
+    assert pts[6, 0] - pts[0, 0] == x1 - x0
+    clusters, noise = dbscan(pts, DbscanParams(eps_m=0.3, min_pts=5))
+    assert [c.member_indices for c in clusters] == [list(range(6)), list(range(6, 12))]
+    assert noise == []
+    _assert_matches_reference(pts, 0.3, 5)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(exponent=st.floats(0.0, 150.0), seed=st.integers(0, 2**32 - 1))
+def test_matches_quadratic_reference_at_any_magnitude(exponent, seed):
+    # three blobs near +-10**exponent per axis, a few float steps or 0.2 m
+    # apart, whichever is more; from ~1e15 m the float step exceeds eps
+    rng = np.random.default_rng(seed)
+    base = rng.choice([-1.0, 1.0], 3) * 10.0**exponent * rng.uniform(0.5, 1.0, 3)
+    centers = base + rng.integers(-3, 4, (3, 3)) * np.maximum(np.spacing(base), 0.2)
+    pts3 = centers[rng.integers(0, 3, 30)] + rng.normal(0.0, 0.1, (30, 3))
+    _assert_matches_reference(np.column_stack([pts3, np.zeros(30)]), 0.3, int(rng.integers(1, 5)))
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -18,9 +18,7 @@ from beamtrack.imu import (
     madgwick_update,
     quat_conjugate,
     quat_from_yaw,
-    quat_multiply,
     rotate_by_quat,
-    to_global_frame,
     window_readings,
     yaw_from_quat,
 )
@@ -120,15 +118,6 @@ def test_quaternion_yaw_round_trip():
         )
 
 
-def test_quat_multiply_composes_rotations():
-    a = _quat_from_axis_angle([0, 0, 1], 0.7)
-    b = _quat_from_axis_angle([1, 0, 0], 0.4)
-    v = np.array([0.3, -0.2, 0.5])
-    composed = rotate_by_quat(quat_multiply(a, b), v)
-    sequential = rotate_by_quat(a, rotate_by_quat(b, v))
-    assert np.allclose(composed, sequential, atol=1e-12)
-
-
 def test_rotate_matches_rotation_matrix():
     q = _quat_from_axis_angle([0.3, -0.5, 0.8], 1.1)
     w, x, y, z = q
@@ -144,9 +133,9 @@ def test_rotate_matches_rotation_matrix():
     assert np.allclose(rotate_by_quat(quat_conjugate(q), v), R.T @ v, atol=1e-12)
 
 
-def test_to_global_frame_rejects_unnormalized():
+def test_gravity_compensate_rejects_unnormalized():
     with pytest.raises(ValueError):
-        to_global_frame(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.01]))
+        gravity_compensate(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.01]))
 
 
 def test_gravity_compensate_at_rest_is_zero():

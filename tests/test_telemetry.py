@@ -227,7 +227,7 @@ def test_server_rejects_non_finite_datagram_and_keeps_the_store():
             deadline = time.monotonic() + 2.0
             while server.datagrams_received < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            before = store.get(2)
+            before = store.snapshot().get(2)
             poisoned = _sample(client=2, seq=2, t=math.nan, accel=(math.inf, 0.0, 9.8))
             sock.sendto(encode_imu_datagram(poisoned), ("127.0.0.1", port))
             while server.datagrams_rejected < 1 and time.monotonic() < deadline + 2.0:
@@ -236,8 +236,8 @@ def test_server_rejects_non_finite_datagram_and_keeps_the_store():
             sock.close()
         assert (server.datagrams_received, server.datagrams_rejected) == (1, 1)
         assert before is not None and before.seq == 1
-        assert store.get(2) is before
         assert store.snapshot() == {2: before}
+        assert store.snapshot()[2] is before
 
 
 def test_wrong_length_rejected():
@@ -261,24 +261,23 @@ def test_feedback_codec():
 
 def test_store_keeps_latest_by_seq():
     store = LatestStore()
-    assert store.get(0) is None
+    assert store.snapshot() == {}
     assert store.put(_sample(client=0, seq=5))
     assert not store.put(_sample(client=0, seq=5))  # duplicate dropped
     assert not store.put(_sample(client=0, seq=3))  # stale dropped
     assert store.put(_sample(client=0, seq=6))
-    assert store.get(0).seq == 6
     snap = store.snapshot()
     assert set(snap) == {0} and snap[0].seq == 6
     store.clear()
-    assert store.get(0) is None
+    assert store.snapshot() == {}
 
 
 def test_store_isolates_clients():
     store = LatestStore()
     store.put(_sample(client=0, seq=9))
     store.put(_sample(client=1, seq=2))
-    assert store.get(0).seq == 9
-    assert store.get(1).seq == 2
+    snap = store.snapshot()
+    assert (snap[0].seq, snap[1].seq) == (9, 2)
 
 
 def test_server_receives_and_counts():
@@ -299,7 +298,7 @@ def test_server_receives_and_counts():
             sock.close()
         assert server.datagrams_received == 5
         assert server.datagrams_rejected == 1
-        assert store.get(2).seq == 4
+        assert store.snapshot()[2].seq == 4
 
 
 def test_server_feedback_reaches_last_sender():
@@ -335,7 +334,7 @@ def test_sim_client_streams_at_rate():
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline and server.datagrams_received < 30:
             time.sleep(0.01)
-        final = store.get(0)
+        final = store.snapshot().get(0)
         assert final is not None and final.seq == 29
 
 
@@ -348,7 +347,7 @@ def test_sim_client_collects_feedback():
             # wait for the first datagram so the server knows the return
             # address, then send a handful of feedback frames and go quiet
             deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline and store.get(1) is None:
+            while time.monotonic() < deadline and 1 not in store.snapshot():
                 time.sleep(0.005)
             for frame in range(5):
                 server.send_feedback(1, frame, 1.0, 8)

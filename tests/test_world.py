@@ -524,6 +524,35 @@ def test_imu_window_covers_a_turn_and_the_path_end():
     assert window.gyro_radps[turn, 2] * 0.01 == pytest.approx(math.pi / 2.0, abs=1e-2)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_imu_window_across_the_heading_wrap_equals_reference(sigma):
+    # headings step across +-180 deg both ways (pi to -(pi - 0.0997) and
+    # back) and reverse (pi/2 to -pi/2, where the wrapped angle is exactly 0)
+    cfg = _simple_config(
+        noise_sigma_m=sigma,
+        duration_s=6.0,
+        clients=(
+            PathSpec(waypoints=((2.0, 0.0), (0.0, 0.0), (-1.0, -0.1)), speed_mps=0.5),
+            PathSpec(waypoints=((0.0, 2.0), (-2.0, 1.8), (-3.0, 1.8)), speed_mps=0.5),
+            PathSpec(waypoints=((5.0, 0.0), (5.0, 2.0), (5.0, 0.0)), speed_mps=0.5),
+        ),
+    )
+    sc = build_scenario(cfg)
+    seq = np.arange(601)
+    turn = {0: 400, 1: int(math.ceil(math.hypot(2.0, 0.2) / 0.5 * 100)), 2: 400}
+    for cid in (0, 1, 2):
+        for dt in (0.01, 0.5):
+            window = sc.sample_imu(cid, seq / 100.0, dt=dt, seq=seq)
+            for k in seq.tolist():
+                accel, gyro = imu_sample_reference(cfg, cid, k / 100.0, dt, k)
+                assert window.accel_mps2[k].tobytes() == accel.tobytes(), (cid, dt, k)
+                assert window.gyro_radps[k].tobytes() == gyro.tobytes(), (cid, dt, k)
+        if sigma == 0.0:
+            # the reading at the corner turns by the small angle, not by ~2 pi
+            yaw = sc.sample_imu(cid, seq / 100.0, dt=0.01, seq=seq).gyro_radps[turn[cid], 2] * 0.01
+            assert abs(yaw) == pytest.approx({0: 0.0997, 1: 0.0997, 2: math.pi}[cid], abs=1e-3)
+
+
 def test_imu_window_raises_the_scalar_errors():
     sc = build_scenario(_simple_config(noise_sigma_m=0.05))
     seq = np.arange(10, 20)
