@@ -128,14 +128,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="simulate a scenario and run the pipeline over it")
-    run_p.add_argument("--config", type=Path, default=None,
-                       help="scenario JSON file (default: built-in two-client demo)")
-    run_p.add_argument("--mode", choices=("algorithm", "both"), default="algorithm",
-                       help="run the tracking pipeline alone, or with the scanning baseline")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_p.add_argument("--log", type=Path, default=None,
-                       help="write one JSON record per frame to this file")
+    # the arguments run and replay share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None,
+                        help="scenario JSON file (default: built-in two-client demo)")
+    common.add_argument("--mode", choices=("algorithm", "both"), default="algorithm",
+                        help="run the tracking pipeline alone, or with the scanning baseline")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override the scenario seed (a replay must match its recording run)")
+    common.add_argument("--log", type=Path, default=None,
+                        help="write one JSON record per frame to this file")
+
+    run_p = sub.add_parser("run", parents=[common],
+                           help="simulate a scenario and run the pipeline over it")
     run_p.add_argument("--capture", type=Path, default=None,
                        help="record the consumed sensor streams to this file")
     run_p.add_argument("--telemetry", choices=("inline", "udp"), default="inline",
@@ -145,15 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
                             " default one ephemeral port per client)")
     run_p.set_defaults(func=_cmd_run)
 
-    replay_p = sub.add_parser("replay", help="re-run the pipeline over a recorded capture")
+    replay_p = sub.add_parser("replay", parents=[common],
+                              help="re-run the pipeline over a recorded capture")
     replay_p.add_argument("--capture", type=Path, required=True, help="capture file to replay")
-    replay_p.add_argument("--config", type=Path, default=None,
-                          help="scenario JSON the capture was recorded from (default: demo)")
-    replay_p.add_argument("--mode", choices=("algorithm", "both"), default="algorithm")
-    replay_p.add_argument("--seed", type=int, default=None,
-                          help="override the scenario seed (match the recording run)")
-    replay_p.add_argument("--log", type=Path, default=None,
-                          help="write one JSON record per frame to this file")
     replay_p.set_defaults(func=_cmd_replay)
 
     rms_p = sub.add_parser("rms", help="score a run log against the configured walking paths")
@@ -169,10 +168,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, DatagramError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, DatagramError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

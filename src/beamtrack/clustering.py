@@ -13,6 +13,11 @@ from scipy.spatial import cKDTree
 from .errors import ValidationError
 
 _NOISE = -1
+# widest per-axis extent handed to one kd-tree: its query raises ValueError once
+# the squared extents sum beyond the float64 maximum (~1.3e154 m on one axis)
+_TREE_EXTENT = 2.0**500
+# a member whose |doppler| exceeds this (m/s) marks its cluster as moving
+DOPPLER_ZERO_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -50,12 +55,11 @@ def dbscan(
     a non-finite x, y or z is in no neighborhood, so it is noise. Clusters are
     labeled 0, 1, ... in discovery order with points scanned in input order;
     border points reachable from several clusters go to the first one
-    discovered. The labels equal that definition's for every finite coordinate
-    (a cloud wider than ~1.3e154 m, whose squared extent overflows, makes the
-    neighbour query raise ValueError). A non-finite doppler leaves its row in
-    the clustering but out of the cluster's mean doppler. Returns the clusters
-    and the indices of noise points. finite, if given, is finite_rows(points),
-    for a caller that also needs it.
+    discovered. The labels equal that definition's for every finite coordinate.
+    A non-finite doppler leaves its row in the clustering but out of the
+    cluster's mean doppler. Returns the clusters and the indices of noise
+    points. finite, if given, is finite_rows(points), for a caller that also
+    needs it.
     """
     if not 0.0 < params.eps_m < math.inf:
         raise ValidationError("eps_m must be > 0 and finite")
@@ -171,8 +175,16 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float) -> np.ndarray:
     The largest s whose square root rounds to <= eps is s_max; when some r has
     fl(r * r) == s_max (about half of all eps, 0.3 among them) one query at r
     returns exactly the pairs. Otherwise the query runs slightly wider and the
-    pairs at the tie are tested with the square root.
+    pairs at the tie are tested with the square root. A cloud wider than
+    _TREE_EXTENT is split first (_island_pairs).
     """
+    # the spread over all axes bounds each axis's extent and costs far less;
+    # Python floats overflow to inf without a warning
+    if len(xyz) and float(xyz.max()) - float(xyz.min()) > _TREE_EXTENT:
+        with np.errstate(over="ignore"):
+            extent = np.ptp(xyz, axis=0)
+        if extent.max() > _TREE_EXTENT:
+            return _island_pairs(xyz, eps, int(extent.argmax()))
     s_max = eps * eps
     while math.sqrt(s_max) > eps:
         s_max = math.nextafter(s_max, 0.0)
@@ -189,9 +201,31 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float) -> np.ndarray:
     tree = cKDTree(xyz, leafsize=32, balanced_tree=False, compact_nodes=False)
     if r * r == s_max:
         return tree.query_pairs(r, output_type="ndarray")
-    pairs = tree.query_pairs(r * (1.0 + 2.0**-40), output_type="ndarray")
+    return _within(xyz, tree.query_pairs(r * (1.0 + 2.0**-40), output_type="ndarray"), eps)
+
+
+def _within(xyz: np.ndarray, pairs: np.ndarray, eps: float) -> np.ndarray:
+    """The (m, 2) pairs whose fl(sqrt(dx*dx + dy*dy + dz*dz)) is <= eps."""
     d = xyz[pairs[:, 0]] - xyz[pairs[:, 1]]
-    return pairs[np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]) <= eps]
+    with np.errstate(over="ignore"):  # an inf distance is beyond eps
+        return pairs[np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]) <= eps]
+
+
+def _island_pairs(xyz: np.ndarray, eps: float, axis: int) -> np.ndarray:
+    """_neighbour_pairs of a cloud too wide for one kd-tree.
+
+    Sorted along its widest axis, the cloud is cut wherever two neighbours lie
+    more than 2 eps apart; no pair within eps spans a cut, so each island's
+    pairs are found on their own. A cloud with no such gap (eps wider than its
+    extent over the point count) has every pair tested.
+    """
+    order = np.argsort(xyz[:, axis], kind="stable")
+    with np.errstate(over="ignore"):
+        cuts = np.flatnonzero(np.diff(xyz[order, axis]) > 2.0 * eps) + 1
+    if not cuts.size:
+        return _within(xyz, np.column_stack(np.triu_indices(len(xyz), 1)), eps)
+    islands = [np.sort(island) for island in np.split(order, cuts)]
+    return np.concatenate([island[_neighbour_pairs(xyz[island], eps)] for island in islands])
 
 
 def _number_cells(scaled: np.ndarray) -> tuple[np.ndarray, int]:
@@ -214,10 +248,8 @@ def _number_cells(scaled: np.ndarray) -> tuple[np.ndarray, int]:
     return number, len(distinct)
 
 
-def filter_background(
-    clusters: list[Cluster], points: np.ndarray, doppler_zero_tol: float = 1e-3
-) -> list[Cluster]:
-    """Drop clusters with no member whose finite doppler exceeds doppler_zero_tol.
+def filter_background(clusters: list[Cluster], points: np.ndarray) -> list[Cluster]:
+    """Drop clusters with no member whose finite |doppler| exceeds DOPPLER_ZERO_TOL.
 
     Static objects return exactly zero doppler; anything alive keeps at least
     a few moving points, so one non-zero member is enough to retain a cluster.
@@ -226,5 +258,5 @@ def filter_background(
     if not clusters:
         return []
     speed = np.abs(np.asarray(points, dtype=float)[:, 3])
-    live = (speed > doppler_zero_tol) & (speed < math.inf)
+    live = (speed > DOPPLER_ZERO_TOL) & (speed < math.inf)
     return [c for c in clusters if live[c.member_indices].any()]

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+# innovations beyond this many standard deviations (Mahalanobis) are implausible
+GATE_SIGMA = 3.0
 
 
 @dataclass(frozen=True)
@@ -96,16 +98,10 @@ def kf_step(
     return KalmanState(x=x, P=P)
 
 
-def kf_reacquire(
-    state: KalmanState,
-    measurement_m: np.ndarray,
-    dt: float,
-    cfg: KalmanConfig,
-    gate_sigma: float = 3.0,
-) -> bool:
+def kf_reacquire(state: KalmanState, measurement_m: np.ndarray, dt: float, cfg: KalmanConfig) -> bool:
     """True when a measurement is implausible for this track.
 
-    Computes the predicted innovation's Mahalanobis distance; beyond gate_sigma
+    Computes the predicted innovation's Mahalanobis distance; beyond GATE_SIGMA
     the caller should coast the filter and look for a new binding instead of
     accepting the measurement. A non-finite measurement is always implausible.
     """
@@ -114,4 +110,4 @@ def kf_reacquire(
         return True
     nu, S, _ = innovation
     d2 = float(nu @ np.linalg.solve(S, nu))
-    return math.sqrt(max(d2, 0.0)) > gate_sigma
+    return math.sqrt(max(d2, 0.0)) > GATE_SIGMA

@@ -62,7 +62,7 @@ from .imu import (
 )
 from .kalman import KalmanConfig, KalmanState, kf_init, kf_reacquire, kf_step
 from .telemetry import decode_imu_datagram, encode_imu_datagram, quantize_imu
-from .tracking import ClusterFrame, ThresholdParams, displacement_threshold, update_clusters
+from .tracking import ClusterFrame, displacement_threshold, update_clusters
 from .world import GroundTruthPose, PointCloudFrame, Scenario, ScenarioConfig, build_scenario
 
 # centroid of points sampled uniformly on the sensor-facing half of a circle
@@ -87,8 +87,6 @@ _RECORD_HEADER = struct.Struct("<IB")
 _CLOUD_HEADER = struct.Struct("<IdI")
 _POINT_BYTES = 32  # 4 little-endian f64 per point
 
-# walking-speed statistics behind the frame-to-frame displacement threshold
-WALKING_SPEED = ThresholdParams(v_mean_mps=1.4, v_std_mps=0.4)
 # the clients' antenna sector grid
 SECTORS = SectorTable()
 # gated measurements in a row that raise the error flag
@@ -221,7 +219,7 @@ class Pipeline:
         self.peer = {a: b, b: a}
         self.params = params
         self._radar_xy = np.asarray(params.radar_xy, dtype=float)
-        self._threshold_m = displacement_threshold(WALKING_SPEED, params.frame_time_s)
+        self._threshold_m = displacement_threshold(params.frame_time_s)
         self.error_flag = False
         self._frame: ClusterFrame | None = None
         self._next_label = 0

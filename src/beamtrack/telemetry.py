@@ -331,19 +331,17 @@ def run_sim_client(
                 time.sleep(delay)
         if collect_feedback:
             sock.settimeout(0.05)
-            _drain_feedback(sock, stats, blocking=True)
+            _drain_feedback(sock, stats)
     finally:
         sock.close()
     return stats
 
 
-def _drain_feedback(sock: socket.socket, stats: ClientRunStats, blocking: bool = False) -> None:
+def _drain_feedback(sock: socket.socket, stats: ClientRunStats) -> None:
     while True:
         try:
             data, _ = sock.recvfrom(2048)
-        except (BlockingIOError, socket.timeout):
-            return
-        except OSError:
+        except OSError:  # nothing left (BlockingIOError, socket.timeout) or closed
             return
         try:
             stats.feedback.append(decode_feedback(data))

@@ -17,12 +17,8 @@ from scipy.optimize import linear_sum_assignment
 from .clustering import Cluster
 from .errors import ValidationError
 
-
-@dataclass(frozen=True)
-class ThresholdParams:
-    v_mean_mps: float
-    v_std_mps: float
-    k_sigma: float = 3.0
+# fastest plausible walking speed: mean 1.4 m/s plus three standard deviations of 0.4 m/s
+MAX_WALK_SPEED_MPS = 1.4 + 3.0 * 0.4
 
 
 @dataclass
@@ -42,13 +38,11 @@ class Matching:
     total_cost_m: float
 
 
-def displacement_threshold(params: ThresholdParams, frame_time_s: float) -> float:
-    """Maximum plausible core-point displacement in one frame."""
+def displacement_threshold(frame_time_s: float) -> float:
+    """Maximum plausible core-point displacement in a frame: MAX_WALK_SPEED_MPS * frame_time_s."""
     if frame_time_s <= 0:
         raise ValidationError("frame_time_s must be > 0")
-    if params.v_mean_mps < 0 or params.v_std_mps < 0:
-        raise ValidationError("speed statistics must be >= 0")
-    return (params.v_mean_mps + params.k_sigma * params.v_std_mps) * frame_time_s
+    return MAX_WALK_SPEED_MPS * frame_time_s
 
 
 # relative slack on the lower bound: a float fold of non-negative terms can sit

@@ -26,7 +26,8 @@ def dbscan_reference(points: np.ndarray, eps: float, min_pts: int):
     if n == 0:
         return np.empty(0, dtype=int), 0
     diff = pts[:, None, :] - pts[None, :, :]
-    adjacent = np.sqrt((diff * diff).sum(axis=2)) <= eps
+    with np.errstate(over="ignore"):  # a square beyond the float range is inf, so > eps
+        adjacent = np.sqrt((diff * diff).sum(axis=2)) <= eps
     is_core = adjacent.sum(axis=1) >= min_pts  # a point is its own neighbor
     labels = np.full(n, -2, dtype=int)
     n_clusters = 0

@@ -7,9 +7,9 @@ import pytest
 
 from beamtrack import cli
 from beamtrack.cli import build_parser, main
-from beamtrack.pipeline import _inline_source, build_scenario
+from beamtrack.pipeline import _inline_source
 from beamtrack.telemetry import decode_imu_datagram, encode_imu_datagram
-from beamtrack.world import default_config
+from beamtrack.world import build_scenario, default_config
 
 
 @pytest.fixture()

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamtrack.clustering import Cluster, DbscanParams, dbscan, filter_background, finite_rows
@@ -240,15 +240,34 @@ def test_far_blobs_at_huge_coordinates_stay_apart(x0, x1):
 
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=100, deadline=None)
-@given(exponent=st.floats(0.0, 150.0), seed=st.integers(0, 2**32 - 1))
-def test_matches_quadratic_reference_at_any_magnitude(exponent, seed):
-    # three blobs near +-10**exponent per axis, a few float steps or 0.2 m
-    # apart, whichever is more; from ~1e15 m the float step exceeds eps
+@given(
+    exponents=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(exponents=[0.0, 200.0, 200.0], seed=0)  # near the origin and at +-1e200 m
+def test_matches_quadratic_reference_at_any_magnitude(exponents, seed):
+    # per magnitude, three blobs near +-10**exponent per axis, a few float steps
+    # or 0.2 m apart, whichever is more; from ~1e15 m the float step exceeds
+    # eps, and magnitudes apart by more than ~1.3e154 m overflow a squared extent
     rng = np.random.default_rng(seed)
-    base = rng.choice([-1.0, 1.0], 3) * 10.0**exponent * rng.uniform(0.5, 1.0, 3)
-    centers = base + rng.integers(-3, 4, (3, 3)) * np.maximum(np.spacing(base), 0.2)
-    pts3 = centers[rng.integers(0, 3, 30)] + rng.normal(0.0, 0.1, (30, 3))
-    _assert_matches_reference(np.column_stack([pts3, np.zeros(30)]), 0.3, int(rng.integers(1, 5)))
+    centers = []
+    for exponent in exponents:
+        base = rng.choice([-1.0, 1.0], 3) * 10.0**exponent * rng.uniform(0.5, 1.0, 3)
+        centers.append(base + rng.integers(-3, 4, (3, 3)) * np.maximum(np.spacing(base), 0.2))
+    n = 30 * len(exponents)
+    pts3 = np.vstack(centers)[rng.integers(0, 3 * len(exponents), n)] + rng.normal(0.0, 0.1, (n, 3))
+    _assert_matches_reference(np.column_stack([pts3, np.zeros(n)]), 0.3, int(rng.integers(1, 5)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_eps_as_wide_as_a_huge_cloud_matches_reference():
+    # points 1e152 m apart along x, eps just as wide: too wide for one kd-tree,
+    # with no gap of 2 eps to cut it at, so every pair is tested
+    rng = np.random.default_rng(2)
+    pts3 = np.zeros((12, 3))
+    pts3[:, 0] = rng.integers(0, 6, 12) * 1e152
+    pts3[:, 1] = rng.choice([0.0, 0.5e152], 12)
+    _assert_matches_reference(np.column_stack([pts3, np.zeros(12)]), 1e152, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -315,7 +334,9 @@ def test_filter_background_ignores_non_finite_doppler():
 
 def test_filter_background_tolerance_is_strict():
     pts = np.zeros((2, 4))
-    pts[:, 3] = 1e-3  # exactly at tolerance: |doppler| <= tol counts as static
     c = Cluster(0, np.zeros(2), 1e-3, 2, [0, 1])
-    assert filter_background([c], pts, doppler_zero_tol=1e-3) == []
-    assert filter_background([c], pts, doppler_zero_tol=0.9e-3) == [c]
+    for doppler in (1e-3, -1e-3):  # exactly at tolerance: |doppler| <= 1e-3 counts as static
+        pts[:, 3] = doppler
+        assert filter_background([c], pts) == []
+        pts[1, 3] = np.nextafter(doppler, 2 * doppler)  # one float step beyond
+        assert filter_background([c], pts) == [c]

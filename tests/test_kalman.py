@@ -97,8 +97,8 @@ def test_reacquire_gates_on_mahalanobis_distance():
     st = kf_init(np.zeros(2), np.zeros(2), cfg)
     for _ in range(30):  # settle the covariance
         st = kf_step(st, np.zeros(2), 0.5, cfg)
-    assert not kf_reacquire(st, np.array([0.01, 0.0]), 0.5, cfg, gate_sigma=3.0)
-    assert kf_reacquire(st, np.array([5.0, 0.0]), 0.5, cfg, gate_sigma=3.0)
+    assert not kf_reacquire(st, np.array([0.01, 0.0]), 0.5, cfg)
+    assert kf_reacquire(st, np.array([5.0, 0.0]), 0.5, cfg)
 
 
 def test_reacquire_threshold_is_exact():
@@ -115,8 +115,8 @@ def test_reacquire_threshold_is_exact():
     P_pred = F @ st.P @ F.T + Q
     S = P_pred[:2, :2] + np.eye(2) * 0.1**2
     sigma_x = np.sqrt(S[0, 0])
-    assert not kf_reacquire(st, np.array([2.99 * sigma_x, 0.0]), 0.5, cfg, gate_sigma=3.0)
-    assert kf_reacquire(st, np.array([3.01 * sigma_x, 0.0]), 0.5, cfg, gate_sigma=3.0)
+    assert not kf_reacquire(st, np.array([2.99 * sigma_x, 0.0]), 0.5, cfg)
+    assert kf_reacquire(st, np.array([3.01 * sigma_x, 0.0]), 0.5, cfg)
 
 
 def test_reacquire_rejects_non_finite():

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -17,15 +18,13 @@ import beamtrack.pipeline as pipeline_module
 from beamtrack.errors import DatagramError, ValidationError
 from beamtrack.imu import GRAVITY_MPS2, ImuSample
 from beamtrack.telemetry import encode_imu_datagram
+from beamtrack.clustering import DbscanParams
+from beamtrack.kalman import KalmanConfig
 from beamtrack.pipeline import (
     CaptureWriter,
-    DbscanParams,
-    KalmanConfig,
     Pipeline,
     PipelineParams,
-    PointCloudFrame,
     _inline_source,
-    build_scenario,
     calibrate_clients,
     compute_rms,
     debias_core,
@@ -36,7 +35,7 @@ from beamtrack.pipeline import (
     run_scenario,
     surface_bias_m,
 )
-from beamtrack.world import ScenarioConfig, default_config
+from beamtrack.world import PointCloudFrame, ScenarioConfig, build_scenario, default_config
 
 
 def _ring(cx, cy, n=6, r=0.05, doppler=1.0):
@@ -317,6 +316,79 @@ def test_fused_snapshot_equals_per_reading_reference():
     for k in (4, 6):  # the previous frame's values carry over
         assert reports[k].clients[0].heading_rad == reports[k - 1].clients[0].heading_rad
     assert _drop_counts(reports) == [(2, 0, 1, 0), (3, 0, 0, 1), (6, 0, 0, 1)]
+
+
+@functools.cache
+def _short_demo_feed():
+    """Config, headings, calibrations and inline (batches, cloud) feed of a 6-frame demo run."""
+    cfg = dataclasses.replace(default_config(0), duration_s=3.0)
+    scenario = build_scenario(cfg)
+    headings = {gt.client_id: gt.heading_rad for gt in scenario.ground_truth(0.0)}
+    calibrations = calibrate_clients(scenario)
+    return cfg, headings, calibrations, list(_inline_source(scenario))
+
+
+def _feed_reports(feed_batches):
+    cfg, headings, calibrations, feed = _short_demo_feed()
+    pipe = Pipeline(PipelineParams.for_config(cfg), headings, calibrations)
+    return [
+        pipe.process_frame(k, (k + 1) * cfg.frame_time_s, cloud.points, batches, cloud.timestamp_s)
+        for k, (batches, (_, cloud)) in enumerate(zip(feed_batches, feed))
+    ]
+
+
+@functools.cache
+def _clean_records():
+    feed = _short_demo_feed()[3]
+    return [frame_record(r) for r in _feed_reports([batches for batches, _ in feed])]
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_shuffled_duplicated_and_resent_readings_leave_the_frames_unchanged(data):
+    # each client's batch arrives shuffled, with some readings twice and some
+    # of the previous frame's readings again: every extra reading is stale
+    feed = _short_demo_feed()[3]
+    messy, extra = [], 0
+    for k, (batches, _) in enumerate(feed):
+        out = {}
+        for cid, batch in batches.items():
+            readings = list(batch)
+            readings += data.draw(st.lists(st.sampled_from(batch), max_size=4), f"dup {k} {cid}")
+            if k:
+                previous = feed[k - 1][0][cid]
+                readings += data.draw(
+                    st.lists(st.sampled_from(previous), max_size=4), f"resend {k} {cid}"
+                )
+            extra += len(readings) - len(batch)
+            order = data.draw(st.permutations(range(len(readings))), f"order {k} {cid}")
+            out[cid] = [readings[i] for i in order]
+        messy.append(out)
+    reports = _feed_reports(messy)
+    assert [frame_record(r) for r in reports] == _clean_records()
+    assert sum(c.imu_dropped_stale for r in reports for c in r.clients) == extra
+    assert all(c.imu_dropped_non_finite == 0 for r in reports for c in r.clients)
+    assert any(r.identified for r in reports)
+
+
+def test_a_point_too_far_for_the_kd_tree_is_noise():
+    # one finite row at 1e200 m: its squared distance to the rest of the frame
+    # overflows float64, and the frame completes as it would without the row
+    cfg = _short_config()
+    scenario = build_scenario(cfg)
+
+    def far():
+        for k, (batches, cloud) in enumerate(_inline_source(scenario)):
+            if k == 3:
+                points = np.vstack([cloud.points, [1e200, 0.0, 1.0, 0.5]])
+                cloud = dataclasses.replace(cloud, points=points)
+            yield batches, cloud
+
+    report = pipeline_module._run(scenario, "both", None, far())
+    clean = run_scenario(cfg, mode="both")
+    clean.records[3]["n_points"] += 1
+    assert report.records == clean.records
+    assert report.non_finite_points == 0
 
 
 def test_run_report_totals_drops_and_keeps_them_out_of_the_log():

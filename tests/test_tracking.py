@@ -11,7 +11,6 @@ from beamtrack.clustering import Cluster
 from beamtrack.errors import ValidationError
 from beamtrack.tracking import (
     ClusterFrame,
-    ThresholdParams,
     displacement_threshold,
     lex_min_assignment,
     match_clusters,
@@ -36,15 +35,15 @@ def _frame(index, cores):
 
 
 def test_displacement_threshold_formula():
-    params = ThresholdParams(v_mean_mps=1.4, v_std_mps=0.4, k_sigma=3.0)
-    assert displacement_threshold(params, 0.5) == pytest.approx((1.4 + 3.0 * 0.4) * 0.5)
+    # mean walking speed plus three standard deviations, bit for bit
+    for frame_time_s in (0.5, 1.0, 0.1, 1 / 3):
+        assert displacement_threshold(frame_time_s) == (1.4 + 3.0 * 0.4) * frame_time_s
 
 
 def test_displacement_threshold_validation():
-    with pytest.raises(ValidationError):
-        displacement_threshold(ThresholdParams(1.0, 0.1), 0.0)
-    with pytest.raises(ValidationError):
-        displacement_threshold(ThresholdParams(-1.0, 0.1), 0.5)
+    for frame_time_s in (0.0, -0.5):
+        with pytest.raises(ValidationError):
+            displacement_threshold(frame_time_s)
 
 
 def test_match_obvious_assignment():
