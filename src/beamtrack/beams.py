@@ -19,6 +19,9 @@ from .errors import ValidationError
 
 BEAMSPACE_HALF_DEG = 90.0
 
+# sectors per probe group of the scanning baseline
+SCAN_GROUP_SIZE = 8
+
 
 def wrap_deg(angle: float) -> float:
     """Wrap an angle in degrees to (-180, 180]."""
@@ -115,47 +118,25 @@ def simulate_gain(sector: int, true_bearing_deg: float, table: SectorTable) -> f
 def beam_scan_baseline(
     true_bearing_deg: float,
     table: SectorTable,
-    group_size: int = 8,
     noise_sigma: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[int, int]:
     """Hierarchical sector scan: probe sector groups, then sweep the best group.
 
-    Each probe costs one evaluation frame and reports the group's best member
-    gain (plus measurement noise); the winning group is then swept member by
-    member. Returns (selected sector, frames spent). With zero noise this finds
-    the lowest-numbered sector of highest gain; with noise it mis-selects near group boundaries,
-    which is the cost of scanning instead of computing the angle.
+    The groups are SCAN_GROUP_SIZE consecutive sectors. Each probe costs one
+    evaluation frame and reports the group's best member gain plus one noise
+    draw; the winning group is then swept member by member, a frame and a draw
+    each. Ties go to the first group and member. Returns (selected sector,
+    frames spent). With zero noise this finds the lowest-numbered sector of
+    highest gain; with noise it mis-selects near group boundaries, the cost of
+    scanning instead of computing the angle. noise_sigma > 0 requires rng.
     """
-    if group_size < 1:
-        raise ValidationError("group_size must be >= 1")
-    if noise_sigma > 0.0 and rng is None:
-        rng = np.random.default_rng(0)
-
-    def noisy(value: float) -> float:
-        if noise_sigma > 0.0:
-            return value + float(rng.normal(0.0, noise_sigma))
-        return value
-
-    groups = [
-        list(range(start, min(start + group_size, table.n_sectors)))
-        for start in range(0, table.n_sectors, group_size)
-    ]
-    frames = 0
-    best_group = None
-    best_score = -np.inf
-    for group in groups:
-        score = noisy(max(simulate_gain(s, true_bearing_deg, table) for s in group))
-        frames += 1
-        if score > best_score:
-            best_score = score
-            best_group = group
-    best_sector = None
-    best_gain = -np.inf
-    for s in best_group:
-        gain = noisy(simulate_gain(s, true_bearing_deg, table))
-        frames += 1
-        if gain > best_gain:
-            best_gain = gain
-            best_sector = s
-    return best_sector, frames
+    gains = np.array([simulate_gain(s, true_bearing_deg, table) for s in range(table.n_sectors)])
+    probes = np.maximum.reduceat(gains, np.arange(0, gains.size, SCAN_GROUP_SIZE))
+    if noise_sigma > 0.0:
+        probes += rng.normal(0.0, noise_sigma, probes.size)
+    first = SCAN_GROUP_SIZE * int(np.argmax(probes))
+    sweep = gains[first : first + SCAN_GROUP_SIZE]
+    if noise_sigma > 0.0:
+        sweep = sweep + rng.normal(0.0, noise_sigma, sweep.size)
+    return first + int(np.argmax(sweep)), probes.size + sweep.size

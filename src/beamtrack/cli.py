@@ -8,10 +8,8 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DatagramError, ValidationError
-from .pipeline import INLINE_IMU_RATE_HZ, RunReport, compute_rms, device_readings
+from .pipeline import INLINE_IMU_RATE_HZ, RunReport, device_readings, path_rms
 from .pipeline import run_from_capture, run_scenario
 from .telemetry import LatestStore, TelemetryServer, run_sim_client
 from .world import ScenarioConfig, build_scenario, default_config
@@ -24,15 +22,17 @@ def _load_config(path: Path | None, seed: int | None) -> ScenarioConfig:
     return config
 
 
+def _print_rms(rms_by_client: dict[int, float | None]) -> None:
+    for cid, rms in sorted(rms_by_client.items()):
+        print(f"client {cid} path rms: " + (f"{rms:.3f} m" if rms is not None else "n/a"))
+
+
 def _print_summary(report: RunReport) -> None:
     print(f"mode: {report.mode}")
     print(f"frames: {len(report.frames)}")
     first = report.identified_at_frame
     print(f"identified at frame: {first if first is not None else 'never'}")
-    for cid in sorted(report.rms_by_client):
-        rms = report.rms_by_client[cid]
-        line = f"{rms:.3f} m" if rms is not None else "n/a"
-        print(f"client {cid} path rms: {line}")
+    _print_rms(report.rms_by_client)
     print(f"frames with error flag: {report.error_frames}")
     if report.mean_gain_algorithm is not None:
         print(f"mean gain (tracking): {report.mean_gain_algorithm:.2f}")
@@ -101,23 +101,9 @@ def _cmd_replay(args) -> int:
 
 def _cmd_rms(args) -> int:
     config = _load_config(args.config, None)
-    points: dict[int, list] = {}
     with open(args.log, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            for entry in rec.get("clients", ()):
-                if entry.get("kf_position") is not None:
-                    points.setdefault(int(entry["id"]), []).append(entry["kf_position"])
-    for cid in range(len(config.clients)):
-        pts = points.get(cid)
-        if not pts:
-            print(f"client {cid} path rms: n/a")
-            continue
-        value = compute_rms(np.asarray(pts, dtype=float), config.clients[cid].waypoints)
-        print(f"client {cid} path rms: {value:.3f} m")
+        records = [json.loads(line) for line in fh if line.strip()]
+    _print_rms(path_rms(records, config))
     return 0
 
 

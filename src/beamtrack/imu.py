@@ -137,7 +137,7 @@ def _unit_norm(w: float, x: float, y: float, z: float) -> float:
     multiply-adds; sqrt(w*w + x*x + y*y + z*z) in Python floats rounds
     differently on about 12% of random quaternions. Dividing each component by
     the result as a Python float is the same IEEE division numpy performs. The
-    unit-length check in _to_global only compares a norm with a 1e-6
+    unit-length check in gravity_compensate only compares a norm with a 1e-6
     tolerance, so it uses the Python sum of squares.
     """
     q = np.array((w, x, y, z))
@@ -164,16 +164,6 @@ def rotate_by_quat(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def _to_global(v_body, orientation) -> tuple:
-    """Rotate v_body into the global frame; ValueError unless |orientation| is 1 within 1e-6."""
-    w, x, y, z = as_floats(orientation)
-    norm = math.sqrt(w * w + x * x + y * y + z * z)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"orientation quaternion norm {norm:.8f} is not 1 within 1e-6")
-    vx, vy, vz = as_floats(v_body)
-    return _rotate(w, x, y, z, vx, vy, vz)
-
-
 def gravity_compensate(accel_body, orientation) -> tuple[float, float, float]:
     """Rotate a body-frame accelerometer reading to global axes and remove gravity.
 
@@ -181,8 +171,12 @@ def gravity_compensate(accel_body, orientation) -> tuple[float, float, float]:
     float tuple. Raises ValueError if the quaternion is not unit length to
     within 1e-6.
     """
-    x, y, z = _to_global(accel_body, orientation)
-    return (x, y, z - GRAVITY_MPS2)
+    w, x, y, z = as_floats(orientation)
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"orientation quaternion norm {norm:.8f} is not 1 within 1e-6")
+    gx, gy, gz = _rotate(w, x, y, z, *as_floats(accel_body))
+    return (gx, gy, gz - GRAVITY_MPS2)
 
 
 def madgwick_update(

@@ -76,8 +76,7 @@ INLINE_IMU_RATE_HZ = 100.0
 MIN_CALIBRATION_WINDOW_S = 0.1
 MAX_CALIBRATION_WINDOW_S = 1.0
 
-# scanning baseline: probe group size and per-probe gain noise
-SCAN_GROUP_SIZE = 8
+# scanning baseline: per-probe gain noise
 SCAN_NOISE_SIGMA = 10.0
 _STREAM_SCAN = 90
 
@@ -447,6 +446,24 @@ def compute_rms(points: np.ndarray, waypoints) -> float:
     return float(np.sqrt(np.mean(dists * dists)))
 
 
+def path_rms(records: list[dict], config: ScenarioConfig) -> dict[int, float | None]:
+    """Client id -> RMS of the records' ``kf_position``s to its path, None if it has none.
+
+    A run's report and ``beamtrack rms`` on the run's log both score by this rule.
+    """
+    points: dict[int, list] = {}
+    for rec in records:
+        for entry in rec.get("clients", ()):
+            if entry.get("kf_position") is not None:
+                points.setdefault(int(entry["id"]), []).append(entry["kf_position"])
+    return {
+        cid: compute_rms(np.asarray(points[cid], dtype=float), path.waypoints)
+        if cid in points
+        else None
+        for cid, path in enumerate(config.clients)
+    }
+
+
 # --------------------------------------------------------------------------
 # capture files: [u32 length][u8 tag][payload] records, IMU records then one
 # point-cloud record per frame
@@ -732,7 +749,6 @@ def _run(
     schedule = _scan_schedule(scenario) if scanning else {}
     scan_sector: dict[int, int | None] = dict.fromkeys(pipeline.tracks)
     scan_events: list[ScanEvent] = []
-    spent_total = 0
     alg_samples: list[float] = []
     scan_samples: list[float] = []
     reports: list[FrameReport] = []
@@ -759,11 +775,8 @@ def _run(
                 true_bearing = true_beam.bearing_deg
                 for widx in schedule.get((k, cid), ()):
                     rng = np.random.default_rng([config.seed, _STREAM_SCAN, cid, widx])
-                    sector, spent = beam_scan_baseline(
-                        true_bearing, SECTORS, SCAN_GROUP_SIZE, SCAN_NOISE_SIGMA, rng
-                    )
+                    sector, spent = beam_scan_baseline(true_bearing, SECTORS, SCAN_NOISE_SIGMA, rng)
                     scan_sector[cid] = sector
-                    spent_total += spent
                     scan_events.append(
                         ScanEvent(
                             client_id=cid,
@@ -799,31 +812,24 @@ def _run(
     finally:
         if fh is not None:
             fh.close()
-    states: dict[int, list[ClientFrameState]] = {cid: [] for cid in pipeline.tracks}
-    for r in reports:
-        for cs in r.clients:
-            states[cs.client_id].append(cs)
-    rms: dict[int, float | None] = {}
-    for cid, per_frame in states.items():
-        pts = [cs.kf_position_m for cs in per_frame if cs.kf_position_m is not None]
-        rms[cid] = compute_rms(np.asarray(pts), config.clients[cid].waypoints) if pts else None
     return RunReport(
         mode=mode,
         frames=reports,
         records=records,
-        rms_by_client=rms,
+        rms_by_client=path_rms(records, config),
         identified_at_frame=next((r.frame_index for r in reports if r.identified), None),
         error_frames=sum(1 for r in reports if r.error_flag),
         mean_gain_algorithm=float(np.mean(alg_samples)) if alg_samples else None,
         mean_gain_beamscan=float(np.mean(scan_samples)) if scan_samples else None,
-        scan_frames_spent=spent_total,
+        scan_frames_spent=sum(e.frames_spent for e in scan_events),
         scan_events=scan_events,
         imu_dropped_non_finite={
-            cid: sum(cs.imu_dropped_non_finite for cs in per_frame)
-            for cid, per_frame in states.items()
+            cid: sum(r.clients[i].imu_dropped_non_finite for r in reports)
+            for i, cid in enumerate(pipeline.tracks)
         },
         imu_dropped_stale={
-            cid: sum(cs.imu_dropped_stale for cs in per_frame) for cid, per_frame in states.items()
+            cid: sum(r.clients[i].imu_dropped_stale for r in reports)
+            for i, cid in enumerate(pipeline.tracks)
         },
         non_finite_points=sum(r.non_finite_points for r in reports),
         non_finite_doppler=sum(r.non_finite_doppler for r in reports),

@@ -150,8 +150,7 @@ class LatestStore:
     Writers race with the pipeline's snapshot reads, so one lock guards every
     access and samples are replaced whole; a snapshot can never observe a
     half-written sample, and a put that returns True stays stored until a
-    newer sample replaces it or clear() removes it. Stale or duplicate
-    sequence numbers are dropped.
+    newer sample replaces it. Stale or duplicate sequence numbers are dropped.
     """
 
     def __init__(self) -> None:
@@ -171,10 +170,6 @@ class LatestStore:
         """Latest sample per client; samples are immutable once stored."""
         with self._lock:
             return dict(self._latest)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._latest.clear()
 
 
 class TelemetryServer:

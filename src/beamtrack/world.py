@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -54,6 +55,45 @@ _STREAM_IMU = 2
 IMU_NOISE_BLOCK = 256
 
 
+def _check_finite(name: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{name} must be finite")
+
+
+def _number(value, name: str) -> float:
+    """A JSON value read as a float; ValidationError naming the key unless a finite number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):  # NaN fails the <=
+        raise ValidationError(f"{name} must be a finite number")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    if not _number(value, name).is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list(value, name: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list")
+    return value
+
+
+def _numbers(value, name: str, n: int) -> tuple[float, ...]:
+    if len(_list(value, name)) != n:
+        raise ValidationError(f"{name} must be a list of {n} numbers")
+    return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def _fields(entry, name: str, keys: set[str]) -> None:
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{name} must be an object")
+    extra = set(entry) - keys
+    if extra:
+        raise ValidationError(f"unknown config key in {name}: {sorted(extra)[0]!r}")
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """Piecewise-linear waypoint path walked at constant speed after a hold."""
@@ -63,16 +103,17 @@ class PathSpec:
     initial_hold_s: float = 0.0
 
     def validate(self, name: str) -> None:
+        _check_finite(f"{name}.waypoints", *(c for w in self.waypoints for c in w))
         if len(self.waypoints) < 2:
             raise ValidationError(f"{name}.waypoints needs at least 2 waypoints")
         for k in range(len(self.waypoints) - 1):
             a, b = self.waypoints[k], self.waypoints[k + 1]
             if math.hypot(b[0] - a[0], b[1] - a[1]) == 0.0:
                 raise ValidationError(f"{name}.waypoints[{k}] and [{k + 1}] coincide")
-        if self.speed_mps < 0:
-            raise ValidationError(f"{name}.speed_mps must be >= 0")
-        if self.initial_hold_s < 0:
-            raise ValidationError(f"{name}.initial_hold_s must be >= 0")
+        if not 0 <= self.speed_mps < math.inf:  # NaN fails it
+            raise ValidationError(f"{name}.speed_mps must be finite and >= 0")
+        if not 0 <= self.initial_hold_s < math.inf:
+            raise ValidationError(f"{name}.initial_hold_s must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,22 +139,24 @@ class ScenarioConfig:
     radar_rate_hz: float = 10.0
 
     def validate(self) -> None:
-        if self.frame_time_s <= 0:
-            raise ValidationError("frame_time_s must be > 0")
-        if self.duration_s < self.frame_time_s:
-            raise ValidationError("duration_s must be >= frame_time_s")
+        # each range check is written so that NaN fails it
+        if not 0 < self.frame_time_s < math.inf:
+            raise ValidationError("frame_time_s must be finite and > 0")
+        if not self.frame_time_s <= self.duration_s < math.inf:
+            raise ValidationError("duration_s must be finite and >= frame_time_s")
         if len(self.radar_pose) != 3:
             raise ValidationError("radar_pose must be (x, y, z)")
-        if self.noise_sigma_m < 0:
-            raise ValidationError("noise_sigma_m must be >= 0")
-        if self.body_radius_m < 0:
-            raise ValidationError("body_radius_m must be >= 0")
+        _check_finite("radar_pose", *self.radar_pose)
+        if not 0 <= self.noise_sigma_m < math.inf:
+            raise ValidationError("noise_sigma_m must be finite and >= 0")
+        if not 0 <= self.body_radius_m < math.inf:
+            raise ValidationError("body_radius_m must be finite and >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         if self.points_per_client_per_frame < 1:
             raise ValidationError("points_per_client_per_frame must be >= 1")
-        if self.radar_rate_hz <= 0:
-            raise ValidationError("radar_rate_hz must be > 0")
+        if not 0 < self.radar_rate_hz < math.inf:
+            raise ValidationError("radar_rate_hz must be finite and > 0")
         if round(self.frame_time_s * self.radar_rate_hz) < 2:
             raise ValidationError(
                 "radar_rate_hz too low: need at least 2 radar instants per frame_time_s"
@@ -125,6 +168,7 @@ class ScenarioConfig:
         for i, cl in enumerate(self.clutter):
             if len(cl.position) != 3:
                 raise ValidationError(f"clutter[{i}].position must be (x, y, z)")
+            _check_finite(f"clutter[{i}].position", *cl.position)
             if cl.point_count < 1:
                 raise ValidationError(f"clutter[{i}].point_count must be >= 1")
 
@@ -138,48 +182,36 @@ class ScenarioConfig:
         if unknown:
             raise ValidationError(f"unknown config key: {sorted(unknown)[0]!r}")
 
-        def _path(entry: dict, name: str) -> PathSpec:
-            extra = set(entry) - {"waypoints", "speed_mps", "initial_hold_s"}
-            if extra:
-                raise ValidationError(f"unknown config key in {name}: {sorted(extra)[0]!r}")
-            try:
-                wps = tuple((float(x), float(y)) for x, y in entry["waypoints"])
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValidationError(f"{name}.waypoints must be a list of [x, y] pairs") from e
+        def _path(entry, name: str) -> PathSpec:
+            _fields(entry, name, {"waypoints", "speed_mps", "initial_hold_s"})
             if "speed_mps" not in entry:
                 raise ValidationError(f"{name}.speed_mps is required")
+            wps = enumerate(_list(entry.get("waypoints"), f"{name}.waypoints"))
             return PathSpec(
-                waypoints=wps,
-                speed_mps=float(entry["speed_mps"]),
-                initial_hold_s=float(entry.get("initial_hold_s", 0.0)),
+                waypoints=tuple(_numbers(w, f"{name}.waypoints[{k}]", 2) for k, w in wps),
+                speed_mps=_number(entry["speed_mps"], f"{name}.speed_mps"),
+                initial_hold_s=_number(entry.get("initial_hold_s", 0.0), f"{name}.initial_hold_s"),
             )
 
-        def _clutter(entry: dict, name: str) -> ClutterSpec:
-            extra = set(entry) - {"position", "point_count"}
-            if extra:
-                raise ValidationError(f"unknown config key in {name}: {sorted(extra)[0]!r}")
-            pos = entry.get("position")
-            if pos is None or len(pos) != 3:
-                raise ValidationError(f"{name}.position must be [x, y, z]")
+        def _clutter(entry, name: str) -> ClutterSpec:
+            _fields(entry, name, {"position", "point_count"})
             return ClutterSpec(
-                position=(float(pos[0]), float(pos[1]), float(pos[2])),
-                point_count=int(entry.get("point_count", 0)),
+                position=_numbers(entry.get("position"), f"{name}.position", 3),
+                point_count=_integer(entry.get("point_count", 0), f"{name}.point_count"),
             )
 
         kwargs: dict = {}
         for key, value in data.items():
-            if key == "clients":
-                kwargs[key] = tuple(_path(v, f"clients[{i}]") for i, v in enumerate(value))
-            elif key == "distractors":
-                kwargs[key] = tuple(_path(v, f"distractors[{i}]") for i, v in enumerate(value))
-            elif key == "clutter":
-                kwargs[key] = tuple(_clutter(v, f"clutter[{i}]") for i, v in enumerate(value))
+            if key in ("clients", "distractors", "clutter"):
+                parse = _clutter if key == "clutter" else _path
+                entries = enumerate(_list(value, key))
+                kwargs[key] = tuple(parse(v, f"{key}[{i}]") for i, v in entries)
             elif key == "radar_pose":
-                kwargs[key] = tuple(float(v) for v in value)
+                kwargs[key] = _numbers(value, key, 3)
             elif key in ("points_per_client_per_frame", "seed"):
-                kwargs[key] = int(value)
+                kwargs[key] = _integer(value, key)
             else:
-                kwargs[key] = float(value)
+                kwargs[key] = _number(value, key)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -189,7 +221,7 @@ class ScenarioConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # bad JSON, or bytes that are not UTF-8
                 raise ValidationError(f"config file is not valid JSON: {e}") from e
         if not isinstance(data, dict):
             raise ValidationError("config file must contain a JSON object")

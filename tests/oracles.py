@@ -394,3 +394,44 @@ def inertial_tier_reference(heading, accel_bias, gyro_bias, frames, beta, gravit
                 fused = (v[:2].copy(), math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
         out.append(fused)
     return out
+
+
+# --- scanning baseline in its original two-loop formulation ----------------
+
+
+def beam_scan_reference(gain, n_sectors: int, group_size: int, noise_sigma: float, rng):
+    """Probe groups of consecutive sectors, then sweep the best, with strict > loops.
+
+    gain(sector) is the noiseless gain. Each probe scores its group's best
+    member gain and each swept member its own gain, plus one
+    rng.normal(0, noise_sigma) draw apiece when noise_sigma > 0. Returns
+    (selected sector, frames spent).
+    """
+
+    def noisy(value: float) -> float:
+        if noise_sigma > 0.0:
+            return value + float(rng.normal(0.0, noise_sigma))
+        return value
+
+    groups = [
+        list(range(start, min(start + group_size, n_sectors)))
+        for start in range(0, n_sectors, group_size)
+    ]
+    frames = 0
+    best_group = None
+    best_score = -np.inf
+    for group in groups:
+        score = noisy(max(gain(s) for s in group))
+        frames += 1
+        if score > best_score:
+            best_score = score
+            best_group = group
+    best_sector = None
+    best_gain = -np.inf
+    for s in best_group:
+        value = noisy(gain(s))
+        frames += 1
+        if value > best_gain:
+            best_gain = value
+            best_sector = s
+    return best_sector, frames

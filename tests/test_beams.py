@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import beam_scan_reference
 
 from beamtrack.beams import (
     BEAMSPACE_HALF_DEG,
@@ -133,7 +137,7 @@ def test_beam_scan_noiseless_finds_true_sector():
 def test_beam_scan_partial_last_group():
     t = SectorTable(n_az=10, n_el=1)  # 10 sectors in groups of 8 -> groups of 8 and 2
     az, _ = t.sector_center(9)
-    got, frames = beam_scan_baseline(az, t, group_size=8)
+    got, frames = beam_scan_baseline(az, t)
     assert got == 9
     assert frames == 2 + 2
 
@@ -160,6 +164,20 @@ def test_beam_scan_noise_causes_misses():
     assert len(picks) > 1
 
 
-def test_beam_scan_validates_group_size():
-    with pytest.raises(ValidationError):
-        beam_scan_baseline(0.0, SectorTable(), group_size=0)
+@settings(max_examples=300, deadline=None)
+@given(
+    bearing=st.one_of(st.floats(-180.0, 180.0, exclude_min=True), st.floats(-35.0, 35.0)),
+    noise_sigma=st.sampled_from([0.0, 10.0]),
+    seed=st.integers(0, 2**63),
+    table=st.sampled_from([SectorTable(), SectorTable(n_az=10, n_el=1)]),
+)
+def test_beam_scan_matches_two_loop_reference(bearing, noise_sigma, seed, table):
+    # same sector, same frames and the same noise draws: the generator's next
+    # number after the scan agrees too
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = beam_scan_baseline(bearing, table, noise_sigma=noise_sigma, rng=rng)
+    want = beam_scan_reference(
+        lambda s: simulate_gain(s, bearing, table), table.n_sectors, 8, noise_sigma, ref_rng
+    )
+    assert got == want
+    assert rng.random() == ref_rng.random()

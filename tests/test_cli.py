@@ -7,9 +7,9 @@ import pytest
 
 from beamtrack import cli
 from beamtrack.cli import build_parser, main
-from beamtrack.pipeline import _inline_source
+from beamtrack.pipeline import _inline_source, path_rms, run_scenario
 from beamtrack.telemetry import decode_imu_datagram, encode_imu_datagram
-from beamtrack.world import build_scenario, default_config
+from beamtrack.world import ScenarioConfig, build_scenario, default_config
 
 
 @pytest.fixture()
@@ -96,6 +96,18 @@ def test_rms_scores_a_log(tmp_path, capsys, config_file):
         values.append(float(line.split(":")[1].split()[0]))
     assert len(values) == 2
     assert all(v < 0.25 for v in values)
+    # one rule: the log scores exactly as the run that wrote it reported
+    config = ScenarioConfig.from_file(config_file)
+    report = run_scenario(config, mode="both", log_path=log)
+    assert main(["rms", "--log", str(log), "--config", str(config_file)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"client {cid} path rms: {rms:.3f} m\n" for cid, rms in report.rms_by_client.items()
+    )
+    assert path_rms(report.records, config) == report.rms_by_client
+    # a client the filter never placed scores None
+    for record in report.records:
+        record["clients"][1]["kf_position"] = None
+    assert path_rms(report.records, config) == {0: report.rms_by_client[0], 1: None}
 
 
 def test_missing_files_exit_nonzero(tmp_path, capsys, config_file):
@@ -164,4 +176,23 @@ def test_negative_seed_exits_with_the_validation_message(tmp_path, capsys, confi
     assert main(["run", "--config", str(negative)]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["error: seed must be >= 0"] * 2
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"radar_pose": 5}',
+        b'{"frame_time_s": NaN}',
+        b'{"clients": [5]}',
+        b"\xff\xfe not UTF-8",
+    ],
+    ids=["pose-not-a-list", "nan-frame-time", "client-not-an-object", "not-utf8"],
+)
+def test_malformed_config_exits_with_the_validation_message(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert captured.out == ""

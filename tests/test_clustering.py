@@ -217,7 +217,7 @@ def test_cores_far_apart_in_every_axis():
     _assert_matches_reference(pts, 0.3, 5)
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("x0, x1", [(1e17, 1e17 + 16.0), (1e19, 3e19)])
 def test_far_blobs_at_huge_coordinates_stay_apart(x0, x1):
     # At 1e17 m the floats are 16 m apart and x / (eps/2) rounds to multiples
@@ -238,7 +238,7 @@ def test_far_blobs_at_huge_coordinates_stay_apart(x0, x1):
     _assert_matches_reference(pts, 0.3, 5)
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(
     exponents=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=3),
@@ -259,7 +259,7 @@ def test_matches_quadratic_reference_at_any_magnitude(exponents, seed):
     _assert_matches_reference(np.column_stack([pts3, np.zeros(n)]), 0.3, int(rng.integers(1, 5)))
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eps_as_wide_as_a_huge_cloud_matches_reference():
     # points 1e152 m apart along x, eps just as wide: too wide for one kd-tree,
     # with no gap of 2 eps to cut it at, so every pair is tested

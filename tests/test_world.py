@@ -17,6 +17,7 @@ from beamtrack.errors import ValidationError
 from beamtrack.world import (
     BODY_Z_MAX_M,
     BODY_Z_MIN_M,
+    ClutterSpec,
     PathSpec,
     ScenarioConfig,
     Scenario,
@@ -74,6 +75,90 @@ def test_config_rejects_unknown_keys():
     data["clients"][0]["pace"] = 1.0
     with pytest.raises(ValidationError):
         ScenarioConfig.from_dict(data)
+
+
+
+def _edit(key, value):
+    return lambda data: data.update({key: value})
+
+
+def _edit_entry(*path, value):
+    def edit(data):
+        for step in path[:-1]:
+            data = data[step]
+        data[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        pytest.param(_edit("radar_pose", 5), "radar_pose", id="pose-not-a-list"),
+        pytest.param(_edit("clients", [5]), r"clients\[0\]", id="client-not-an-object"),
+        pytest.param(_edit("clients", 5), "clients", id="clients-not-a-list"),
+        pytest.param(_edit("frame_time_s", None), "frame_time_s", id="null-number"),
+        pytest.param(_edit("duration_s", "abc"), "duration_s", id="string-number"),
+        pytest.param(_edit("duration_s", 10**400), "duration_s", id="int-beyond-float"),
+        pytest.param(
+            _edit_entry("clutter", 0, "point_count", value="x"),
+            r"clutter\[0\]\.point_count",
+            id="string-count",
+        ),
+        pytest.param(_edit("frame_time_s", math.nan), "frame_time_s", id="nan-frame-time"),
+        pytest.param(_edit("duration_s", math.inf), "duration_s", id="inf-duration"),
+        pytest.param(_edit("noise_sigma_m", math.nan), "noise_sigma_m", id="nan-noise"),
+        pytest.param(_edit("body_radius_m", math.nan), "body_radius_m", id="nan-body"),
+        pytest.param(
+            _edit_entry("radar_pose", 2, value=math.nan), r"radar_pose\[2\]", id="nan-height"
+        ),
+        pytest.param(
+            _edit_entry("clients", 1, "speed_mps", value=math.inf),
+            r"clients\[1\]\.speed_mps",
+            id="inf-speed",
+        ),
+        pytest.param(
+            _edit_entry("clients", 0, "waypoints", 1, 0, value=-math.inf),
+            r"clients\[0\]\.waypoints\[1\]\[0\]",
+            id="inf-waypoint",
+        ),
+        pytest.param(_edit("seed", 1.5), "seed", id="fractional-seed"),
+        pytest.param(_edit("seed", True), "seed", id="bool-seed"),
+    ],
+)
+def test_config_from_dict_names_the_malformed_key(edit, key):
+    data = json.loads(json.dumps(default_config().to_dict()))
+    edit(data)
+    with pytest.raises(ValidationError, match=key):
+        ScenarioConfig.from_dict(data)
+
+
+_STILL = ((0.0, 0.0), (2.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"frame_time_s": math.nan},
+        {"duration_s": math.inf},
+        {"noise_sigma_m": math.nan},
+        {"body_radius_m": math.nan},
+        {"radar_rate_hz": math.inf},
+        {"radar_pose": (0.0, -2.0, math.nan)},
+        {"clients": (PathSpec(_STILL, speed_mps=math.inf),) * 2},
+        {"clients": (PathSpec(_STILL, speed_mps=0.5, initial_hold_s=math.nan),) * 2},
+        {"clients": (PathSpec(((0.0, 0.0), (math.nan, 0.0)), speed_mps=0.5),) * 2},
+        {"clutter": (ClutterSpec(position=(0.0, math.inf, 0.5), point_count=10),)},
+    ],
+    ids=[
+        "frame_time_s", "duration_s", "noise_sigma_m", "body_radius_m", "radar_rate_hz",
+        "radar_pose", "speed_mps", "initial_hold_s", "waypoints", "clutter_position",
+    ],
+)
+def test_config_validation_rejects_non_finite_numbers(overrides):
+    # configs built in code are checked too, not only those read from JSON
+    with pytest.raises(ValidationError, match="finite"):
+        _simple_config(**overrides).validate()
 
 
 def test_frame_count_is_floor_of_duration():
