@@ -101,8 +101,14 @@ def _cmd_replay(args) -> int:
 
 def _cmd_rms(args) -> int:
     config = _load_config(args.config, None)
-    with open(args.log, "r", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+    records = []
+    with open(args.log, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(json.loads(line))
+                except ValueError:  # a JSON or UTF-8 decoding error
+                    raise ValidationError(f"{args.log} line {number}: not JSON") from None
     _print_rms(path_rms(records, config))
     return 0
 

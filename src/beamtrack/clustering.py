@@ -74,11 +74,14 @@ def dbscan(
     labels[finite] = _labels(pts[finite, :3], params.eps_m, params.min_pts)
     n_clusters = int(labels.max()) + 1
 
+    # one stable sort groups the rows by label, noise first, each group in row order
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(_NOISE, n_clusters + 1)).tolist()
     finite_doppler = np.isfinite(pts[:, 3])
     every_doppler_finite = finite_doppler.all()
     clusters = []
     for label in range(n_clusters):
-        members = np.flatnonzero(labels == label)
+        members = order[bounds[label + 1] : bounds[label + 2]]
         doppler = pts[members, 3]
         if not every_doppler_finite:
             doppler = doppler[finite_doppler[members]]
@@ -91,8 +94,7 @@ def dbscan(
                 member_indices=members.tolist(),
             )
         )
-    noise = np.flatnonzero(labels == _NOISE).tolist()
-    return clusters, noise
+    return clusters, order[: bounds[1]].tolist()
 
 
 def _labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -234,18 +236,22 @@ def _number_cells(scaled: np.ndarray) -> tuple[np.ndarray, int]:
     A cell is the floor of each coordinate. Two cores in one cell are within
     eps: the cell diagonal is sqrt(3)/2 * eps ~ 0.87 eps, and the 13% margin
     covers the rounding of x / side, under 2**-5 sides while |x / side| < 2**48.
-    A core at or beyond 2**48 sides in some axis gets a cell of its own. Axis
-    by axis, the cells so far times the ranks along the next axis are ranked
-    again, so every key stays below k**2.
+    A core at or beyond 2**48 sides in some axis gets a cell of its own. The
+    cells are numbered in lexicographic (x, y, z) order, then the cells of
+    their own in row order, from one lexsort and a compare of adjacent rows.
     """
     cells = np.floor(scaled)
-    # NaN equals nothing, itself included, so each such row ranks alone
-    cells[(np.abs(scaled) >= 2.0**48).any(axis=1), 0] = np.nan
-    _, number = np.unique(cells[:, 0], return_inverse=True, equal_nan=False)
-    for column in cells.T[1:]:
-        values, rank = np.unique(column, return_inverse=True)
-        distinct, number = np.unique(number * len(values) + rank, return_inverse=True)
-    return number, len(distinct)
+    far = (np.abs(scaled) >= 2.0**48).any(axis=1)
+    # far rows sort last, in row order, and each starts a cell of its own
+    cells[far] = 0.0
+    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], far))
+    ranked = cells[order]
+    new = far[order]
+    new[1:] |= (ranked[1:] != ranked[:-1]).any(axis=1)
+    new[0] = True
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return number, int(new.sum())
 
 
 def filter_background(clusters: list[Cluster], points: np.ndarray) -> list[Cluster]:

@@ -7,8 +7,10 @@ reads +GRAVITY_MPS2 along body z.
 A reading crosses simulation, the wire codec and dead reckoning once per
 device sample, so its 3- and 4-vectors travel as tuples of Python floats: the
 per-element arithmetic is the same IEEE arithmetic numpy performs, without
-building a small array per step. The inertial functions also accept ndarray
-vectors and convert each once.
+building a small array per step. The inertial functions take a tuple vector as
+it is and also accept an ndarray vector, converting it once by one tolist; the
+quaternion products are written out in place, so a reading costs no helper
+call beyond the orientation's numpy norm.
 """
 
 from __future__ import annotations
@@ -94,11 +96,6 @@ def window_readings(window: ImuSample) -> list[ImuSample]:
     ]
 
 
-def as_floats(v):
-    """A vector's elements as Python floats: an ndarray via one tolist, a tuple as it is."""
-    return v.tolist() if isinstance(v, np.ndarray) else v
-
-
 def integrate_velocity(v_prev, a_prev, a_curr, t: float) -> tuple[float, float, float]:
     """Trapezoidal velocity update of 3-vectors: v + t * (a_prev + a_curr) / 2.
 
@@ -106,26 +103,10 @@ def integrate_velocity(v_prev, a_prev, a_curr, t: float) -> tuple[float, float, 
     """
     if t < 0:
         raise ValueError(f"integration interval must be >= 0, got {t}")
-    vx, vy, vz = as_floats(v_prev)
-    px, py, pz = as_floats(a_prev)
-    cx, cy, cz = as_floats(a_curr)
+    vx, vy, vz = v_prev if type(v_prev) is tuple else v_prev.tolist()
+    px, py, pz = a_prev if type(a_prev) is tuple else a_prev.tolist()
+    cx, cy, cz = a_curr if type(a_curr) is tuple else a_curr.tolist()
     return (vx + t * (px + cx) / 2.0, vy + t * (py + cy) / 2.0, vz + t * (pz + cz) / 2.0)
-
-
-def _qmul(w1, x1, y1, z1, w2, x2, y2, z2) -> tuple:
-    """Hamilton product of two quaternions given by their components."""
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-
-
-def _rotate(w, x, y, z, vx, vy, vz) -> tuple:
-    """Vector part of q * (0, v) * conj(q) for q = (w, x, y, z)."""
-    pw, px, py, pz = _qmul(w, x, y, z, 0.0, vx, vy, vz)
-    return _qmul(pw, px, py, pz, w, -x, -y, -z)[1:]
 
 
 def _unit_norm(w: float, x: float, y: float, z: float) -> float:
@@ -158,25 +139,39 @@ def yaw_from_quat(q: np.ndarray) -> float:
 
 
 def rotate_by_quat(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector v by quaternion q (body -> global for an orientation q)."""
-    return np.array(
-        _rotate(*np.asarray(q, dtype=float).tolist(), *np.asarray(v, dtype=float).tolist())
-    )
+    """Rotate vector v by unit quaternion q (body -> global for an orientation q).
+
+    With u the vector part of q: v + 2w (u x v) + 2 u x (u x v).
+    """
+    q, v = np.asarray(q, dtype=float), np.asarray(v, dtype=float)
+    u = q[1:]
+    uv = np.cross(u, v)
+    return v + 2.0 * q[0] * uv + 2.0 * np.cross(u, uv)
 
 
 def gravity_compensate(accel_body, orientation) -> tuple[float, float, float]:
     """Rotate a body-frame accelerometer reading to global axes and remove gravity.
 
     accel_body and orientation are float tuples or arrays; the result is a
-    float tuple. Raises ValueError if the quaternion is not unit length to
-    within 1e-6.
+    float tuple. The rotated vector is the vector part of q * (0, v) * conj(q).
+    Raises ValueError if the quaternion is not unit length to within 1e-6.
     """
-    w, x, y, z = as_floats(orientation)
+    w, x, y, z = orientation if type(orientation) is tuple else orientation.tolist()
     norm = math.sqrt(w * w + x * x + y * y + z * z)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"orientation quaternion norm {norm:.8f} is not 1 within 1e-6")
-    gx, gy, gz = _rotate(w, x, y, z, *as_floats(accel_body))
-    return (gx, gy, gz - GRAVITY_MPS2)
+    vx, vy, vz = accel_body if type(accel_body) is tuple else accel_body.tolist()
+    # p = q * (0, v)
+    pw = w * 0.0 - x * vx - y * vy - z * vz
+    px = w * vx + x * 0.0 + y * vz - z * vy
+    py = w * vy - x * vz + y * 0.0 + z * vx
+    pz = w * vz + x * vy - y * vx + z * 0.0
+    # vector part of p * conj(q)
+    return (
+        pw * -x + px * w + py * -z - pz * -y,
+        pw * -y - px * -z + py * w + pz * -x,
+        pw * -z + px * -y - py * -x + pz * w - GRAVITY_MPS2,
+    )
 
 
 def madgwick_update(
@@ -195,37 +190,50 @@ def madgwick_update(
     untouched. A zero-norm accelerometer reading skips the correction
     (gyro-only update) and is logged; a non-finite reading raises ValueError.
     """
-    if not (dt > 0 and math.isfinite(dt)):
+    if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    gx, gy, gz = as_floats(sample.gyro_radps)
-    ax, ay, az = as_floats(sample.accel_mps2)
-    if not all(map(math.isfinite, (gx, gy, gz, ax, ay, az))):
+    gyro, accel, q = sample.gyro_radps, sample.accel_mps2, state.orientation
+    gx, gy, gz = gyro if type(gyro) is tuple else gyro.tolist()
+    ax, ay, az = accel if type(accel) is tuple else accel.tolist()
+    q1, q2, q3, q4 = q if type(q) is tuple else q.tolist()
+    rate = math.sqrt(gx * gx + gy * gy + gz * gz)
+    a_norm = math.sqrt(ax * ax + ay * ay + az * az)
+    # a NaN or infinite component makes its norm NaN or inf; only then (or when
+    # finite squares overflow) are the components tested one by one
+    if not (rate < math.inf and a_norm < math.inf) and not all(
+        map(math.isfinite, (gx, gy, gz, ax, ay, az))
+    ):
         raise ValueError(
             f"client {sample.client_id}: non-finite IMU reading at t={sample.timestamp_s:.3f}"
         )
-    q1, q2, q3, q4 = as_floats(state.orientation)
 
-    # exact rotation increment for the mean body rate over dt
-    rate = math.sqrt(gx * gx + gy * gy + gz * gz)
+    # exact rotation increment for the mean body rate over dt: q * (c, h)
     theta = rate * dt
     if theta > 0.0:
         s = math.sin(0.5 * theta) / rate
-        q1, q2, q3, q4 = _qmul(q1, q2, q3, q4, math.cos(0.5 * theta), gx * s, gy * s, gz * s)
+        c, hx, hy, hz = math.cos(0.5 * theta), gx * s, gy * s, gz * s
+        q1, q2, q3, q4 = (
+            q1 * c - q2 * hx - q3 * hy - q4 * hz,
+            q1 * hx + q2 * c + q3 * hz - q4 * hy,
+            q1 * hy - q2 * hz + q3 * c + q4 * hx,
+            q1 * hz + q2 * hy - q3 * hx + q4 * c,
+        )
 
-    a_norm = math.sqrt(ax * ax + ay * ay + az * az)
     if a_norm > 0.0:
         ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
 
-        _2q1, _2q2, _2q3, _2q4 = 2 * q1, 2 * q2, 2 * q3, 2 * q4
-        _4q1, _4q2, _4q3 = 4 * q1, 4 * q2, 4 * q3
-        _8q2, _8q3 = 8 * q2, 8 * q3
+        # float factors: an int operand would take Python's slower mixed-type
+        # multiply, with the same result
+        _2q1, _2q2, _2q3, _2q4 = 2.0 * q1, 2.0 * q2, 2.0 * q3, 2.0 * q4
+        _4q1, _4q2, _4q3 = 4.0 * q1, 4.0 * q2, 4.0 * q3
+        _8q2, _8q3 = 8.0 * q2, 8.0 * q3
         q1q1, q2q2, q3q3, q4q4 = q1 * q1, q2 * q2, q3 * q3, q4 * q4
 
         # gradient of the gravity alignment objective
         s1 = _4q1 * q3q3 + _2q3 * ax + _4q1 * q2q2 - _2q2 * ay
-        s2 = _4q2 * q4q4 - _2q4 * ax + 4 * q1q1 * q2 - _2q1 * ay - _4q2 + _8q2 * q2q2 + _8q2 * q3q3 + _4q2 * az
-        s3 = 4 * q1q1 * q3 + _2q1 * ax + _4q3 * q4q4 - _2q4 * ay - _4q3 + _8q3 * q2q2 + _8q3 * q3q3 + _4q3 * az
-        s4 = 4 * q2q2 * q4 - _2q2 * ax + 4 * q3q3 * q4 - _2q3 * ay
+        s2 = _4q2 * q4q4 - _2q4 * ax + 4.0 * q1q1 * q2 - _2q1 * ay - _4q2 + _8q2 * q2q2 + _8q2 * q3q3 + _4q2 * az
+        s3 = 4.0 * q1q1 * q3 + _2q1 * ax + _4q3 * q4q4 - _2q4 * ay - _4q3 + _8q3 * q2q2 + _8q3 * q3q3 + _4q3 * az
+        s4 = 4.0 * q2q2 * q4 - _2q2 * ax + 4.0 * q3q3 * q4 - _2q3 * ay
         s_norm = math.sqrt(s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4)
         if s_norm > 1e-12:  # at the objective minimum the gradient vanishes
             step = beta * dt / s_norm

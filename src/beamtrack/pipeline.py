@@ -31,6 +31,8 @@ import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +53,6 @@ from .imu import (
     CalibrationProfile,
     ClientMotion,
     ImuSample,
-    as_floats,
     calibrate,
     gravity_compensate,
     integrate_velocity,
@@ -91,6 +92,8 @@ SECTORS = SectorTable()
 # gated measurements in a row that raise the error flag
 REACQUIRE_LIMIT = 3
 
+# the order in which a client's readings are applied
+_READING_ORDER = attrgetter("timestamp_s", "seq")
 # why _inertial_update dropped a reading
 _NON_FINITE = "non-finite"
 _STALE = "stale"
@@ -244,19 +247,24 @@ class Pipeline:
     ) -> str | None:
         """Advance the track by one reading; why it was dropped, or None if applied.
 
-        The biases are lists of Python floats and array readings are converted,
-        so no numpy scalar enters the per-reading arithmetic.
+        The biases are lists of Python floats and an array reading is converted
+        once, so no numpy scalar enters the per-reading arithmetic.
         """
-        t = sample.timestamp_s
-        ax, ay, az = as_floats(sample.accel_mps2)
-        gx, gy, gz = as_floats(sample.gyro_radps)
-        if not all(map(math.isfinite, (t, ax, ay, az, gx, gy, gz))):
+        t, accel, gyro = sample.timestamp_s, sample.accel_mps2, sample.gyro_radps
+        ax, ay, az = accel if type(accel) is tuple else accel.tolist()
+        gx, gy, gz = gyro if type(gyro) is tuple else gyro.tolist()
+        if not (
+            isfinite(t) and isfinite(ax) and isfinite(ay) and isfinite(az)
+            and isfinite(gx) and isfinite(gy) and isfinite(gz)
+        ):
             return _NON_FINITE  # unusable reading: dropped as if it never arrived
         dt = t - track.motion.last_update_s
         if dt <= 0:
             return _STALE  # stale or duplicate reading
-        accel = (ax - accel_bias[0], ay - accel_bias[1], az - accel_bias[2])
-        gyro = (gx - gyro_bias[0], gy - gyro_bias[1], gz - gyro_bias[2])
+        bx, by, bz = accel_bias
+        wx, wy, wz = gyro_bias
+        accel = (ax - bx, ay - by, az - bz)
+        gyro = (gx - wx, gy - wy, gz - wz)
         corrected = ImuSample(sample.client_id, sample.seq, t, accel, gyro)
         motion = madgwick_update(track.motion, corrected, dt)
         a_global = gravity_compensate(accel, motion.orientation)
@@ -288,18 +296,17 @@ class Pipeline:
         # fused state is the one after the last applied reading at or before
         # the measurement instant
         dropped = {cid: Counter() for cid in self.tracks}  # reason -> readings
+        fused_until = measurement_time_s + 1e-12
         for cid, track in self.tracks.items():
             accel_bias = np.asarray(track.calibration.accel_bias, dtype=float).tolist()
             gyro_bias = np.asarray(track.calibration.gyro_bias, dtype=float).tolist()
             fused = None
             try:
-                for sample in sorted(
-                    imu_batches.get(cid, ()), key=lambda s: (s.timestamp_s, s.seq)
-                ):
+                for sample in sorted(imu_batches.get(cid, ()), key=_READING_ORDER):
                     reason = self._inertial_update(track, sample, accel_bias, gyro_bias)
                     if reason is not None:
                         dropped[cid][reason] += 1
-                    elif sample.timestamp_s <= measurement_time_s + 1e-12:
+                    elif sample.timestamp_s <= fused_until:
                         fused = track.motion
             finally:  # a reading that raises keeps the snapshot of those before it
                 if fused is not None:
@@ -652,10 +659,6 @@ def frame_record(
     return rec
 
 
-def _radar_instants_per_frame(config: ScenarioConfig) -> int:
-    return int(round(config.radar_rate_hz * config.frame_time_s))
-
-
 def device_readings(scenario: Scenario, client_id: int, seq):
     """A client device's wire-quantized readings: reading s at time s / INLINE_IMU_RATE_HZ.
 
@@ -683,7 +686,7 @@ def _inline_source(scenario: Scenario):
     """Deterministic device-rate feed: every IMU sample plus one cloud per frame."""
     config = scenario.config
     rate = INLINE_IMU_RATE_HZ
-    per = _radar_instants_per_frame(config)
+    per = config.radar_instants_per_frame()
     for k in range(scenario.n_frames):
         i0 = int(math.floor(k * config.frame_time_s * rate + 1e-9)) + 1
         i1 = int(math.floor((k + 1) * config.frame_time_s * rate + 1e-9))
@@ -698,7 +701,7 @@ def _inline_source(scenario: Scenario):
 def _store_source(scenario: Scenario, store):
     """Frame feed for live telemetry: the latest datagram per client, once per frame period."""
     config = scenario.config
-    per = _radar_instants_per_frame(config)
+    per = config.radar_instants_per_frame()
     start = time.monotonic()
     for k in range(scenario.n_frames):
         delay = start + (k + 1) * config.frame_time_s - time.monotonic()

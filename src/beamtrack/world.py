@@ -157,7 +157,7 @@ class ScenarioConfig:
             raise ValidationError("points_per_client_per_frame must be >= 1")
         if not 0 < self.radar_rate_hz < math.inf:
             raise ValidationError("radar_rate_hz must be finite and > 0")
-        if round(self.frame_time_s * self.radar_rate_hz) < 2:
+        if self.radar_instants_per_frame() < 2:
             raise ValidationError(
                 "radar_rate_hz too low: need at least 2 radar instants per frame_time_s"
             )
@@ -171,6 +171,19 @@ class ScenarioConfig:
             _check_finite(f"clutter[{i}].position", *cl.position)
             if cl.point_count < 1:
                 raise ValidationError(f"clutter[{i}].point_count must be >= 1")
+
+    def radar_instants_per_frame(self) -> int:
+        """frame_time_s * radar_rate_hz rounded to an integer, the radar instants a frame spans.
+
+        Raises ValidationError naming both keys when the product overflows.
+        """
+        product = self.frame_time_s * self.radar_rate_hz
+        if product == math.inf:
+            raise ValidationError(
+                "frame_time_s * radar_rate_hz overflows"
+                f" ({self.frame_time_s!r} * {self.radar_rate_hz!r})"
+            )
+        return round(product)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -110,6 +110,18 @@ def test_rms_scores_a_log(tmp_path, capsys, config_file):
     assert path_rms(report.records, config) == {0: report.rms_by_client[0], 1: None}
 
 
+@pytest.mark.parametrize(
+    "bad_line", [b"not json", b'{"frame": 1', b"\xff\xfe not UTF-8"], ids=["text", "cut", "not-utf8"]
+)
+def test_rms_on_a_line_that_is_not_json_exits_with_its_line_number(tmp_path, capsys, bad_line):
+    log = tmp_path / "run.jsonl"
+    log.write_bytes(b'{"frame": 0, "clients": []}\n\n' + bad_line + b"\n")
+    assert main(["rms", "--log", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {log} line 3: not JSON\n"
+    assert captured.out == ""
+
+
 def test_missing_files_exit_nonzero(tmp_path, capsys, config_file):
     assert main(["replay", "--capture", str(tmp_path / "nope.capture")]) == 2
     assert main(["rms", "--log", str(tmp_path / "nope.jsonl")]) == 2
@@ -186,8 +198,9 @@ def test_negative_seed_exits_with_the_validation_message(tmp_path, capsys, confi
         b'{"frame_time_s": NaN}',
         b'{"clients": [5]}',
         b"\xff\xfe not UTF-8",
+        b'{"frame_time_s": 1e200, "duration_s": 1e200, "radar_rate_hz": 1e200}',
     ],
-    ids=["pose-not-a-list", "nan-frame-time", "client-not-an-object", "not-utf8"],
+    ids=["pose-not-a-list", "nan-frame-time", "client-not-an-object", "not-utf8", "radar-overflow"],
 )
 def test_malformed_config_exits_with_the_validation_message(tmp_path, capsys, content):
     path = tmp_path / "bad.json"

@@ -38,7 +38,7 @@ def _assert_matches_reference(pts, eps, min_pts):
 
 def _frame(config, k):
     scenario = build_scenario(config)
-    per = int(round(config.radar_rate_hz * config.frame_time_s))
+    per = config.radar_instants_per_frame()
     return scenario.sample_point_cloud((k + 1) * per - 1).points
 
 
@@ -303,6 +303,47 @@ def _grid_clouds(draw):
 def test_matches_quadratic_reference_on_grid_clouds(cloud):
     pts, eps, min_pts = cloud
     _assert_matches_reference(pts, eps, min_pts)
+
+
+@st.composite
+def _clouds_with_far_and_non_finite_rows(draw):
+    # a grid cloud, plus blobs of coincident points whose cores lie beyond
+    # 2**48 cell sides (the 1e200 m one also splits the kd-tree query), plus
+    # rows with a NaN or infinite coordinate; the doppler tells rows apart
+    pts, eps, min_pts = draw(_grid_clouds())
+    rows = [pts]
+    far = st.tuples(st.sampled_from([1e17, -3e19, 2.0**60, 1e200]), st.integers(0, 2), st.integers(1, 9))
+    for magnitude, axis, count in draw(st.lists(far, max_size=3)):
+        blob = np.zeros((count, 4))
+        blob[:, axis] = magnitude
+        rows.append(blob)
+    bad = st.tuples(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2))
+    for value, axis in draw(st.lists(bad, max_size=4)):
+        row = np.zeros((1, 4))
+        row[0, axis] = value
+        rows.append(row)
+    cloud = np.vstack(rows)
+    cloud = cloud[list(draw(st.permutations(range(len(cloud)))))]
+    cloud[:, 3] = np.arange(len(cloud)) * 0.25 - 1.0
+    return cloud, eps, min_pts
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(_clouds_with_far_and_non_finite_rows())
+def test_cluster_members_and_noise_are_the_reference_indices_in_row_order(cloud):
+    # label equality alone does not pin the order of member_indices
+    pts, eps, min_pts = cloud
+    ref, ref_count = dbscan_reference(pts, eps, min_pts)
+    clusters, noise = dbscan(pts, DbscanParams(eps_m=eps, min_pts=min_pts))
+    assert [c.label for c in clusters] == list(range(ref_count))
+    for c in clusters:
+        members = np.flatnonzero(ref == c.label)
+        assert c.member_indices == members.tolist()
+        assert c.point_count == len(members)
+        assert c.core_point.tobytes() == pts[members, :2].mean(axis=0).tobytes()
+        assert c.mean_doppler_mps == pts[members, 3].mean()
+    assert noise == np.flatnonzero(ref == -1).tolist()
 
 
 def test_filter_background_drops_all_static_clusters():

@@ -343,6 +343,72 @@ def _clean_records():
     return [frame_record(r) for r in _feed_reports([batches for batches, _ in feed])]
 
 
+def _as_arrays(reading):
+    return dataclasses.replace(
+        reading, accel_mps2=np.array(reading.accel_mps2), gyro_radps=np.array(reading.gyro_radps)
+    )
+
+
+def _poisoned(reading, field, index, value):
+    if field == "timestamp_s":
+        return dataclasses.replace(reading, timestamp_s=value)
+    vector = list(getattr(reading, field))
+    vector[index] = value
+    vector = tuple(vector) if type(getattr(reading, field)) is tuple else np.array(vector)
+    return dataclasses.replace(reading, **{field: vector})
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fused_snapshot_equals_reference_on_mixed_messy_batches(data):
+    # per client and frame: some readings missing, some with array vectors in
+    # place of float tuples, some non-finite, some sent twice, all shuffled;
+    # the fused velocity and heading stay bit-equal to the array formulation
+    cfg, headings, calibrations, feed = _short_demo_feed()
+    field = st.sampled_from(["timestamp_s", "accel_mps2", "gyro_radps"])
+    bad = st.tuples(field, st.integers(0, 2), st.sampled_from([math.nan, math.inf, -math.inf]))
+    feeds = []
+    for k, (batches, cloud) in enumerate(feed):
+        out = {}
+        for cid, batch in batches.items():
+            n = len(batch)
+            missing = data.draw(st.sets(st.integers(0, n - 1), max_size=n), f"missing {k} {cid}")
+            arrays = data.draw(st.sets(st.integers(0, n - 1)), f"arrays {k} {cid}")
+            poison = data.draw(
+                st.dictionaries(st.integers(0, n - 1), bad, max_size=3), f"poison {k} {cid}"
+            )
+            readings = []
+            for i, reading in enumerate(batch):
+                if i in missing:
+                    continue
+                if i in arrays:
+                    reading = _as_arrays(reading)
+                if i in poison:
+                    reading = _poisoned(reading, *poison[i])
+                readings.append(reading)
+            if readings:
+                readings += data.draw(st.lists(st.sampled_from(readings), max_size=4), f"dup {k} {cid}")
+            order = data.draw(st.permutations(range(len(readings))), f"order {k} {cid}")
+            out[cid] = [readings[i] for i in order]
+        feeds.append((out, cloud.timestamp_s))
+
+    pipe = Pipeline(PipelineParams.for_config(cfg), headings, calibrations)
+    reports = [
+        pipe.process_frame(k, (k + 1) * cfg.frame_time_s, np.empty((0, 4)), batches, instant)
+        for k, (batches, instant) in enumerate(feeds)
+    ]
+    for cid, cal in calibrations.items():
+        want = inertial_tier_reference(
+            headings[cid], cal.accel_bias, cal.gyro_bias,
+            [(batches[cid], instant) for batches, instant in feeds],
+            0.1, GRAVITY_MPS2,  # madgwick_update's default gain
+        )
+        for report, (velocity, heading) in zip(reports, want):
+            state = report.clients[cid]
+            assert state.imu_velocity_mps.tobytes() == velocity.tobytes(), (report.frame_index, cid)
+            assert state.heading_rad == heading, (report.frame_index, cid)
+
+
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_shuffled_duplicated_and_resent_readings_leave_the_frames_unchanged(data):

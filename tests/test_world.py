@@ -60,6 +60,17 @@ def test_config_validation():
         _simple_config(clients=(bad_path, bad_path)).validate()
 
 
+def test_radar_instants_per_frame_overflow_names_both_keys():
+    # both values are finite, their product is not
+    cfg = _simple_config(frame_time_s=1e200, duration_s=1e200, radar_rate_hz=1e200)
+    for check in (cfg.validate, cfg.radar_instants_per_frame):
+        with pytest.raises(ValidationError, match=r"frame_time_s \* radar_rate_hz overflows"):
+            check()
+    assert _simple_config(frame_time_s=0.5, radar_rate_hz=10.0).radar_instants_per_frame() == 5
+    # a product just inside the float range still rounds to an int
+    assert _simple_config(frame_time_s=1e154, radar_rate_hz=1e154).radar_instants_per_frame() > 2
+
+
 def test_config_round_trips_through_json(tmp_path):
     cfg = default_config(seed=9)
     path = tmp_path / "scenario.json"
