@@ -9,7 +9,7 @@ import threading
 from pathlib import Path
 
 from .errors import DatagramError, ValidationError
-from .pipeline import INLINE_IMU_RATE_HZ, RunReport, device_readings, path_rms
+from .pipeline import INLINE_IMU_RATE_HZ, SECTORS, RunReport, device_readings, run_scores
 from .pipeline import run_from_capture, run_scenario
 from .telemetry import LatestStore, TelemetryServer, run_sim_client
 from .world import ScenarioConfig, build_scenario, default_config
@@ -99,6 +99,23 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _is_frame_record(rec) -> bool:
+    """Whether a parsed log line holds what run_scores reads, each field null or of its type."""
+    if type(rec) is not dict or not all(type(rec.get(k, [])) is list for k in ("clients", "truth")):
+        return False
+    clients, truth = rec.get("clients", []), rec.get("truth", [])
+    if not all(type(e) is dict and type(e.get("id")) is int for e in clients + truth):
+        return False
+    sectors = [c[k] for c in clients for k in ("sector", "beamscan_sector") if c.get(k) is not None]
+    pairs = [c["kf_position"] for c in clients if c.get("kf_position") is not None]
+    numbers = [t["bearing_deg"] for t in truth if t.get("bearing_deg") is not None]
+    return (
+        all(type(s) is int and 0 <= s < SECTORS.n_sectors for s in sectors)
+        and all(type(p) is list and len(p) == 2 for p in pairs)
+        and all(type(x) in (int, float) for x in numbers + [x for p in pairs for x in p])
+    )
+
+
 def _cmd_rms(args) -> int:
     config = _load_config(args.config, None)
     records = []
@@ -109,7 +126,9 @@ def _cmd_rms(args) -> int:
                     records.append(json.loads(line))
                 except ValueError:  # a JSON or UTF-8 decoding error
                     raise ValidationError(f"{args.log} line {number}: not JSON") from None
-    _print_rms(path_rms(records, config))
+                if not _is_frame_record(records[-1]):
+                    raise ValidationError(f"{args.log} line {number}: not a frame record")
+    _print_rms(run_scores(records, config)["rms_by_client"])
     return 0
 
 

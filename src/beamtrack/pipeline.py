@@ -453,22 +453,34 @@ def compute_rms(points: np.ndarray, waypoints) -> float:
     return float(np.sqrt(np.mean(dists * dists)))
 
 
-def path_rms(records: list[dict], config: ScenarioConfig) -> dict[int, float | None]:
-    """Client id -> RMS of the records' ``kf_position``s to its path, None if it has none.
+def run_scores(records: list[dict], config: ScenarioConfig) -> dict:
+    """Every score of a run from its frame records, as ``RunReport`` fields.
 
-    A run's report and ``beamtrack rms`` on the run's log both score by this rule.
+    Each client's path RMS of its ``kf_position``s, and each system's mean gain
+    at the true bearing over the client-frames where every system in the
+    records holds a sector; None with nothing to score. A run's report and
+    ``beamtrack rms`` on the run's log both score by this rule.
     """
     points: dict[int, list] = {}
+    gains: tuple[list, list] = ([], [])  # the tracker's, the baseline's
     for rec in records:
+        bearings = {t["id"]: t.get("bearing_deg") for t in rec.get("truth", ())}
         for entry in rec.get("clients", ()):
+            cid = entry["id"]
             if entry.get("kf_position") is not None:
-                points.setdefault(int(entry["id"]), []).append(entry["kf_position"])
-    return {
-        cid: compute_rms(np.asarray(points[cid], dtype=float), path.waypoints)
-        if cid in points
-        else None
+                points.setdefault(cid, []).append(entry["kf_position"])
+            held = [entry.get("sector")]
+            if "beamscan_sector" in entry:  # the baseline ran beside the tracker
+                held.append(entry["beamscan_sector"])
+            if bearings.get(cid) is not None and None not in held:
+                for samples, sector in zip(gains, held):
+                    samples.append(simulate_gain(sector, bearings[cid], SECTORS))
+    rms = {
+        cid: compute_rms(points[cid], path.waypoints) if cid in points else None
         for cid, path in enumerate(config.clients)
     }
+    alg, scan = (float(np.mean(g)) if g else None for g in gains)
+    return {"rms_by_client": rms, "mean_gain_algorithm": alg, "mean_gain_beamscan": scan}
 
 
 # --------------------------------------------------------------------------
@@ -721,16 +733,37 @@ def _tee(source, capture: CaptureWriter):
         yield batches, cloud
 
 
-def _scan_schedule(scenario: Scenario) -> dict[tuple[int, int], list[int]]:
-    """Frames in which the scanning baseline re-scans: start plus each waypoint."""
-    out: dict[tuple[int, int], list[int]] = {}
-    T = scenario.config.frame_time_s
-    for cid in range(len(scenario.config.clients)):
-        for widx, t_arrive in enumerate(scenario.waypoint_times(cid)):
-            frame = max(0, int(math.ceil(t_arrive / T - 1e-9)) - 1)
-            if frame < scenario.n_frames:
-                out.setdefault((frame, cid), []).append(widx)
-    return out
+class ScanBaseline:
+    """The beam-scanning baseline, stepped frame by frame beside the tracker.
+
+    Each client scans at the start and at each waypoint arrival, at its peer's
+    true bearing, and holds the scanned sector until its next scan.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        config = scenario.config
+        self._seed = config.seed
+        self._schedule: dict[tuple[int, int], list[int]] = {}  # (frame, client id) -> waypoints
+        for cid in range(len(config.clients)):
+            for widx, t_arrive in enumerate(scenario.waypoint_times(cid)):
+                frame = max(0, int(math.ceil(t_arrive / config.frame_time_s - 1e-9)) - 1)
+                if frame < scenario.n_frames:
+                    self._schedule.setdefault((frame, cid), []).append(widx)
+        self._held: dict[int, int | None] = dict.fromkeys(range(len(config.clients)))
+        self.events: list[ScanEvent] = []
+
+    def step(self, k: int, true_beams: dict[int, BeamDecision | None]) -> dict[int, int | None]:
+        """Run frame k's due scans; client id -> the sector it then holds."""
+        for cid, beam in true_beams.items():
+            if beam is None:
+                continue  # no true bearing to scan at: the client's due scans are skipped
+            for widx in self._schedule.get((k, cid), ()):
+                rng = np.random.default_rng([self._seed, _STREAM_SCAN, cid, widx])
+                sector, spent = beam_scan_baseline(beam.bearing_deg, SECTORS, SCAN_NOISE_SIGMA, rng)
+                self._held[cid] = sector
+                gain = simulate_gain(sector, beam.bearing_deg, SECTORS)
+                self.events.append(ScanEvent(cid, k, widx, sector, spent, beam.bearing_deg, gain))
+        return dict(self._held)
 
 
 def _run(
@@ -748,12 +781,7 @@ def _run(
         initial_heading_rad={gt.client_id: gt.heading_rad for gt in scenario.ground_truth(0.0)},
         calibrations=calibrate_clients(scenario),
     )
-    scanning = mode == "both"
-    schedule = _scan_schedule(scenario) if scanning else {}
-    scan_sector: dict[int, int | None] = dict.fromkeys(pipeline.tracks)
-    scan_events: list[ScanEvent] = []
-    alg_samples: list[float] = []
-    scan_samples: list[float] = []
+    baseline = ScanBaseline(scenario) if mode == "both" else None
     reports: list[FrameReport] = []
     records: list[dict] = []
     fh = open(log_path, "w", encoding="utf-8") if log_path else None
@@ -769,36 +797,6 @@ def _run(
                 cid: _steer(pose.position_m, pose.heading_rad, poses[pipeline.peer[cid]].position_m)
                 for cid, pose in poses.items()
             }
-            # client by client: the baseline's scans, then both systems' scores
-            for cs in report.clients:
-                cid = cs.client_id
-                true_beam = true_beams[cid]
-                if true_beam is None:
-                    continue
-                true_bearing = true_beam.bearing_deg
-                for widx in schedule.get((k, cid), ()):
-                    rng = np.random.default_rng([config.seed, _STREAM_SCAN, cid, widx])
-                    sector, spent = beam_scan_baseline(true_bearing, SECTORS, SCAN_NOISE_SIGMA, rng)
-                    scan_sector[cid] = sector
-                    scan_events.append(
-                        ScanEvent(
-                            client_id=cid,
-                            frame_index=k,
-                            waypoint_index=widx,
-                            sector=sector,
-                            frames_spent=spent,
-                            bearing_deg=true_bearing,
-                            gain=simulate_gain(sector, true_bearing, SECTORS),
-                        )
-                    )
-                alg_sec = cs.beam.sector if cs.beam is not None else None
-                if scanning:
-                    # score both systems on the frames where both hold a sector
-                    if alg_sec is not None and scan_sector[cid] is not None:
-                        alg_samples.append(simulate_gain(alg_sec, true_bearing, SECTORS))
-                        scan_samples.append(simulate_gain(scan_sector[cid], true_bearing, SECTORS))
-                elif alg_sec is not None:
-                    alg_samples.append(simulate_gain(alg_sec, true_bearing, SECTORS))
             if feedback is not None:
                 for cs in report.clients:
                     if cs.beam is not None:
@@ -806,7 +804,7 @@ def _run(
             rec = frame_record(
                 report,
                 [(pose, true_beams[cid]) for cid, pose in poses.items()],
-                beamscan_sectors=dict(scan_sector) if scanning else None,
+                beamscan_sectors=None if baseline is None else baseline.step(k, true_beams),
             )
             if fh is not None:
                 fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
@@ -815,15 +813,14 @@ def _run(
     finally:
         if fh is not None:
             fh.close()
+    scan_events = [] if baseline is None else baseline.events
     return RunReport(
         mode=mode,
         frames=reports,
         records=records,
-        rms_by_client=path_rms(records, config),
+        **run_scores(records, config),
         identified_at_frame=next((r.frame_index for r in reports if r.identified), None),
         error_frames=sum(1 for r in reports if r.error_flag),
-        mean_gain_algorithm=float(np.mean(alg_samples)) if alg_samples else None,
-        mean_gain_beamscan=float(np.mean(scan_samples)) if scan_samples else None,
         scan_frames_spent=sum(e.frames_spent for e in scan_events),
         scan_events=scan_events,
         imu_dropped_non_finite={

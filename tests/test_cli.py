@@ -7,7 +7,7 @@ import pytest
 
 from beamtrack import cli
 from beamtrack.cli import build_parser, main
-from beamtrack.pipeline import _inline_source, path_rms, run_scenario
+from beamtrack.pipeline import _inline_source, run_scenario, run_scores
 from beamtrack.telemetry import decode_imu_datagram, encode_imu_datagram
 from beamtrack.world import ScenarioConfig, build_scenario, default_config
 
@@ -103,11 +103,12 @@ def test_rms_scores_a_log(tmp_path, capsys, config_file):
     assert capsys.readouterr().out == "".join(
         f"client {cid} path rms: {rms:.3f} m\n" for cid, rms in report.rms_by_client.items()
     )
-    assert path_rms(report.records, config) == report.rms_by_client
+    assert run_scores(report.records, config)["rms_by_client"] == report.rms_by_client
     # a client the filter never placed scores None
     for record in report.records:
         record["clients"][1]["kf_position"] = None
-    assert path_rms(report.records, config) == {0: report.rms_by_client[0], 1: None}
+    rms = run_scores(report.records, config)["rms_by_client"]
+    assert rms == {0: report.rms_by_client[0], 1: None}
 
 
 @pytest.mark.parametrize(
@@ -119,6 +120,22 @@ def test_rms_on_a_line_that_is_not_json_exits_with_its_line_number(tmp_path, cap
     assert main(["rms", "--log", str(log)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {log} line 3: not JSON\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [b"5", b"[]", b'{"clients": [5]}', b'{"clients": [{"id": 0, "kf_position": "x"}]}'],
+    ids=["number", "list", "client-not-an-object", "position-not-a-pair"],
+)
+def test_rms_on_json_that_is_not_a_frame_record_exits_with_its_line_number(
+    tmp_path, capsys, bad_line
+):
+    log = tmp_path / "run.jsonl"
+    log.write_bytes(b'{"frame": 0, "clients": []}\n\n' + bad_line + b"\n")
+    assert main(["rms", "--log", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {log} line 3: not a frame record\n"
     assert captured.out == ""
 
 

@@ -33,6 +33,7 @@ from beamtrack.pipeline import (
     replay_capture,
     run_from_capture,
     run_scenario,
+    run_scores,
     surface_bias_m,
 )
 from beamtrack.world import PointCloudFrame, ScenarioConfig, build_scenario, default_config
@@ -634,6 +635,33 @@ def test_scan_baseline_bookkeeping():
     assert report.mean_gain_beamscan is not None
     # every log record carries the held baseline sector alongside the live one
     assert all("beamscan_sector" in c for r in report.records for c in r["clients"])
+
+
+@pytest.mark.parametrize("mode", ["algorithm", "both"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_records_carry_every_score(tmp_path, seed, mode):
+    config = default_config(seed)
+    log = tmp_path / "run.jsonl"
+    report = run_scenario(config, mode=mode, log_path=log)
+    parsed = [json.loads(line) for line in log.read_text().splitlines()]
+    assert run_scores(parsed, config) == {
+        "rms_by_client": report.rms_by_client,
+        "mean_gain_algorithm": report.mean_gain_algorithm,
+        "mean_gain_beamscan": report.mean_gain_beamscan,
+    }
+    assert report.mean_gain_algorithm is not None
+    assert (report.mean_gain_beamscan is not None) == (mode == "both")
+
+
+def test_no_true_beam_means_no_scan_and_no_gain():
+    # two clients on one path stand on the same spot, so no frame has a true bearing
+    path = default_config(0).clients[0]
+    config = dataclasses.replace(default_config(0), clients=(path, path), duration_s=6.0)
+    report = run_scenario(config, mode="both")
+    assert all(t["bearing_deg"] is None for r in report.records for t in r["truth"])
+    assert any(c["sector"] is not None for r in report.records for c in r["clients"])
+    assert report.scan_events == [] and report.scan_frames_spent == 0
+    assert report.mean_gain_algorithm is None and report.mean_gain_beamscan is None
 
 
 def test_capture_round_trip_is_exact(tmp_path):
