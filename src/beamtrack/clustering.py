@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
@@ -142,22 +140,20 @@ def _labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         key = np.flatnonzero(seen)
     else:
         key = np.unique(key)
-    # Either way the keys come out sorted, so the core-core edges are already
-    # in row-major order: they are the compressed rows of the cell graph as is.
-    # Weights are float64, the dtype connected_components converts any graph to.
+    # The core-core edges go to _components as plain index arrays: a
+    # union-find needs them in no order and with no weights.
     row, col = np.divmod(key, side)
     both_core = (row < n_cells) & (col < n_cells)
-    row, col = row[both_core], col[both_core]
-    indptr = np.searchsorted(row, np.arange(n_cells + 1))
-    graph = csr_matrix((np.ones(len(col)), col, indptr), shape=(n_cells, n_cells))
-    n_clusters, comp_of_cell = connected_components(graph, directed=False)
+    root = _components(n_cells, row[both_core], col[both_core])
 
     # Clusters are numbered by first appearance of a core in scan order.
-    first_seen = np.full(n_clusters, n, dtype=np.intp)
-    np.minimum.at(first_seen, comp_of_cell[cell_of_core], core_idx)
-    rank = np.empty(n_clusters, dtype=np.intp)
-    rank[np.argsort(first_seen)] = np.arange(n_clusters)
-    label_of_cell = rank[comp_of_cell]
+    first_seen = np.full(n_cells, n, dtype=np.intp)
+    np.minimum.at(first_seen, root[cell_of_core], core_idx)
+    roots = np.flatnonzero(root == np.arange(n_cells))
+    n_clusters = len(roots)
+    rank = np.empty(n_cells, dtype=np.intp)
+    rank[roots[np.argsort(first_seen[roots])]] = np.arange(n_clusters)
+    label_of_cell = rank[root]
     labels[core_idx] = label_of_cell[cell_of_core]
 
     # A border point goes to the smallest adjacent label, matching sequential
@@ -167,6 +163,29 @@ def _labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     claimed = best < n_clusters
     labels[claimed] = best[claimed]
     return labels
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least node of each node's connected component; the edges are (a[i], b[i]).
+
+    A vectorised union-find. Each round hooks every root that has an edge to
+    a smaller root onto the least such root, then jumps pointers
+    (parent = parent[parent]) until every node points at its root, and drops
+    the edges left inside one tree. A root that neither hooks nor is hooked
+    has only larger neighbour roots, all hooked onto roots below it, so it
+    hooks in the next round: every two rounds at least halve the roots of
+    each component. So there are at most 2 * ceil(log2(n)) + 1 rounds of at
+    most ceil(log2(n)) + 1 jumps each, however long the graph's paths are.
+    """
+    parent = np.arange(n)
+    while a.size:
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        a, b = parent[a], parent[b]
+        split = a != b
+        a, b = a[split], b[split]
+    return parent
 
 
 def _neighbour_pairs(xyz: np.ndarray, eps: float) -> np.ndarray:

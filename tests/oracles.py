@@ -57,32 +57,104 @@ def dbscan_reference(points: np.ndarray, eps: float, min_pts: int):
 def matching_reference(prev_cores: np.ndarray, curr_cores: np.ndarray):
     """Exhaustive min-cost injective matching between two sets of 2-D points.
 
-    Enumerates every way to pair min(n, m) rows with distinct columns. The
-    cost of an assignment is the sum of Euclidean distances taken in sorted
-    (row, col) order — the same canonical summation order the library uses, so
-    float comparisons are exact. Cost ties keep the lexicographically smallest
-    sorted pair list. Returns (pairs, cost).
+    assignment_reference on the Euclidean distances, prev cores as rows: the
+    cost of an assignment is the sum of distances taken in sorted (row, col)
+    order — the same canonical summation order the library uses, so float
+    comparisons are exact. Returns (pairs, cost).
     """
     prev_cores = np.asarray(prev_cores, dtype=float)
     curr_cores = np.asarray(curr_cores, dtype=float)
-    n, m = len(prev_cores), len(curr_cores)
+    if min(len(prev_cores), len(curr_cores)) == 0:
+        return [], 0.0
+    diff = prev_cores[:, None, :] - curr_cores[None, :, :]
+    return assignment_reference(np.sqrt((diff * diff).sum(axis=2)))
+
+
+def assignment_reference(cost):
+    """Exhaustive least-cost assignment of min(rows, cols) pairs of a cost matrix.
+
+    Enumerates every choice of rows and every injective choice of columns for
+    them, folds the entries 0.0 + ... in sorted (row, col) order, and keeps the
+    least fold, ties going to the lexicographically smallest sorted pair list.
+    An inf entry forbids its pair. Returns (pairs, cost), or ([], inf) when no
+    assignment has a finite fold.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
     k = min(n, m)
     if k == 0:
         return [], 0.0
-    diff = prev_cores[:, None, :] - curr_cores[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    best_pairs = None
+    best_pairs = []
     best_cost = math.inf
     for rows in itertools.combinations(range(n), k):
         for cols in itertools.permutations(range(m), k):
             pairs = sorted(zip(rows, cols))
-            cost = 0.0
+            total = 0.0
             for r, c in pairs:
-                cost += dist[r, c]
-            if cost < best_cost or (cost == best_cost and pairs < best_pairs):
-                best_cost = cost
+                total += float(cost[r, c])
+            if total < best_cost or (total == best_cost < math.inf and pairs < best_pairs):
+                best_cost = total
                 best_pairs = pairs
     return best_pairs, best_cost
+
+
+def integer_assignment_reference(cost):
+    """Least-cost assignment, lexicographic ties, of finite integer costs by sequential fixing.
+
+    Takes the rows in order and gives each the lowest column (or, with more
+    rows than columns, no column, after every column) that keeps the whole
+    sum at the optimum, each test one scipy linear_sum_assignment solve of
+    the rows and columns left. Integer sums are exact, so this is the rule of
+    lex_min_assignment without its float fold. Returns (pairs, cost).
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+
+    def least(rows, cols):
+        if not rows or not cols:
+            return 0.0
+        sub = cost[np.ix_(rows, cols)]
+        r, c = linear_sum_assignment(sub)
+        return float(sub[r, c].sum())
+
+    target = least(list(range(n)), list(range(m)))
+    pairs, fixed, cols = [], 0.0, list(range(m))
+    for r in range(n):
+        left = min(n, m) - len(pairs)  # pairs still to place, this row's included
+        if not left:
+            break
+        after = list(range(r + 1, n))
+        for c in cols:
+            rest = [x for x in cols if x != c]
+            if fixed + cost[r, c] + least(after, rest) == target:
+                pairs.append((r, c))
+                fixed += cost[r, c]
+                cols = rest
+                break
+        # otherwise row r goes unused, which the optimum then allows
+    return pairs, fixed
+
+
+def components_reference(n, edges):
+    """The least node of each node's connected component, by breadth-first search."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    least = [-1] * n
+    for start in range(n):  # ascending, so each search starts at its component's least node
+        if least[start] >= 0:
+            continue
+        least[start] = start
+        queue = [start]
+        for node in queue:
+            for other in adjacent[node]:
+                if least[other] < 0:
+                    least[other] = start
+                    queue.append(other)
+    return least
 
 
 def identification_reference(cluster_velocities, client_velocities):

@@ -2,8 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import beamtrack
 
 from beamtrack import cli
 from beamtrack.cli import build_parser, main
@@ -226,3 +232,19 @@ def test_malformed_config_exits_with_the_validation_message(tmp_path, capsys, co
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert captured.out == ""
+
+
+def test_importing_the_cli_loads_no_scipy_optimize_or_csgraph():
+    # the assignment and the cell-graph components are the package's own; only
+    # scipy.spatial's kd-tree is loaded, which keeps every process smaller
+    src = str(Path(beamtrack.__file__).resolve().parent.parent)
+    probe = (
+        "import sys, beamtrack.cli; "
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.optimize', 'scipy.sparse.csgraph'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -2,17 +2,25 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamtrack.clustering import Cluster, DbscanParams, dbscan, filter_background, finite_rows
+from beamtrack.clustering import (
+    Cluster,
+    DbscanParams,
+    _components,
+    dbscan,
+    filter_background,
+    finite_rows,
+)
 from beamtrack.errors import ValidationError
 from beamtrack.world import build_scenario, default_config
 
-from oracles import dbscan_reference
+from oracles import components_reference, dbscan_reference
 
 
 def _labels_of(clusters, noise, n):
@@ -344,6 +352,42 @@ def test_cluster_members_and_noise_are_the_reference_indices_in_row_order(cloud)
         assert c.core_point.tobytes() == pts[members, :2].mean(axis=0).tobytes()
         assert c.mean_doppler_mps == pts[members, 3].mean()
     assert noise == np.flatnonzero(ref == -1).tolist()
+
+
+@st.composite
+def _edge_lists(draw):
+    """A node count and edges among the nodes: duplicates, self-loops and none at all allowed."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@example((1, []))
+@example((5, [(3, 3), (4, 1), (1, 4), (4, 1)]))
+@given(_edge_lists())
+def test_components_equal_breadth_first_search(graph):
+    n, edges = graph
+    a = np.array([e[0] for e in edges], dtype=np.intp)
+    b = np.array([e[1] for e in edges], dtype=np.intp)
+    assert _components(n, a, b).tolist() == components_reference(n, edges)
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_components_rounds_do_not_grow_with_diameter(shape):
+    # 20,000 nodes numbered at random: a path has diameter 19,999, so a search
+    # that spreads labels one edge per round would take that many rounds
+    n = 20_000
+    order = np.random.default_rng(7).permutation(n)
+    if shape == "path":
+        a, b = order[:-1], order[1:]
+    else:
+        a, b = np.full(n - 1, order[0]), order[1:]
+    start = time.perf_counter()
+    root = _components(n, a, b)
+    elapsed = time.perf_counter() - start
+    assert (root == 0).all()
+    assert elapsed < 0.25  # a few milliseconds on a 2-core machine
 
 
 def test_filter_background_drops_all_static_clusters():

@@ -1,6 +1,8 @@
 """Frame-to-frame cluster matching and label inheritance."""
 
 import gc
+import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from beamtrack.tracking import (
     update_clusters,
 )
 
-from oracles import matching_reference
+from oracles import assignment_reference, integer_assignment_reference, matching_reference
 
 
 def _cluster(label, x, y):
@@ -157,6 +159,63 @@ def test_lex_min_assignment_reports_no_finite_assignment():
     assert lex_min_assignment(np.array([[1.0, inf], [2.0, inf]])) == ([], inf)
     assert lex_min_assignment(np.array([[1.0, inf], [inf, 2.0]])) == ([(0, 0), (1, 1)], 3.0)
     assert lex_min_assignment(np.zeros((0, 3))) == ([], 0.0)
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [[[math.nan, 1.0], [1.0, 0.0]], [[math.nan] * 3] * 2, [[0.0, -1.0]], [[-math.inf]]],
+)
+def test_lex_min_assignment_rejects_nan_and_negative_entries(cost):
+    with pytest.raises(ValueError, match="non-negative and not NaN"):
+        lex_min_assignment(np.array(cost))
+
+
+def test_lex_min_assignment_total_is_a_python_float():
+    for cost in ([[0.5, 2.0], [1.0, 0.25]], [[1.0, math.inf], [2.0, math.inf]]):
+        assert type(lex_min_assignment(np.array(cost))[1]) is float
+
+
+@pytest.mark.parametrize("shape", [(8, 30), (12, 40), (16, 64), (30, 8)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lex_min_assignment_is_fast_on_tie_heavy_integer_costs(shape, seed):
+    # costs uniform in {0, 1, 2} tie thousands of optimal assignments; an
+    # exhaustive search over them took 21 s on one 8 x 30 draw
+    cost = np.random.default_rng(seed).integers(0, 3, shape).astype(float)
+    start = time.perf_counter()
+    got = lex_min_assignment(cost)
+    elapsed = time.perf_counter() - start
+    assert got == integer_assignment_reference(cost)
+    assert elapsed < 1.0  # about 1-4 ms on a 2-core machine
+
+
+_ENTRIES = st.one_of(
+    st.just([0.0, 1.0, 2.0, math.inf]),
+    # sums of these differ from one another by an ulp or two: 0.1 + 0.2 != 0.3
+    st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7, 2.0**0.5, math.inf]), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _tie_heavy_costs(draw):
+    """Cost matrices up to 6 x 8 or 8 x 6 whose entries come from a few values, inf among them."""
+    pool = draw(_ENTRIES)
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if min(rows, cols) > 6:
+        rows = 6
+    return np.array(draw(st.lists(st.lists(st.sampled_from(pool), min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(np.array([[1.0, 1.0], [1.0, 1.0]]))
+@example(np.array([[0.1, 0.2], [0.2, 0.1], [0.3, 0.3]]))
+@example(np.array([[math.inf, 1.0], [math.inf, 2.0]]))
+@given(_tie_heavy_costs())
+def test_lex_min_assignment_equals_enumeration_on_tie_heavy_costs(cost):
+    pairs, total = lex_min_assignment(cost)
+    want_pairs, want_total = assignment_reference(cost)
+    assert pairs == want_pairs
+    assert total == want_total and type(total) is float
 
 
 def test_match_leaves_no_cyclic_garbage():
