@@ -128,6 +128,11 @@ def _cmd_rms(args) -> int:
                     raise ValidationError(f"{args.log} line {number}: not JSON") from None
                 if not _is_frame_record(records[-1]):
                     raise ValidationError(f"{args.log} line {number}: not a frame record")
+                for entry in records[-1].get("clients", []):
+                    if not 0 <= entry["id"] < len(config.clients):  # run_scores would skip it
+                        raise ValidationError(
+                            f"{args.log} line {number}: client {entry['id']} is not in the config"
+                        )
     _print_rms(run_scores(records, config)["rms_by_client"])
     return 0
 
@@ -179,7 +184,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, DatagramError, FileNotFoundError) as exc:
+    except (ValidationError, DatagramError, OSError) as exc:  # OSError: a path it cannot use
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

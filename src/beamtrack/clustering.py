@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 
@@ -30,7 +29,7 @@ class Cluster:
     core_point: np.ndarray  # (2,) centroid of member (x, y)
     mean_doppler_mps: float | None  # over members with a finite doppler; None if none has one
     point_count: int
-    member_indices: list[int]
+    member_indices: list[int]  # rows of the clustered cloud; empty once tracked (see Pipeline)
     velocity_mps: np.ndarray | None = None  # filled by the tracker once matched
 
 
@@ -216,6 +215,9 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float) -> np.ndarray:
         r = math.nextafter(r, 0.0)
     while (up := math.nextafter(r, math.inf)) * up <= s_max:
         r = up
+    # imported here, so a command that never clusters does not load scipy.spatial
+    from scipy.spatial import cKDTree
+
     # The pair set does not depend on the tree's shape, only the time to find
     # it: larger leaves, midpoint splits and uncompacted nodes build and walk
     # these clouds fastest.

@@ -189,7 +189,7 @@ class FrameReport:
     measurement_time_s: float  # radar instant the state refers to
     n_points: int
     n_clusters_raw: int
-    clusters: list[Cluster]  # tracked, world-frame cores
+    clusters: list[Cluster]  # tracked, world-frame cores; they index no cloud
     clients: list[ClientFrameState]
     error_flag: bool
     identified: bool
@@ -276,8 +276,13 @@ class Pipeline:
         return None
 
     def _to_world(self, cluster: Cluster) -> Cluster:
+        """The cluster as the tracker keeps it: a debiased world-frame core.
+
+        A tracked cluster indexes no cloud (empty member_indices), so a frame's
+        per-point data dies with the frame instead of living on in the reports.
+        """
         core = debias_core(cluster.core_point, self.params.body_radius_m)
-        return replace(cluster, core_point=core + self._radar_xy)
+        return replace(cluster, core_point=core + self._radar_xy, member_indices=[])
 
     def process_frame(
         self,

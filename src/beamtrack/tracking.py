@@ -371,7 +371,8 @@ def update_clusters(
     threshold_m inherit the previous label and get a displacement velocity;
     matched clusters at or beyond the threshold are deleted as implausible
     jumps; unmatched current clusters get fresh labels. Unmatched previous
-    clusters simply disappear (no coasting). Returns the new frame and the
+    clusters simply disappear (no coasting). Only labels and cores are read;
+    the other fields pass through as given. Returns the new frame and the
     advanced label counter.
     """
     if frame_time_s <= 0:

@@ -153,6 +153,50 @@ def test_missing_files_exit_nonzero(tmp_path, capsys, config_file):
     assert err.count("error:") == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--log", "{dir}"],
+        ["run", "--capture", "{dir}"],
+        ["run", "--config", "{dir}"],
+        ["replay", "--capture", "{dir}"],
+        ["replay", "--capture", "{capture}", "--log", "{dir}"],
+        ["replay", "--capture", "{capture}", "--config", "{dir}"],
+        ["rms", "--log", "{dir}"],
+        ["rms", "--log", "{log}", "--config", "{dir}"],
+    ],
+    ids=[
+        "run-log", "run-capture", "run-config", "replay-capture", "replay-log", "replay-config",
+        "rms-log", "rms-config",
+    ],
+)
+def test_a_directory_as_a_file_path_exits_with_an_error_line(tmp_path, capsys, config_file, args):
+    capture, log = tmp_path / "run.capture", tmp_path / "run.jsonl"
+    assert main(["run", "--config", str(config_file), "--capture", str(capture),
+                 "--log", str(log)]) == 0
+    capsys.readouterr()
+    paths = {"dir": tmp_path, "capture": capture, "log": log}
+    assert main([a.format(**paths) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert str(tmp_path) in captured.err
+    assert captured.out == ""
+
+
+def test_rms_rejects_a_client_the_config_lacks(tmp_path, capsys, config_file):
+    log = tmp_path / "run.jsonl"
+    assert main(["run", "--config", str(config_file), "--log", str(log)]) == 0
+    data = json.loads(config_file.read_text())
+    data["clients"] = data["clients"][:1]
+    one_client = tmp_path / "one_client.json"
+    one_client.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["rms", "--log", str(log), "--config", str(one_client)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {log} line 1: client 1 is not in the config\n"
+    assert captured.out == ""
+
+
 def test_udp_telemetry_run(tmp_path, capsys):
     config = dataclasses.replace(default_config(), duration_s=1.5)
     path = tmp_path / "scenario.json"
@@ -235,13 +279,14 @@ def test_malformed_config_exits_with_the_validation_message(tmp_path, capsys, co
 
 
 def test_importing_the_cli_loads_no_scipy_optimize_or_csgraph():
-    # the assignment and the cell-graph components are the package's own; only
-    # scipy.spatial's kd-tree is loaded, which keeps every process smaller
+    # the assignment and the cell-graph components are the package's own, and
+    # scipy.spatial's kd-tree is loaded only when a cloud is first clustered,
+    # so a command that never clusters (rms, --help) stays small and quick
     src = str(Path(beamtrack.__file__).resolve().parent.parent)
     probe = (
         "import sys, beamtrack.cli; "
         "print(sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.optimize', 'scipy.sparse.csgraph'))))"
+        " if m.startswith(('scipy.optimize', 'scipy.sparse.csgraph', 'scipy.spatial'))))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(

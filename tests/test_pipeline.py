@@ -3,9 +3,11 @@
 import collections
 import dataclasses
 import functools
+import gc
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -884,3 +886,33 @@ def test_garbled_capture_bytes_raise_only_datagram_errors(tmp_path_factory, data
     intact = sum(end <= changed for _, end, _ in records[2::3])
     got, _ = _replay_damaged(base / "garbled.capture", damaged)
     assert got[:intact] == frames[:intact]
+
+
+def _retained_bytes_per_frame(config: ScenarioConfig) -> float:
+    """Heap bytes a run's report still holds after the run, per frame (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_scenario(config, mode="both")
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept / len(report.frames)
+
+
+def test_a_frame_keeps_no_per_point_data():
+    # a tracked cluster indexes no cloud, so what a run keeps per frame does
+    # not grow with the points per body; a list of member rows kept ~190 KB
+    # per frame at 1,600 points per body
+    base = default_config(0)
+    run_scenario(dataclasses.replace(base, duration_s=1.0), mode="both")  # lazy imports, caches
+    per_frame = [
+        _retained_bytes_per_frame(
+            dataclasses.replace(base, duration_s=6.0, points_per_client_per_frame=points)
+        )
+        for points in (200, 1600)
+    ]
+    assert all(kept < 16 * 1024 for kept in per_frame), per_frame
+    assert abs(per_frame[1] - per_frame[0]) < 4 * 1024, per_frame
