@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import queue
 import sys
 import threading
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 from .errors import DatagramError, ValidationError
 from .pipeline import INLINE_IMU_RATE_HZ, SECTORS, RunReport, device_readings, run_scores
 from .pipeline import run_from_capture, run_scenario
-from .telemetry import LatestStore, TelemetryServer, run_sim_client
+from .telemetry import TelemetryServer, run_sim_client
 from .world import ScenarioConfig, build_scenario, default_config
 
 
@@ -43,32 +45,29 @@ def _print_summary(report: RunReport) -> None:
 
 def _run_udp(config: ScenarioConfig, args) -> RunReport:
     """Run with real UDP telemetry: one simulated sender thread per client."""
-    store = LatestStore()
+    received = queue.SimpleQueue()
     ports = tuple(args.ports) if args.ports else (0,) * len(config.clients)
-    server = TelemetryServer(store, ports=ports)
+    server = TelemetryServer(received, ports=ports)
     scenario = build_scenario(config)
 
     def reading(cid, t, dt, seq):  # senders count from 0, the inline feed from 1
         return device_readings(scenario, cid, seq + 1)
 
-    threads = []
+    pace = {"rate_hz": INLINE_IMU_RATE_HZ, "duration_s": config.duration_s}
     with server:
-        for cid in range(len(config.clients)):
-            port = server.ports[cid % len(server.ports)]
-            t = threading.Thread(
-                target=run_sim_client,
-                args=(reading, cid, ("127.0.0.1", port)),
-                kwargs={"rate_hz": INLINE_IMU_RATE_HZ, "duration_s": config.duration_s},
-                daemon=True,
-            )
+        threads = [
+            threading.Thread(target=run_sim_client, args=(reading, cid, ("127.0.0.1", port)),
+                             kwargs=pace, daemon=True)
+            for cid, port in zip(range(len(config.clients)), itertools.cycle(server.ports))
+        ]
+        for t in threads:
             t.start()
-            threads.append(t)
         report = run_scenario(
             config,
             mode=args.mode,
             log_path=args.log,
             capture_path=args.capture,
-            store=store,
+            store=received,
             feedback=server.send_feedback,
         )
         for t in threads:
@@ -85,9 +84,7 @@ def _cmd_run(args) -> int:
     if args.telemetry == "udp":
         report = _run_udp(config, args)
     else:
-        report = run_scenario(
-            config, mode=args.mode, log_path=args.log, capture_path=args.capture
-        )
+        report = run_scenario(config, mode=args.mode, log_path=args.log, capture_path=args.capture)
     _print_summary(report)
     return 0
 
@@ -160,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--capture", type=Path, default=None,
                        help="record the consumed sensor streams to this file")
     run_p.add_argument("--telemetry", choices=("inline", "udp"), default="inline",
-                       help="inline: deterministic in-process feed; udp: real sockets, wall-clock paced")
+                       help="inline: deterministic in-process feed; udp: real sockets, sender-paced")
     run_p.add_argument("--ports", type=int, nargs="*", default=None,
                        help="UDP ports for the telemetry server (0 = ephemeral; udp mode only;"
                             " default one ephemeral port per client)")

@@ -26,10 +26,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import queue
 import stat
 import struct
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from math import isfinite
 from operator import attrgetter
@@ -233,9 +235,7 @@ class Pipeline:
                 cal = CalibrationProfile(accel_bias=np.zeros(3), gyro_bias=np.zeros(3))
             self.tracks[cid] = ClientTrack(
                 client_id=cid,
-                motion=ClientMotion(
-                    client_id=cid, orientation=tuple(quat_from_yaw(heading).tolist())
-                ),
+                motion=ClientMotion(cid, orientation=tuple(quat_from_yaw(heading).tolist())),
                 calibration=cal,
                 prev_accel_global=(0.0, 0.0, 0.0),
                 fused_velocity=np.zeros(2),
@@ -514,9 +514,7 @@ class CaptureWriter:
         self._fh.write(pts.tobytes())
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
 
     def __enter__(self) -> "CaptureWriter":
         return self
@@ -555,6 +553,8 @@ def replay_capture(path: str | Path):
                 if len(payload) < _CLOUD_HEADER.size:
                     raise DatagramError("short point-cloud record")
                 idx, ts, n = _CLOUD_HEADER.unpack_from(payload, 0)
+                if not 0.0 <= ts < math.inf:
+                    raise DatagramError(f"point-cloud timestamp {ts} is not a finite time >= 0")
                 body = payload[_CLOUD_HEADER.size :]
                 if len(body) != n * _POINT_BYTES:
                     raise DatagramError("point-cloud record length mismatch")
@@ -627,6 +627,7 @@ def frame_record(
     ]
     clients = []
     for cs in report.clients:
+        beam = cs.beam
         entry = {
             "id": cs.client_id,
             "bound_label": cs.bound_label,
@@ -636,16 +637,11 @@ def frame_record(
             "imu_velocity": _xy(cs.imu_velocity_mps),
             "heading_rad": float(cs.heading_rad),
             "coasting": cs.coasting,
-            "bearing_deg": None,
-            "sector": None,
-            "in_beamspace": None,
-            "clamped": None,
+            "bearing_deg": None if beam is None else float(beam.bearing_deg),
+            "sector": None if beam is None else beam.sector,
+            "in_beamspace": None if beam is None else beam.in_beamspace,
+            "clamped": None if beam is None else beam.clamped,
         }
-        if cs.beam is not None:
-            entry["bearing_deg"] = float(cs.beam.bearing_deg)
-            entry["sector"] = cs.beam.sector
-            entry["in_beamspace"] = cs.beam.in_beamspace
-            entry["clamped"] = cs.beam.clamped
         if beamscan_sectors is not None:
             entry["beamscan_sector"] = beamscan_sectors.get(cs.client_id)
         clients.append(entry)
@@ -699,15 +695,17 @@ def calibrate_clients(scenario: Scenario) -> dict[int, CalibrationProfile]:
     }
 
 
+def _last_reading(config: ScenarioConfig, k: int) -> int:
+    """Number of frame k's last device reading; frame k takes those after frame k - 1's."""
+    return int(math.floor((k + 1) * config.frame_time_s * INLINE_IMU_RATE_HZ + 1e-9))
+
+
 def _inline_source(scenario: Scenario):
     """Deterministic device-rate feed: every IMU sample plus one cloud per frame."""
     config = scenario.config
-    rate = INLINE_IMU_RATE_HZ
     per = config.radar_instants_per_frame()
     for k in range(scenario.n_frames):
-        i0 = int(math.floor(k * config.frame_time_s * rate + 1e-9)) + 1
-        i1 = int(math.floor((k + 1) * config.frame_time_s * rate + 1e-9))
-        seq = np.arange(i0, i1 + 1)
+        seq = np.arange(_last_reading(config, k - 1) + 1, _last_reading(config, k) + 1)
         batches = {
             cid: window_readings(device_readings(scenario, cid, seq))
             for cid in range(len(config.clients))
@@ -715,17 +713,36 @@ def _inline_source(scenario: Scenario):
         yield batches, scenario.sample_point_cloud((k + 1) * per - 1)
 
 
-def _store_source(scenario: Scenario, store):
-    """Frame feed for live telemetry: the latest datagram per client, once per frame period."""
+def _store_source(scenario: Scenario, received):
+    """Live feed: each frame takes its inline window of the readings ``received.get`` gives.
+
+    A frame is cut once every configured client has sent a reading at or past
+    its window's end, or one frame period after its wait began. A reading of a
+    later window waits for its frame; one from a client the config lacks is dropped.
+    """
     config = scenario.config
     per = config.radar_instants_per_frame()
-    start = time.monotonic()
+    later: list[ImuSample] = []  # readings of windows to come
     for k in range(scenario.n_frames):
-        delay = start + (k + 1) * config.frame_time_s - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        snap = store.snapshot()
-        yield {cid: [s] for cid, s in snap.items()}, scenario.sample_point_cloud((k + 1) * per - 1)
+        end_s = _last_reading(config, k) / INLINE_IMU_RATE_HZ
+        deadline = time.monotonic() + config.frame_time_s
+        batches = {cid: [] for cid in range(len(config.clients))}
+        due = set(batches)  # clients yet to reach the window's end
+        pending, later = later, []
+        while True:
+            for s in pending:
+                if s.client_id in batches:
+                    (later if s.timestamp_s > end_s else batches[s.client_id]).append(s)
+                    if s.timestamp_s >= end_s:
+                        due.discard(s.client_id)
+            wait = deadline - time.monotonic()
+            if not due or wait <= 0:
+                break
+            try:
+                pending = [received.get(timeout=wait)]
+            except queue.Empty:
+                break
+        yield batches, scenario.sample_point_cloud((k + 1) * per - 1)
 
 
 def _tee(source, capture: CaptureWriter):
@@ -789,8 +806,7 @@ def _run(
     baseline = ScanBaseline(scenario) if mode == "both" else None
     reports: list[FrameReport] = []
     records: list[dict] = []
-    fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as fh:
         for k, (imu_batches, cloud) in enumerate(frame_source):
             t_end = (k + 1) * config.frame_time_s
             report = pipeline.process_frame(
@@ -815,9 +831,6 @@ def _run(
                 fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
             reports.append(report)
             records.append(rec)
-    finally:
-        if fh is not None:
-            fh.close()
     scan_events = [] if baseline is None else baseline.events
     return RunReport(
         mode=mode,
@@ -854,9 +867,9 @@ def run_scenario(
     ``mode`` is "algorithm" (the tracker alone) or "both" (the tracker and the
     beam-scanning baseline, scored on the same frames). By default the pipeline
     consumes a deterministic inline feed (every device sample, wire-quantized),
-    so equal configs produce byte-identical logs. Passing a telemetry store
-    switches to the latest datagram per client, taken once per frame period of
-    wall-clock time. A capture file records the consumed feed for
+    so equal configs produce byte-identical logs. ``store``, a queue a
+    TelemetryServer puts to, switches to the live feed: the same windows, taken
+    as the readings arrive. A capture file records the consumed feed for
     run_from_capture. ``feedback(client_id, frame, bearing, sector)`` is called
     for every beam the tracker steers.
     """

@@ -175,21 +175,21 @@ class LatestStore:
 class TelemetryServer:
     """Receives IMU datagrams on one UDP socket per port, thread per socket.
 
-    Datagrams that do not decode (a bad length or a non-finite value) are
-    counted and dropped. The source address of each client's most recent
-    datagram is remembered so feedback can be sent back without any
-    registration step. Port 0 binds an ephemeral port; read the
+    Each decoded sample goes to ``store.put``: a LatestStore, or a queue such
+    as the live run drains. Datagrams that do not decode (a bad length or a
+    non-finite value) are counted and dropped. The source address of each
+    client's most recent datagram is remembered so feedback can be sent back
+    without any registration step. Port 0 binds an ephemeral port; read the
     actual ports from :attr:`ports` after construction.
     """
 
     def __init__(
         self,
-        store: LatestStore,
+        store,
         ports: tuple[int, ...] = (0,),
         host: str = "127.0.0.1",
     ) -> None:
         self.store = store
-        self.host = host
         self._socks: list[socket.socket] = []
         for port in ports:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -21,7 +21,6 @@ surface-only return exhibits; the downstream tracker has to deal with it.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import sys
@@ -259,32 +258,31 @@ class PointCloudFrame:
 
 
 class _PathTable:
-    """A path's segment directions, lengths and arc-length table, built once.
+    """A path's motion states, built once: the hold, each segment, the end.
 
-    Per motion state, as states() numbers them (the hold, each segment, the
-    path's end), the velocity, heading and world -> body rotation that pose()
-    gives there; sample_imu differences the states of two instants.
+    Per state, as states() numbers them: where and at what arc length it
+    starts, its direction, velocity, heading and world -> body rotation.
+    pose() moves from a state's start along its direction; sample_imu
+    differences the states of two instants.
     """
 
     def __init__(self, path: PathSpec):
         wps = np.asarray(path.waypoints, dtype=float)
         seg = np.diff(wps, axis=0)
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        dirs = seg / seg_len[:, None]
-        self.hold_s = path.initial_hold_s
-        self.speed_mps = path.speed_mps
-        self.wps = [tuple(w) for w in wps.tolist()]
-        self.dirs = [tuple(d) for d in dirs.tolist()]
+        dirs = (seg / seg_len[:, None]).tolist()
+        self.hold_s, self.speed_mps = path.initial_hold_s, path.speed_mps
         self._cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         self.cum = self._cum.tolist()
-        self.headings = [math.atan2(dy, dx) for dx, dy in self.dirs]
-        speed = self.speed_mps
-        headings = [self.headings[0], *self.headings, self.headings[-1]]
-        self.state_vx = np.array([0.0, *(dx * speed for dx, _ in self.dirs), 0.0])
-        self.state_vy = np.array([0.0, *(dy * speed for _, dy in self.dirs), 0.0])
-        self.state_heading = np.array(headings)
-        self.state_cos = np.array([math.cos(-h) for h in headings])
-        self.state_sin = np.array([math.sin(-h) for h in headings])
+        self.state_start = [wps[0].tolist(), *wps.tolist()]
+        self.state_arc = [0.0, *self.cum]
+        self.state_dir = [[0.0, 0.0], *dirs, [0.0, 0.0]]
+        self.state_vel = [(dx * self.speed_mps, dy * self.speed_mps) for dx, dy in self.state_dir]
+        self.state_headings = [math.atan2(dy, dx) for dx, dy in (dirs[0], *dirs, dirs[-1])]
+        self.state_vx, self.state_vy = np.array(self.state_vel).T
+        self.state_heading = np.array(self.state_headings)
+        self.state_cos = np.array([math.cos(-h) for h in self.state_headings])
+        self.state_sin = np.array([math.sin(-h) for h in self.state_headings])
 
     def pose(self, t: float) -> tuple[tuple[float, float], tuple[float, float], float]:
         """Position, velocity and heading along the path at time t.
@@ -292,30 +290,22 @@ class _PathTable:
         Heading holds the upcoming segment direction during the initial hold and
         the last segment direction after the path ends.
         """
-        if self.speed_mps == 0.0 or t <= self.hold_s:
-            return self.wps[0], (0.0, 0.0), self.headings[0]
-        s = (t - self.hold_s) * self.speed_mps
-        cum = self.cum
-        if s >= cum[-1]:
-            return self.wps[-1], (0.0, 0.0), self.headings[-1]
-        i = min(bisect.bisect_right(cum, s) - 1, len(self.dirs) - 1)
-        (wx, wy), (dx, dy) = self.wps[i], self.dirs[i]
-        along = s - cum[i]
-        pos = (wx + dx * along, wy + dy * along)
-        return pos, (dx * self.speed_mps, dy * self.speed_mps), self.headings[i]
+        i = int(self.states(t))
+        (x, y), (dx, dy) = self.state_start[i], self.state_dir[i]
+        along = (t - self.hold_s) * self.speed_mps - self.state_arc[i]
+        return (x + dx * along, y + dy * along), self.state_vel[i], self.state_headings[i]
 
-    def states(self, t: np.ndarray) -> np.ndarray:
-        """Motion state at each time of a 1-D array, by pose()'s rule.
+    def states(self, t: float | np.ndarray) -> np.ndarray:
+        """Motion state at time t, a float or a 1-D array of times.
 
-        0 is the hold, 1 + i segment i and len(dirs) + 1 the end of the path.
-        As cum runs from 0 to the path's length, bisect_right(cum, s) is the
-        state wherever t > hold.
+        0 is the hold, 1 + i segment i, and the last state the path's end. As
+        cum runs from 0 to the path's length, its right-side search of the arc
+        length walked is the state wherever t > hold.
         """
         if self.speed_mps == 0.0:
-            return np.zeros(t.shape, dtype=np.intp)
+            return np.zeros(np.shape(t), dtype=np.intp)
         state = self._cum.searchsorted((t - self.hold_s) * self.speed_mps, side="right")
-        state[t <= self.hold_s] = 0
-        return state
+        return state * (t > self.hold_s)
 
 
 class Scenario:

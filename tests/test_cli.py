@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import beamtrack
 
 from beamtrack import cli
 from beamtrack.cli import build_parser, main
-from beamtrack.pipeline import _inline_source, run_scenario, run_scores
+from beamtrack.pipeline import TAG_CLOUD, _inline_source, run_scenario, run_scores
 from beamtrack.telemetry import decode_imu_datagram, encode_imu_datagram
 from beamtrack.world import ScenarioConfig, build_scenario, default_config
 
@@ -201,12 +203,27 @@ def test_udp_telemetry_run(tmp_path, capsys):
     config = dataclasses.replace(default_config(), duration_s=1.5)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(config.to_dict()))
-    code = main(["run", "--config", str(path), "--telemetry", "udp"])
+    inline_log, udp_log = tmp_path / "inline.jsonl", tmp_path / "udp.jsonl"
+    assert main(["run", "--config", str(path), "--log", str(inline_log)]) == 0
+    capsys.readouterr()
+    code = main(["run", "--config", str(path), "--telemetry", "udp", "--log", str(udp_log)])
     out = capsys.readouterr().out
     assert code == 0
     assert "telemetry: received" in out
     received = int(out.split("telemetry: received ")[1].split()[0])
     assert received > 0
+    # over loopback every reading arrives, and each frame takes its inline window
+    assert udp_log.read_bytes() == inline_log.read_bytes()
+
+
+@pytest.mark.parametrize("stamp", [math.nan, -1.0])
+def test_replay_of_a_cloud_at_no_valid_time_exits_with_an_error_line(tmp_path, capsys, stamp):
+    capture = tmp_path / "bad.capture"
+    capture.write_bytes(struct.pack("<IBIdI", 16, TAG_CLOUD, 0, stamp, 0))  # a cloud of no points
+    assert main(["replay", "--capture", str(capture)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "timestamp" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_udp_senders_send_the_inline_readings(monkeypatch):

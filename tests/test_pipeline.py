@@ -6,7 +6,9 @@ import functools
 import gc
 import json
 import math
+import queue
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -678,6 +680,69 @@ def test_capture_round_trip_is_exact(tmp_path):
     assert replayed.identified_at_frame == live.identified_at_frame
 
 
+def _inline_readings(config):
+    """Each configured client's inline readings over a run, in seq order."""
+    readings = collections.defaultdict(list)
+    for batches, _ in _inline_source(build_scenario(config)):
+        for cid, batch in batches.items():
+            readings[cid] += batch
+    return readings
+
+
+def _queued(streams, rng):
+    """A queue of the streams' readings, interleaved at random, each stream in order."""
+    received = queue.SimpleQueue()
+    order = rng.permutation(np.repeat(np.arange(len(streams)), [len(s) for s in streams]))
+    pending = [iter(s) for s in streams]
+    for i in order:
+        received.put(next(pending[i]))
+    return received
+
+
+def _stranger(n):
+    """n readings from a client id no config holds."""
+    return [ImuSample(7, seq, seq / 100.0, (0.0, 0.0, 9.81), (0.0, 0.0, 0.0)) for seq in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_live_feed_of_every_reading_logs_what_the_inline_run_logs(tmp_path, seed):
+    # the clients interleaved at random, about one reading in ten twice, and a
+    # client the config lacks: the live feed frames the inline windows
+    config = dataclasses.replace(default_config(seed), duration_s=1.5)
+    rng = np.random.default_rng(seed)
+    streams = [
+        [s for s in readings for _ in range(1 + (rng.random() < 0.1))]
+        for readings in _inline_readings(config).values()
+    ]
+    received = _queued([*streams, _stranger(200)], rng)
+    inline_log, live_log = tmp_path / "inline.jsonl", tmp_path / "live.jsonl"
+    run_scenario(config, mode="both", log_path=inline_log)
+    start = time.monotonic()
+    live = run_scenario(config, mode="both", log_path=live_log, store=received)
+    # every frame was cut on its readings: none waited out its frame period
+    assert time.monotonic() - start < len(live.frames) * config.frame_time_s
+    assert live_log.read_bytes() == inline_log.read_bytes()
+
+
+def test_a_silent_client_holds_each_frame_one_period_at_most(tmp_path):
+    # client 1 sends nothing: each frame is cut one frame period after its
+    # wait began, and client 0's readings still fall in their inline windows
+    config = dataclasses.replace(
+        default_config(3), duration_s=1.5, points_per_client_per_frame=200, clutter=()
+    )
+    inline_capture, live_capture = tmp_path / "inline.capture", tmp_path / "live.capture"
+    run_scenario(config, capture_path=inline_capture)
+    received = _queued([_inline_readings(config)[0], _stranger(200)], np.random.default_rng(3))
+    start = time.monotonic()
+    run_scenario(config, store=received, capture_path=live_capture)
+    elapsed = time.monotonic() - start
+    inline = list(replay_capture(inline_capture))
+    assert elapsed < (len(inline) + 1) * config.frame_time_s
+    for (batches, _), (want, _) in zip(replay_capture(live_capture), inline, strict=True):
+        assert set(batches) == {0}
+        assert [repr(s) for s in batches[0]] == [repr(s) for s in want[0]]
+
+
 def test_capture_stream_structure(tmp_path):
     cfg = _short_config()
     capture = tmp_path / "frames.capture"
@@ -766,6 +831,15 @@ def test_capture_rejects_damaged_files(tmp_path):
     with pytest.raises(DatagramError, match="non-finite"):
         next(replay)
 
+    # a cloud stamped at no finite time >= 0, which replay cannot score
+    for stamp in (math.nan, math.inf, -1.0):
+        bad_time = tmp_path / "bad_time.capture"
+        bad_cloud = struct.pack("<IBIdI", 16, pipeline_module.TAG_CLOUD, 1, stamp, 0)  # no points
+        bad_time.write_bytes(blob + bad_cloud)
+        replay = replay_capture(bad_time)
+        assert next(replay)[1].timestamp_s == cloud.timestamp_s  # the frame before the damage
+        with pytest.raises(DatagramError, match="timestamp"):
+            next(replay)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e39, -1e39])
