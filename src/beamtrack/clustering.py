@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -13,6 +14,11 @@ _NOISE = -1
 # widest per-axis extent handed to one kd-tree: its query raises ValueError once
 # the squared extents sum beyond the float64 maximum (~1.3e154 m on one axis)
 _TREE_EXTENT = 2.0**500
+# most points _islands groups into one island. Each island costs a fixed
+# ~0.1 ms (a kd-tree build and some 30 numpy calls), so small slabs are queried
+# together: the crowd's 300-point walkers go four or five to an island, while
+# two 800-point demo bodies, whose pairs set DBSCAN's peak memory, never share one
+_ISLAND_POINTS = 1500
 # a member whose |doppler| exceeds this (m/s) marks its cluster as moving
 DOPPLER_ZERO_TOL = 1e-3
 
@@ -56,7 +62,8 @@ def dbscan(
     A non-finite doppler leaves its row in the clustering but out of the
     cluster's mean doppler. Returns the clusters and the indices of noise
     points. finite, if given, is finite_rows(points), for a caller that also
-    needs it.
+    needs it. The cloud is clustered island by island (_labels), so the
+    buffers of one call follow its largest island, not its point count.
     """
     if not 0.0 < params.eps_m < math.inf:
         raise ValidationError("eps_m must be > 0 and finite")
@@ -97,27 +104,84 @@ def dbscan(
 def _labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """DBSCAN labels of finite (n, 3) points, -1 for noise.
 
-    After the neighbour query each step is one pass over the pairs, with no
-    sort of them and no boolean-indexed copy.
+    The points are queried island by island (_islands): no pair within eps
+    joins two islands, so an island's neighbour counts, cores and cell graph
+    are its own (_cell_graph), and the pair buffers follow the largest
+    island, not the whole cloud. An island of fewer than min_pts points is
+    all noise. One component search, one cluster numbering and one border
+    assignment then run over all islands' cell graphs.
     """
     n = len(xyz)
     labels = np.full(n, _NOISE, dtype=np.intp)
-    pairs = _neighbour_pairs(xyz, eps)
-    counts = np.bincount(pairs.ravel(), minlength=n) + 1  # a point counts itself
-    core_idx = np.flatnonzero(counts >= min_pts)
-    if core_idx.size == 0:
+    radius, exact = _query_radius(eps)
+    cores, core_cells, edge_a, edge_b, borders, border_cells = [], [], [], [], [], []
+    n_cells = np.intp(0)  # a numpy offset widens an island's 32-bit cells to intp
+    for rows, wide in _islands(xyz, eps):
+        if len(rows) < min_pts:
+            continue
+        island = xyz.take(rows, axis=0)
+        graph = _cell_graph(island, eps, min_pts, None if wide else radius, exact)
+        if graph is None:
+            continue
+        core, cell, k, a, b, border, via = graph
+        cores.append(rows[core])
+        core_cells.append(cell + n_cells)
+        edge_a.append(a + n_cells)
+        edge_b.append(b + n_cells)
+        borders.append(rows[border])
+        border_cells.append(via + n_cells)
+        n_cells += k
+    if not n_cells:
         return labels
 
-    # Core points within eps of each other always share a cluster, so the
-    # clusters' core memberships are the connected components of the core-core
-    # adjacency graph. Cores sharing a grid cell of side eps/2 are mutually
-    # within eps (see _number_cells), so each cell is one node and the component
-    # search runs on the far smaller cell graph. Non-core points all get the
-    # sentinel cell n_cells.
-    cell_of_core, n_cells = _number_cells(xyz[core_idx] / (eps / 2))
+    # The core-core edges go to _components as plain index arrays: a
+    # union-find needs them in no order and with no weights.
+    root = _components(int(n_cells), np.concatenate(edge_a), np.concatenate(edge_b))
+    core_idx, cell_of_core = np.concatenate(cores), np.concatenate(core_cells)
+
+    # Clusters are numbered by first appearance of a core in scan order.
+    first_seen = np.full(n_cells, n, dtype=np.intp)
+    np.minimum.at(first_seen, root[cell_of_core], core_idx)
+    roots = np.flatnonzero(root == np.arange(n_cells))
+    n_clusters = len(roots)
+    rank = np.empty(n_cells, dtype=np.intp)
+    rank[roots[np.argsort(first_seen[roots])]] = np.arange(n_clusters)
+    label_of_cell = rank[root]
+    labels[core_idx] = label_of_cell[cell_of_core]
+
+    # A border point goes to the smallest adjacent label, matching sequential
+    # region growing in label order.
+    best = np.full(n, n_clusters, dtype=np.intp)
+    np.minimum.at(best, np.concatenate(borders), label_of_cell[np.concatenate(border_cells)])
+    claimed = best < n_clusters
+    labels[claimed] = best[claimed]
+    return labels
+
+
+def _cell_graph(xyz: np.ndarray, eps: float, min_pts: int, radius: float | None, exact: bool):
+    """The cores of finite (n, 3) points, their cell graph and its border pairs.
+
+    Core points within eps of each other always share a cluster, so the
+    clusters' core memberships are the connected components of the core-core
+    adjacency graph. Cores sharing a grid cell of side eps/2 are mutually
+    within eps (see _number_cells), so each cell is one node and the
+    component search runs on the far smaller cell graph. radius and exact
+    are _neighbour_pairs'. Returns (core rows, cell of each core, cell count,
+    edge cells a, edge cells b, border rows, cell of each border row's core
+    end), a border row once per neighbouring core, or None if no point is a
+    core. After the neighbour query each step is one pass over the pairs
+    with no boolean-indexed copy of them; only the edge keys may be sorted.
+    """
+    pairs = _neighbour_pairs(xyz, eps, radius, exact)
+    counts = np.bincount(pairs.ravel(), minlength=len(xyz)) + 1  # a point counts itself
+    core_idx = np.flatnonzero(counts >= min_pts)
+    if core_idx.size == 0:
+        return None
+    # Non-core points all get the sentinel cell n_cells.
+    cell_of_core, n_cells = _number_cells(xyz.take(core_idx, axis=0) / (eps / 2))
     side = n_cells + 1
     # 32-bit cell ids halve the per-pair arrays while edge keys fit
-    cell_of = np.full(n, n_cells, dtype=np.int32 if side * side < 2**31 else np.intp)
+    cell_of = np.full(len(xyz), n_cells, dtype=np.int32 if side * side < 2**31 else np.intp)
     cell_of[core_idx] = cell_of_core
     first, second = pairs[:, 0], pairs[:, 1]
     cell_a, cell_b = cell_of[first], cell_of[second]
@@ -139,29 +203,9 @@ def _labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         key = np.flatnonzero(seen)
     else:
         key = np.unique(key)
-    # The core-core edges go to _components as plain index arrays: a
-    # union-find needs them in no order and with no weights.
     row, col = np.divmod(key, side)
     both_core = (row < n_cells) & (col < n_cells)
-    root = _components(n_cells, row[both_core], col[both_core])
-
-    # Clusters are numbered by first appearance of a core in scan order.
-    first_seen = np.full(n_cells, n, dtype=np.intp)
-    np.minimum.at(first_seen, root[cell_of_core], core_idx)
-    roots = np.flatnonzero(root == np.arange(n_cells))
-    n_clusters = len(roots)
-    rank = np.empty(n_cells, dtype=np.intp)
-    rank[roots[np.argsort(first_seen[roots])]] = np.arange(n_clusters)
-    label_of_cell = rank[root]
-    labels[core_idx] = label_of_cell[cell_of_core]
-
-    # A border point goes to the smallest adjacent label, matching sequential
-    # region growing in label order.
-    best = np.full(n, n_clusters, dtype=np.intp)
-    np.minimum.at(best, border, label_of_cell[border_via])
-    claimed = best < n_clusters
-    labels[claimed] = best[claimed]
-    return labels
+    return core_idx, cell_of_core, n_cells, row[both_core], col[both_core], border, border_via
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,24 +231,72 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return parent
 
 
-def _neighbour_pairs(xyz: np.ndarray, eps: float) -> np.ndarray:
-    """(m, 2) index pairs i < j of the points with fl(sqrt(dx*dx + dy*dy + dz*dz)) <= eps.
+def _islands(xyz: np.ndarray, eps: float):
+    """Yield (rows, wide): sets of rows of xyz that no pair within eps joins.
 
-    cKDTree keeps a pair when that same float sum s is <= fl(r * r), which at
-    r = eps differs from the square-root test for s a few ulps above eps**2.
-    The largest s whose square root rounds to <= eps is s_max; when some r has
-    fl(r * r) == s_max (about half of all eps, 0.3 among them) one query at r
-    returns exactly the pairs. Otherwise the query runs slightly wider and the
-    pairs at the tie are tested with the square root. A cloud wider than
-    _TREE_EXTENT is split first (_island_pairs).
+    Points more than 2 eps apart along an axis are in no pair, so a cloud
+    sorted along its widest axis is cut at every such gap, and the slabs
+    between cuts are grouped in order up to _ISLAND_POINTS points. A slab
+    over the budget is cut again along its widest other axis that has a gap.
+    A cloud wider than _TREE_EXTENT on some axis, too wide for one kd-tree,
+    has its slabs kept apart (a group of them could be too wide again, and be
+    cut back into itself), and any slab still too wide is cut again. wide
+    marks a set that no axis cuts and that is too wide for a kd-tree, so
+    every pair of it is tested. A narrow cloud within the budget is one
+    island, unsorted.
     """
     # the spread over all axes bounds each axis's extent and costs far less;
     # Python floats overflow to inf without a warning
-    if len(xyz) and float(xyz.max()) - float(xyz.min()) > _TREE_EXTENT:
-        with np.errstate(over="ignore"):
-            extent = np.ptp(xyz, axis=0)
-        if extent.max() > _TREE_EXTENT:
-            return _island_pairs(xyz, eps, int(extent.argmax()))
+    too_wide = len(xyz) > 0 and float(xyz.max()) - float(xyz.min()) > _TREE_EXTENT
+    todo = [(np.arange(len(xyz)), -1)]
+    while todo:
+        rows, cut_axis = todo.pop()
+        if len(rows) <= _ISLAND_POINTS and not too_wide:
+            yield rows, False
+            continue
+        # one column at a time: numpy reduces a column of an (n, 3) array far
+        # faster than the array along axis 0
+        coords = [xyz[:, axis].take(rows) for axis in range(3)]
+        extent = [float(c.max()) - float(c.min()) for c in coords]
+        wide = max(extent) > _TREE_EXTENT
+        if len(rows) <= _ISLAND_POINTS and not wide:
+            yield rows, False
+            continue
+        for axis in sorted(range(3), key=extent.__getitem__, reverse=True):
+            if axis == cut_axis:  # a slab has no gap along the axis it was cut on
+                continue
+            order = np.argsort(coords[axis])
+            with np.errstate(over="ignore"):
+                cuts = np.flatnonzero(np.diff(coords[axis][order]) > 2.0 * eps) + 1
+            if cuts.size:
+                break
+        else:
+            yield rows, wide
+            continue
+        ranked = rows[order]
+        ends = cuts.tolist() + [len(rows)]
+        start = 0
+        while start < len(rows):
+            # the slabs up to the last end within the budget, at least one
+            # slab, and exactly one in a cloud too wide for one kd-tree
+            first = bisect.bisect_right(ends, start)
+            last = first if too_wide else bisect.bisect_right(ends, start + _ISLAND_POINTS) - 1
+            end = ends[max(first, last)]
+            todo.append((ranked[start:end], axis))
+            start = end
+
+
+def _query_radius(eps: float) -> tuple[float, bool]:
+    """The kd-tree query radius for eps, and whether its pairs need no square-root test.
+
+    cKDTree keeps a pair when the float sum s = dx*dx + dy*dy + dz*dz is
+    <= fl(r * r), which at r = eps differs from the square-root test
+    fl(sqrt(s)) <= eps for s a few ulps above eps**2. The largest s whose
+    square root rounds to <= eps is s_max; when some r has fl(r * r) == s_max
+    (about half of all eps, 0.3 among them) a query at r returns exactly the
+    pairs. Otherwise the query runs slightly wider and the pairs at the tie
+    are tested with the square root (_within).
+    """
     s_max = eps * eps
     while math.sqrt(s_max) > eps:
         s_max = math.nextafter(s_max, 0.0)
@@ -215,6 +307,19 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float) -> np.ndarray:
         r = math.nextafter(r, 0.0)
     while (up := math.nextafter(r, math.inf)) * up <= s_max:
         r = up
+    if r * r == s_max:
+        return r, True
+    return r * (1.0 + 2.0**-40), False
+
+
+def _neighbour_pairs(xyz: np.ndarray, eps: float, radius: float | None, exact: bool) -> np.ndarray:
+    """(m, 2) index pairs i < j of the points with fl(sqrt(dx*dx + dy*dy + dz*dz)) <= eps.
+
+    radius and exact are _query_radius(eps); a radius of None, for points too
+    wide for one kd-tree, has every pair tested.
+    """
+    if radius is None:
+        return _within(xyz, np.column_stack(np.triu_indices(len(xyz), 1)), eps)
     # imported here, so a command that never clusters does not load scipy.spatial
     from scipy.spatial import cKDTree
 
@@ -222,9 +327,8 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float) -> np.ndarray:
     # it: larger leaves, midpoint splits and uncompacted nodes build and walk
     # these clouds fastest.
     tree = cKDTree(xyz, leafsize=32, balanced_tree=False, compact_nodes=False)
-    if r * r == s_max:
-        return tree.query_pairs(r, output_type="ndarray")
-    return _within(xyz, tree.query_pairs(r * (1.0 + 2.0**-40), output_type="ndarray"), eps)
+    pairs = tree.query_pairs(radius, output_type="ndarray")
+    return pairs if exact else _within(xyz, pairs, eps)
 
 
 def _within(xyz: np.ndarray, pairs: np.ndarray, eps: float) -> np.ndarray:
@@ -232,23 +336,6 @@ def _within(xyz: np.ndarray, pairs: np.ndarray, eps: float) -> np.ndarray:
     d = xyz[pairs[:, 0]] - xyz[pairs[:, 1]]
     with np.errstate(over="ignore"):  # an inf distance is beyond eps
         return pairs[np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]) <= eps]
-
-
-def _island_pairs(xyz: np.ndarray, eps: float, axis: int) -> np.ndarray:
-    """_neighbour_pairs of a cloud too wide for one kd-tree.
-
-    Sorted along its widest axis, the cloud is cut wherever two neighbours lie
-    more than 2 eps apart; no pair within eps spans a cut, so each island's
-    pairs are found on their own. A cloud with no such gap (eps wider than its
-    extent over the point count) has every pair tested.
-    """
-    order = np.argsort(xyz[:, axis], kind="stable")
-    with np.errstate(over="ignore"):
-        cuts = np.flatnonzero(np.diff(xyz[order, axis]) > 2.0 * eps) + 1
-    if not cuts.size:
-        return _within(xyz, np.column_stack(np.triu_indices(len(xyz), 1)), eps)
-    islands = [np.sort(island) for island in np.split(order, cuts)]
-    return np.concatenate([island[_neighbour_pairs(xyz[island], eps)] for island in islands])
 
 
 def _number_cells(scaled: np.ndarray) -> tuple[np.ndarray, int]:

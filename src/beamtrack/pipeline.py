@@ -507,9 +507,20 @@ class CaptureWriter:
         self._fh.write(payload)
 
     def write_cloud(self, frame: PointCloudFrame) -> None:
+        """Append a cloud; raises DatagramError, writing nothing, if replay would reject it."""
         pts = np.ascontiguousarray(frame.points, dtype="<f8")
-        payload = _CLOUD_HEADER.pack(frame.frame_index, frame.timestamp_s, pts.shape[0])
-        self._fh.write(_RECORD_HEADER.pack(len(payload) + pts.nbytes, TAG_CLOUD))
+        if pts.ndim != 2 or pts.shape[1] != 4:
+            raise DatagramError(f"point cloud of shape {pts.shape}, expected (n, 4)")
+        if not 0.0 <= frame.timestamp_s < math.inf:
+            raise DatagramError(
+                f"point-cloud timestamp {frame.timestamp_s} is not a finite time >= 0"
+            )
+        try:
+            payload = _CLOUD_HEADER.pack(frame.frame_index, frame.timestamp_s, pts.shape[0])
+            head = _RECORD_HEADER.pack(len(payload) + pts.nbytes, TAG_CLOUD)
+        except struct.error as exc:
+            raise DatagramError(f"point-cloud frame index {frame.frame_index!r}: {exc}") from exc
+        self._fh.write(head)
         self._fh.write(payload)
         self._fh.write(pts.tobytes())
 

@@ -3,16 +3,19 @@
 import dataclasses
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beamtrack import clustering
 from beamtrack.clustering import (
     Cluster,
     DbscanParams,
     _components,
+    _islands,
     dbscan,
     filter_background,
     finite_rows,
@@ -352,6 +355,92 @@ def test_cluster_members_and_noise_are_the_reference_indices_in_row_order(cloud)
         assert c.core_point.tobytes() == pts[members, :2].mean(axis=0).tobytes()
         assert c.mean_doppler_mps == pts[members, 3].mean()
     assert noise == np.flatnonzero(ref == -1).tolist()
+
+
+@st.composite
+def _island_clouds(draw):
+    """2-6 blobs in a row along x, some at 1e154 m or beyond, and an island budget.
+
+    Consecutive blobs are just over or just under 2 eps apart (or eps, or
+    closer), so some gaps cut the cloud and some do not. A point midway
+    across a gap under 2 eps is within eps of both blobs' end points: a
+    border point, or a bridge, as min_pts has it. Blobs below min_pts hold
+    no core. The rows are shuffled, so cluster numbers and first cores
+    interleave across islands, and the budget is small enough to split the
+    cloud and to group its slabs.
+    """
+    eps = draw(st.sampled_from([0.3, 0.5, 1.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, x = [], 0.0
+    for i in range(draw(st.integers(2, 6))):
+        if i:
+            gap = eps * draw(st.sampled_from([0.5, 0.99, 1.01, 1.99, 2.0, 2.01, 3.0]))
+            if gap < 2.0 * eps and draw(st.booleans()):
+                rows.append([x + gap / 2, 0.0, 0.0])
+            x += gap
+        # mutually within eps: x over eps/2 and y, z within eps/4 of the x
+        # axis, on which the end points lie
+        count = draw(st.integers(1, 12))
+        blob = np.zeros((count, 3))
+        blob[:, 0] = x + np.linspace(0.0, eps / 2, count)
+        blob[1:-1, 1:] = rng.uniform(-eps / 4, eps / 4, (max(count - 2, 0), 2))
+        far = draw(st.sampled_from([0.0] * 4 + [1e154, -1e154, -3e300]))
+        blob[:, draw(st.integers(1, 2))] += far
+        rows.extend(blob.tolist())
+        x = float(blob[-1, 0])
+    pts3 = np.array(rows)[list(draw(st.permutations(range(len(rows)))))]
+    budget = draw(st.sampled_from([1, 5, 12, 30, clustering._ISLAND_POINTS]))
+    return np.column_stack([pts3, np.zeros(len(pts3))]), eps, draw(st.integers(3, 6)), budget
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_island_clouds())
+def test_islands_label_as_the_quadratic_reference(cloud):
+    pts, eps, min_pts, budget = cloud
+    with mock.patch.object(clustering, "_ISLAND_POINTS", budget):
+        _assert_matches_reference(pts, eps, min_pts)
+
+
+def _island_rows(pts, eps):
+    return sorted(sorted(rows.tolist()) for rows, _ in _islands(pts[:, :3], eps))
+
+
+def test_the_budget_splits_a_cloud_and_groups_its_slabs(monkeypatch):
+    # along x, 3 eps apart: blobs of 10 and 12 points, 30 points in two
+    # blobs 3 eps apart in y, and 8 points. A budget of 25 keeps the first
+    # two slabs in one island, cuts the 30-point slab again along y and
+    # leaves the last slab alone.
+    monkeypatch.setattr(clustering, "_ISLAND_POINTS", 25)
+    rng = np.random.default_rng(11)
+    centers = [(0.0, 0.0)] * 10 + [(0.9, 0.0)] * 12 + [(1.8, 0.0)] * 15 + [(1.8, 0.9)] * 15
+    centers += [(2.7, 0.0)] * 8
+    pts3 = np.column_stack([centers, np.zeros(60)]) + rng.uniform(-0.03, 0.03, (60, 3))
+    order = rng.permutation(60)
+    pts = np.column_stack([pts3[order], np.zeros(60)])
+    row_of = np.argsort(order)  # where each point of pts3 went
+    islands = [sorted(row_of[a:b].tolist()) for a, b in ((0, 22), (22, 37), (37, 52), (52, 60))]
+    assert _island_rows(pts, 0.3) == sorted(islands)
+    _assert_matches_reference(pts, 0.3, 5)
+    # within the budget, the whole cloud is one island
+    monkeypatch.setattr(clustering, "_ISLAND_POINTS", 60)
+    assert _island_rows(pts, 0.3) == [list(range(60))]
+    _assert_matches_reference(pts, 0.3, 5)
+
+
+def test_no_neighbour_pair_joins_two_islands_of_a_demo_frame():
+    # each of the demo's three 800-point bodies is an island of its own
+    from scipy.spatial import cKDTree
+
+    pts = _frame(default_config(0), 10)
+    island_of = np.full(len(pts), -1)
+    for k, (rows, wide) in enumerate(_islands(pts[:, :3], 0.3)):
+        assert not wide and len(rows) <= clustering._ISLAND_POINTS
+        assert (island_of[rows] == -1).all()
+        island_of[rows] = k
+    assert (island_of >= 0).all() and island_of.max() >= 2
+    pairs = cKDTree(pts[:, :3]).query_pairs(0.3, output_type="ndarray")
+    assert (island_of[pairs[:, 0]] == island_of[pairs[:, 1]]).all()
 
 
 @st.composite

@@ -22,7 +22,7 @@ import beamtrack.pipeline as pipeline_module
 from beamtrack.errors import DatagramError, ValidationError
 from beamtrack.imu import GRAVITY_MPS2, ImuSample
 from beamtrack.telemetry import encode_imu_datagram
-from beamtrack.clustering import DbscanParams
+from beamtrack.clustering import DbscanParams, dbscan
 from beamtrack.kalman import KalmanConfig
 from beamtrack.pipeline import (
     CaptureWriter,
@@ -864,6 +864,37 @@ def test_capture_writer_refuses_a_sample_replay_would_reject(tmp_path, bad):
     (batches, got), = list(replay_capture(path))
     assert batches[0][0].seq == sample.seq and got.frame_index == cloud.frame_index
 
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"timestamp_s": math.nan},
+        {"timestamp_s": math.inf},
+        {"timestamp_s": -0.5},
+        {"points": np.arange(6.0).reshape(2, 3)},
+        {"points": np.arange(8.0)},
+        {"points": np.zeros((1, 2, 4))},
+        {"frame_index": -1},
+        {"frame_index": 2**32},
+    ],
+    ids=["nan-time", "inf-time", "negative-time", "three-columns", "flat", "three-axes",
+         "negative-index", "index-beyond-u32"],
+)
+def test_capture_writer_refuses_a_cloud_replay_would_reject(tmp_path, change):
+    good = tmp_path / "good.capture"
+    sample, cloud = _tiny_capture(good)
+    path = tmp_path / "refused.capture"
+    with CaptureWriter(path) as writer:
+        writer.write_imu(sample)
+        with pytest.raises(DatagramError):
+            writer.write_cloud(dataclasses.replace(cloud, **change))
+        writer.write_cloud(cloud)
+    # the refused cloud left no byte behind: the file replays whole
+    assert path.read_bytes() == good.read_bytes()
+    (batches, got), = list(replay_capture(path))
+    assert batches[0][0].seq == sample.seq and got.frame_index == cloud.frame_index
+
+
 # a capture of three frames: two IMU records (5 + 40 bytes each) then one
 # cloud record (5 + 16 + 32 bytes per point) per frame
 _IMU_RECORD = 45
@@ -990,3 +1021,28 @@ def test_a_frame_keeps_no_per_point_data():
     ]
     assert all(kept < 16 * 1024 for kept in per_frame), per_frame
     assert abs(per_frame[1] - per_frame[0]) < 4 * 1024, per_frame
+
+
+def _dbscan_peak_bytes(points, params):
+    tracemalloc.start()
+    try:
+        dbscan(points, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dbscan_buffers_follow_the_largest_body():
+    # the demo's bodies lie more than 2 eps apart, so each is queried and
+    # labelled as an island of its own: clustering the whole frame takes
+    # about what clustering its largest body alone takes (one query over the
+    # whole frame took 3x that)
+    config = default_config(0)
+    params = PipelineParams.for_config(config).dbscan
+    per = config.radar_instants_per_frame()
+    cloud = build_scenario(config).sample_point_cloud(11 * per - 1).points
+    clusters, _ = dbscan(cloud, params)  # imports scipy.spatial outside the trace
+    assert len(clusters) == 3
+    largest = max(_dbscan_peak_bytes(cloud[c.member_indices], params) for c in clusters)
+    whole = _dbscan_peak_bytes(cloud, params)
+    assert whole <= 1.5 * largest, (whole, largest)
