@@ -75,7 +75,8 @@ def dbscan(
     labels = np.full(len(pts), _NOISE, dtype=np.intp)
     if finite is None:
         finite = finite_rows(pts)
-    labels[finite] = _labels(pts[finite, :3], params.eps_m, params.min_pts)
+    xyz = pts.take(finite, axis=0)[:, :3].copy()  # contiguous, as _labels' gathers want
+    labels[finite] = _labels(xyz, params.eps_m, params.min_pts)
     n_clusters = int(labels.max()) + 1
 
     # one stable sort groups the rows by label, noise first, each group in row order
@@ -86,13 +87,14 @@ def dbscan(
     clusters = []
     for label in range(n_clusters):
         members = order[bounds[label + 1] : bounds[label + 2]]
-        doppler = pts[members, 3]
+        rows = pts.take(members, axis=0)
+        doppler = rows[:, 3]
         if not every_doppler_finite:
-            doppler = doppler[finite_doppler[members]]
+            doppler = doppler[finite_doppler.take(members)]
         clusters.append(
             Cluster(
                 label=label,
-                core_point=pts[members, :2].mean(axis=0),
+                core_point=rows[:, :2].mean(axis=0),
                 mean_doppler_mps=float(doppler.mean()) if doppler.size else None,
                 point_count=len(members),
                 member_indices=members.tolist(),

@@ -29,11 +29,12 @@ def identify_clients(
 
     The N x n case of lex_min_assignment: rows are the clients in the
     mapping's order, columns are clusters in ascending label order, entries
-    ||v_cluster - v_client||. So the distinct labels bound minimize the
-    mismatches summed in client order, and ties go to the lexicographically
-    lowest sequence of labels. Returns client id -> cluster label. Raises
-    IdentificationError when fewer clusters than clients carry a velocity, when
-    a velocity is not finite, or when no assignment has a finite cost.
+    ||v_cluster - v_client||. So the distinct labels bound have the least
+    exact sum of mismatches, and ties go to the lexicographically lowest
+    sequence of labels in client order. Returns client id -> cluster label.
+    Raises IdentificationError when fewer clusters than clients carry a
+    velocity, when a velocity is not finite, when no assignment has a finite
+    cost, or when the least one's mismatches summed in client order overflow.
     """
     if len(cluster_velocities) < len(client_velocities):
         raise IdentificationError(

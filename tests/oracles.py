@@ -5,8 +5,10 @@ exhaustive enumeration, dense sampling, finite differences — rather than by
 calling into the library, so agreement is evidence and not tautology.
 """
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,9 +60,10 @@ def matching_reference(prev_cores: np.ndarray, curr_cores: np.ndarray):
     """Exhaustive min-cost injective matching between two sets of 2-D points.
 
     assignment_reference on the Euclidean distances, prev cores as rows: the
-    cost of an assignment is the sum of distances taken in sorted (row, col)
-    order — the same canonical summation order the library uses, so float
-    comparisons are exact. Returns (pairs, cost).
+    least exact sum of distances, ties to the lexicographically smallest
+    sorted (row, col) pair list, and the cost as those distances folded in
+    sorted order — the order the library reports, so the cost compares bit for
+    bit. Returns (pairs, cost).
     """
     prev_cores = np.asarray(prev_cores, dtype=float)
     curr_cores = np.asarray(curr_cores, dtype=float)
@@ -70,32 +73,96 @@ def matching_reference(prev_cores: np.ndarray, curr_cores: np.ndarray):
     return assignment_reference(np.sqrt((diff * diff).sum(axis=2)))
 
 
+def _exact_entries(cost):
+    """The entries of a cost matrix as exact integers on one scale, None for inf, and the scale.
+
+    Each finite float is a fractions.Fraction whose denominator is a power of
+    two, so multiplying all of them by the largest such denominator leaves
+    integers whose sums compare as the real sums of the entries do.
+    """
+    exact = [[None if math.isinf(x) else Fraction(x) for x in row] for row in cost.tolist()]
+    scale = max((x.denominator for row in exact for x in row if x is not None), default=1)
+    return [[None if x is None else int(x * scale) for x in row] for row in exact], scale
+
+
 def assignment_reference(cost):
     """Exhaustive least-cost assignment of min(rows, cols) pairs of a cost matrix.
 
     Enumerates every choice of rows and every injective choice of columns for
-    them, folds the entries 0.0 + ... in sorted (row, col) order, and keeps the
-    least fold, ties going to the lexicographically smallest sorted pair list.
-    An inf entry forbids its pair. Returns (pairs, cost), or ([], inf) when no
-    assignment has a finite fold.
+    them, sums the entries exactly (_exact_entries), and keeps the least sum,
+    ties going to the lexicographically smallest sorted (row, col) pair list.
+    An inf entry forbids its pair. Returns (pairs, cost), cost being the
+    chosen entries folded 0.0 + ... in sorted order, or ([], inf) when no
+    assignment has a finite sum or when that fold overflows.
     """
     cost = np.asarray(cost, dtype=float)
     n, m = cost.shape
     k = min(n, m)
     if k == 0:
         return [], 0.0
-    best_pairs = []
-    best_cost = math.inf
+    grid, _ = _exact_entries(cost)
+    best_pairs = None
+    best_sum = None
     for rows in itertools.combinations(range(n), k):
         for cols in itertools.permutations(range(m), k):
             pairs = sorted(zip(rows, cols))
-            total = 0.0
-            for r, c in pairs:
-                total += float(cost[r, c])
-            if total < best_cost or (total == best_cost < math.inf and pairs < best_pairs):
-                best_cost = total
+            terms = [grid[r][c] for r, c in pairs]
+            if None in terms:
+                continue
+            exact = sum(terms)
+            if best_sum is None or exact < best_sum or (exact == best_sum and pairs < best_pairs):
+                best_sum = exact
                 best_pairs = pairs
-    return best_pairs, best_cost
+    if best_pairs is None:
+        return [], math.inf
+    total = 0.0
+    for r, c in best_pairs:
+        total += float(cost[r, c])
+    return (best_pairs, total) if total < math.inf else ([], math.inf)
+
+
+def subset_assignment_reference(cost):
+    """Least exact-sum assignment, lexicographic ties, by dynamic programming over column sets.
+
+    best(r, used) is the least exact sum (_exact_entries) with which rows r,
+    r + 1, ... place the pairs still owed on finite entries outside the
+    column bitmask used, each row taking one free column or, while enough
+    rows remain, none. Taking the rows in order, each to the lowest column (no
+    column last) that keeps best at its optimum, gives the lexicographically
+    smallest optimal pair list. Exponential in the column count, so for up to
+    about 16 columns. Returns (pairs, exact sum as a fractions.Fraction), or
+    ([], None) when no assignment has a finite sum.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+    k = min(n, m)
+    grid, scale = _exact_entries(cost)
+
+    @functools.lru_cache(maxsize=None)
+    def best(r, used):
+        owed = k - bin(used).count("1")
+        if owed == 0:
+            return 0
+        sums = [best(r + 1, used)] if n - r > owed else []  # row r unused
+        for c, x in enumerate(grid[r]):
+            if x is not None and not used >> c & 1 and (rest := best(r + 1, used | 1 << c)) is not None:
+                sums.append(x + rest)
+        return min((s for s in sums if s is not None), default=None)
+
+    if best(0, 0) is None:
+        return [], None
+    pairs, used, fixed = [], 0, 0
+    for r in range(n):
+        if len(pairs) == k:
+            break
+        want = best(r, used)
+        for c, x in enumerate(grid[r]):
+            if x is not None and not used >> c & 1 and best(r + 1, used | 1 << c) == want - x:
+                pairs.append((r, c))
+                used |= 1 << c
+                fixed += x
+                break
+    return pairs, Fraction(fixed, scale)
 
 
 def integer_assignment_reference(cost):
@@ -104,8 +171,9 @@ def integer_assignment_reference(cost):
     Takes the rows in order and gives each the lowest column (or, with more
     rows than columns, no column, after every column) that keeps the whole
     sum at the optimum, each test one scipy linear_sum_assignment solve of
-    the rows and columns left. Integer sums are exact, so this is the rule of
-    lex_min_assignment without its float fold. Returns (pairs, cost).
+    the rows and columns left. Sums of integers below 2**53 are exact in
+    float64, so this is the rule of lex_min_assignment (least exact sum,
+    lexicographic ties) for such costs. Returns (pairs, cost).
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -161,22 +229,25 @@ def identification_reference(cluster_velocities, client_velocities):
     """Exhaustive search over sequences of distinct cluster labels, one per client.
 
     Scans the label sequences in lexicographic order of ascending labels and
-    keeps the first with the least ||v_label(0) - client 0|| + ||v_label(1) -
-    client 1|| + ..., summed in client order, so ties go to the
-    lexicographically lowest sequence. Returns None when no sequence has a
-    finite cost.
+    keeps the first with the least exact sum (as fractions.Fraction values) of
+    ||v_label(0) - client 0||, ||v_label(1) - client 1||, ..., so ties go to
+    the lexicographically lowest sequence. Returns None when no sequence has a
+    finite cost, or when the chosen terms folded in client order overflow.
     """
     entries = sorted((label, np.asarray(v, dtype=float)) for label, v in cluster_velocities)
     clients = [np.asarray(v, dtype=float) for v in client_velocities]
     best_labels = None
-    best_cost = math.inf
+    best_cost = None
     for chosen in itertools.permutations(entries, len(clients)):
-        cost = 0.0
-        for (_, vel), client in zip(chosen, clients):
-            cost += float(np.linalg.norm(vel - client))
-        if cost < best_cost:
-            best_cost = cost
+        terms = [float(np.linalg.norm(vel - client)) for (_, vel), client in zip(chosen, clients)]
+        if any(math.isinf(t) for t in terms):
+            continue
+        cost = sum(map(Fraction, terms))
+        if best_cost is None or cost < best_cost:
+            best_cost, best_terms = cost, terms
             best_labels = tuple(label for label, _ in chosen)
+    if best_labels is None or functools.reduce(float.__add__, best_terms, 0.0) == math.inf:
+        return None
     return best_labels
 
 

@@ -3,6 +3,7 @@
 import gc
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from beamtrack.tracking import (
     update_clusters,
 )
 
-from oracles import assignment_reference, integer_assignment_reference, matching_reference
+from oracles import (
+    assignment_reference,
+    integer_assignment_reference,
+    matching_reference,
+    subset_assignment_reference,
+)
 
 
 def _cluster(label, x, y):
@@ -106,11 +112,12 @@ def test_match_agrees_with_enumeration_on_random_instances():
         assert got.total_cost_m == want_cost
 
 
-# linear_sum_assignment's optimum here sums to 3.8284271247461903 in sorted
-# order; another optimal assignment sums one ulp lower
+# several optimal assignments here have one exact sum, but their sorted-order
+# folds differ by an ulp: the lexicographically least wins, and its fold is
+# the reported cost
 _ULP_PREV = [(1.0, 2.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
 _ULP_CURR = [(1.0, 0.0), (1.0, 0.0), (0.0, 0.0)]
-# here several 6 x 6 assignments tie exactly
+# here several 6 x 6 assignments tie exactly, with folds an ulp apart
 _TIE_PREV = [(0.0, 0.0), (0.0, 0.0), (0.0, 2.0), (2.0, 1.0), (0.0, 0.0), (1.0, 1.0)]
 _TIE_CURR = [(1.0, 1.0), (2.0, 0.0), (2.0, 2.0), (2.0, 2.0), (0.0, 2.0), (2.0, 1.0)]
 
@@ -118,8 +125,8 @@ _TIE_CURR = [(1.0, 1.0), (2.0, 0.0), (2.0, 2.0), (2.0, 2.0), (0.0, 2.0), (2.0, 1
 @pytest.mark.parametrize(
     "prev, curr, pairs, cost",
     [
-        (_ULP_PREV, _ULP_CURR, [(1, 0), (2, 2), (3, 1)], 3.82842712474619),
-        (_TIE_PREV, _TIE_CURR, [(0, 1), (1, 2), (2, 4), (3, 5), (4, 0), (5, 3)], 7.65685424949238),
+        (_ULP_PREV, _ULP_CURR, [(1, 0), (2, 1), (3, 2)], 3.8284271247461903),
+        (_TIE_PREV, _TIE_CURR, [(0, 0), (1, 1), (2, 4), (3, 5), (4, 2), (5, 3)], 7.656854249492381),
     ],
 )
 def test_match_pinned_tie_instances(prev, curr, pairs, cost):
@@ -154,9 +161,30 @@ def test_match_equals_enumeration_on_tie_heavy_clouds(clouds):
     assert got.total_cost_m == want_cost
 
 
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("seed", range(5))
+def test_match_is_fast_and_exact_on_grid_cores(n, seed):
+    # cores on a 3 x 3 integer grid: distances 0, 1, sqrt 2, 2, sqrt 5 and
+    # 2 sqrt 2 tie, and their folds near-tie, across thousands of assignments
+    rng = np.random.default_rng(seed)
+    prev, curr = rng.integers(0, 3, (n, 2)), rng.integers(0, 3, (n, 2))
+    start = time.perf_counter()
+    m = match_clusters(_frame(0, prev), _frame(1, curr))
+    elapsed = time.perf_counter() - start
+    diff = (prev[:, None, :] - curr[None, :, :]).astype(float)
+    cost = np.sqrt((diff * diff).sum(axis=2))
+    want_pairs, want_sum = subset_assignment_reference(cost)
+    assert m.pairs == want_pairs
+    assert sum(Fraction(cost[r, c]) for r, c in m.pairs) == want_sum
+    assert elapsed < 1.0  # under 1 ms on a 2-core machine; a fold search took up to 41 s
+
+
 def test_lex_min_assignment_reports_no_finite_assignment():
     inf = np.inf
     assert lex_min_assignment(np.array([[1.0, inf], [2.0, inf]])) == ([], inf)
+    # these exact sums are finite, but their folds overflow
+    for cost in ([[1e308, inf], [inf, 1e308]], [[1.7e308] * 2] * 2, [[1e308] * 3] * 2):
+        assert lex_min_assignment(np.array(cost)) == ([], inf)
     assert lex_min_assignment(np.array([[1.0, inf], [inf, 2.0]])) == ([(0, 0), (1, 1)], 3.0)
     assert lex_min_assignment(np.zeros((0, 3))) == ([], 0.0)
 
@@ -192,6 +220,8 @@ _ENTRIES = st.one_of(
     st.just([0.0, 1.0, 2.0, math.inf]),
     # sums of these differ from one another by an ulp or two: 0.1 + 0.2 != 0.3
     st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7, 2.0**0.5, math.inf]), min_size=1, max_size=4),
+    # a fold of these absorbs the small ones, or overflows
+    st.lists(st.sampled_from([5e-324, 1e-300, 3.0, 1e300, 1e308, math.inf]), min_size=1, max_size=4),
 )
 
 
@@ -210,6 +240,12 @@ def _tie_heavy_costs(draw):
 @example(np.array([[1.0, 1.0], [1.0, 1.0]]))
 @example(np.array([[0.1, 0.2], [0.2, 0.1], [0.3, 0.3]]))
 @example(np.array([[math.inf, 1.0], [math.inf, 2.0]]))
+# both assignments fold to 1e300, but 5e-324 makes the lexicographically first one dearer
+@example(np.array([[1e300, 1e300], [0.0, 5e-324]]))
+@example(np.array([[0.0, 5e-324], [0.0, 5e-324]]))
+@example(np.array([[0.0, 1e308], [0.0, 1e308]]))
+@example(np.array([[1e-300, 5e-324, 3.0], [5e-324, 1e-300, math.inf], [1e300, 3.0, 5e-324]]))
+@example(np.array([[1e300, 1e-300], [1e300, 5e-324], [1e-300, 1e300]]))
 @given(_tie_heavy_costs())
 def test_lex_min_assignment_equals_enumeration_on_tie_heavy_costs(cost):
     pairs, total = lex_min_assignment(cost)
