@@ -1,8 +1,10 @@
 """Constant-velocity Kalman filter for planar client trajectories.
 
 State is [x, y, vx, vy]. Process noise is the white-acceleration model: each
-axis gets the (dt^4/4, dt^3/2, dt^2) block scaled by sigma_accel^2. Updates use
-the Joseph form and re-symmetrize the covariance so it stays PSD.
+axis gets the (dt^4/4, dt^3/2, dt^2) block scaled by sigma_accel^2. A cycle is
+one kf_predict, then at most one kf_reacquire gate and one kf_step, both on
+that prediction. Updates use the Joseph form and re-symmetrize the covariance
+so it stays PSD.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ def _q_matrix(dt: float, sigma_accel: float) -> np.ndarray:
     return Q * sigma_accel**2
 
 
-def _predict(state: KalmanState, dt: float, cfg: KalmanConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The constant-velocity prediction dt ahead: state mean and covariance."""
+def kf_predict(state: KalmanState, dt: float, cfg: KalmanConfig) -> KalmanState:
+    """The constant-velocity prediction dt ahead, covariance not yet symmetrized."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     F = np.eye(4)
     F[0, 2] = F[1, 3] = dt
-    return F @ state.x, F @ state.P @ F.T + _q_matrix(dt, cfg.sigma_accel_mps2)
+    return KalmanState(x=F @ state.x, P=F @ state.P @ F.T + _q_matrix(dt, cfg.sigma_accel_mps2))
 
 
 def kf_init(position_m: np.ndarray, velocity_mps: np.ndarray, cfg: KalmanConfig) -> KalmanState:
@@ -65,29 +67,26 @@ def kf_init(position_m: np.ndarray, velocity_mps: np.ndarray, cfg: KalmanConfig)
 
 
 def _innovation(
-    x: np.ndarray, P: np.ndarray, measurement_m: np.ndarray | None, cfg: KalmanConfig
+    predicted: KalmanState, measurement_m: np.ndarray | None, cfg: KalmanConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Innovation, its covariance S and R for a 2-D position; None if it is None or not finite."""
     z = None if measurement_m is None else np.asarray(measurement_m, dtype=float)
     if z is None or not np.all(np.isfinite(z)):
         return None
     R = np.eye(2) * cfg.sigma_meas_m**2
-    return z - _H @ x, _H @ P @ _H.T + R, R
+    return z - _H @ predicted.x, _H @ predicted.P @ _H.T + R, R
 
 
 def kf_step(
-    state: KalmanState,
-    measurement_m: np.ndarray | None,
-    dt: float,
-    cfg: KalmanConfig,
+    predicted: KalmanState, measurement_m: np.ndarray | None, cfg: KalmanConfig
 ) -> KalmanState:
-    """Predict, then update with a 2-D position measurement.
+    """Update a kf_predict prediction with a 2-D position measurement.
 
-    A None or non-finite measurement is rejected: the step is predict-only and
-    the position covariance grows.
+    A None or non-finite measurement is rejected: the step coasts on the
+    prediction alone and the position covariance grows.
     """
-    x, P = _predict(state, dt, cfg)
-    innovation = _innovation(x, P, measurement_m, cfg)
+    x, P = predicted.x, predicted.P
+    innovation = _innovation(predicted, measurement_m, cfg)
     if innovation is not None:
         nu, S, R = innovation
         K = P @ _H.T @ np.linalg.inv(S)
@@ -98,14 +97,14 @@ def kf_step(
     return KalmanState(x=x, P=P)
 
 
-def kf_reacquire(state: KalmanState, measurement_m: np.ndarray, dt: float, cfg: KalmanConfig) -> bool:
-    """True when a measurement is implausible for this track.
+def kf_reacquire(predicted: KalmanState, measurement_m: np.ndarray, cfg: KalmanConfig) -> bool:
+    """True when a measurement is implausible for a kf_predict prediction.
 
-    Computes the predicted innovation's Mahalanobis distance; beyond GATE_SIGMA
-    the caller should coast the filter and look for a new binding instead of
+    Computes the innovation's Mahalanobis distance; beyond GATE_SIGMA the
+    caller should coast the filter and look for a new binding instead of
     accepting the measurement. A non-finite measurement is always implausible.
     """
-    innovation = _innovation(*_predict(state, dt, cfg), measurement_m, cfg)
+    innovation = _innovation(predicted, measurement_m, cfg)
     if innovation is None:
         return True
     nu, S, _ = innovation

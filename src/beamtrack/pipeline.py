@@ -8,8 +8,9 @@ at the window's penultimate radar instant, then:
 2. clusters the cloud and drops zero-doppler background,
 3. carries track labels across frames by min-cost core-point matching,
 4. binds clusters to clients by velocity agreement (early window or on error),
-5. filters each bound client's position with a constant-velocity Kalman
-   filter, gating implausible measurements,
+5. filters each client's position with a constant-velocity Kalman filter:
+   one prediction, the gate of an implausible measurement, then the update
+   or the coast,
 6. steers each client's beam at its peer: the bearing between the two
    filtered positions, then the beamspace check, then the sector.
 
@@ -63,7 +64,7 @@ from .imu import (
     window_readings,
     yaw_from_quat,
 )
-from .kalman import KalmanConfig, KalmanState, kf_init, kf_reacquire, kf_step
+from .kalman import KalmanConfig, KalmanState, kf_init, kf_predict, kf_reacquire, kf_step
 from .telemetry import decode_imu_datagram, encode_imu_datagram, quantize_imu
 from .tracking import ClusterFrame, displacement_threshold, update_clusters
 from .world import GroundTruthPose, PointCloudFrame, Scenario, ScenarioConfig, build_scenario
@@ -365,30 +366,27 @@ class Pipeline:
                     events.append(f"client {cid} bound to cluster {label}")
                 self.error_flag = False
 
-        # filtering tier
+        # filtering tier: one prediction per filter not started this frame;
+        # the gate and the update, or the coast, all read it
         coasting = dict.fromkeys(self.tracks, False)
         measurement: dict[int, np.ndarray | None] = dict.fromkeys(self.tracks)
         for cid, track in self.tracks.items():
-            if track.bound_label is None:
-                if track.kf is not None:
-                    track.kf = kf_step(track.kf, None, p.frame_time_s, p.kalman)
-                    coasting[cid] = True
-                continue
-            cluster = by_label[track.bound_label]
-            z = measurement[cid] = cluster.core_point
-            if cid in just_bound:
-                continue  # the filter was just initialized from this measurement
-            if kf_reacquire(track.kf, z, p.frame_time_s, p.kalman):
-                track.kf = kf_step(track.kf, None, p.frame_time_s, p.kalman)
-                coasting[cid] = True
+            z = None if track.bound_label is None else by_label[track.bound_label].core_point
+            measurement[cid] = z
+            if track.kf is None or cid in just_bound:
+                continue  # no filter, or one just initialized from this measurement
+            predicted = kf_predict(track.kf, p.frame_time_s, p.kalman)
+            if z is not None and kf_reacquire(predicted, z, p.kalman):
+                z = None
                 track.reacquire_count += 1
-                events.append(f"client {cid} gated measurement from cluster {cluster.label}")
+                events.append(f"client {cid} gated measurement from cluster {track.bound_label}")
                 if track.reacquire_count >= REACQUIRE_LIMIT and not self.error_flag:
                     self.error_flag = True
                     events.append(f"client {cid} reacquire limit reached")
-            else:
-                track.kf = kf_step(track.kf, z, p.frame_time_s, p.kalman)
+            elif z is not None:
                 track.reacquire_count = 0
+            track.kf = kf_step(predicted, z, p.kalman)
+            coasting[cid] = z is None
 
         # beam tier: steer from the own filtered position and heading at the
         # peer's filtered position
@@ -725,18 +723,21 @@ def _inline_source(scenario: Scenario):
 
 
 def _store_source(scenario: Scenario, received):
-    """Live feed: each frame takes its inline window of the readings ``received.get`` gives.
+    """Live feed: each frame takes its inline window of the readings queued on ``received``.
 
     A frame is cut once every configured client has sent a reading at or past
-    its window's end, or one frame period after its wait began. A reading of a
-    later window waits for its frame; one from a client the config lacks is dropped.
+    its window's end, or, at the latest, half a frame period after that end on
+    the feed's clock, which starts before frame 0; a frame past its deadline
+    first takes the readings already queued. A reading of a later window waits
+    for its frame; one from a client the config lacks is dropped.
     """
     config = scenario.config
     per = config.radar_instants_per_frame()
     later: list[ImuSample] = []  # readings of windows to come
+    start = time.monotonic()
     for k in range(scenario.n_frames):
         end_s = _last_reading(config, k) / INLINE_IMU_RATE_HZ
-        deadline = time.monotonic() + config.frame_time_s
+        deadline = start + end_s + config.frame_time_s / 2.0
         batches = {cid: [] for cid in range(len(config.clients))}
         due = set(batches)  # clients yet to reach the window's end
         pending, later = later, []
@@ -746,11 +747,11 @@ def _store_source(scenario: Scenario, received):
                     (later if s.timestamp_s > end_s else batches[s.client_id]).append(s)
                     if s.timestamp_s >= end_s:
                         due.discard(s.client_id)
-            wait = deadline - time.monotonic()
-            if not due or wait <= 0:
+            if not due:
                 break
+            wait = deadline - time.monotonic()
             try:
-                pending = [received.get(timeout=wait)]
+                pending = [received.get(timeout=wait) if wait > 0 else received.get_nowait()]
             except queue.Empty:
                 break
         yield batches, scenario.sample_point_cloud((k + 1) * per - 1)

@@ -165,10 +165,9 @@ def lex_min_assignment(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     The entries are put on one power-of-two grid as Python ints (_on_one_grid),
     so every sum below is exact. A shortest augmenting path solve gives an
     optimum and dual potentials, and an assignment is optimal exactly when
-    it uses only entries of reduced cost 0 (the tight ones). When the solve's
-    own pairs are the only tight entries, they are the answer. Otherwise the
-    tight entries are padded square with zero-cost dummy rows or columns of
-    dual 0, and rows are fixed in order, each to the lowest column that still
+    it uses only entries of reduced cost 0 (the tight ones). The tight
+    entries are padded square with zero-cost dummy rows or columns of dual 0,
+    and rows are fixed in order, each to the lowest column that still
     admits a perfect matching of tight entries (one breadth-first search per
     row, _alternating), a dummy column, which leaves the row unused, coming
     last. That takes O(rows * cols * max(rows, cols)) steps, however many
@@ -200,27 +199,26 @@ def lex_min_assignment(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
         [c for c, (x, vc) in enumerate(zip(row, col_dual)) if x is not None and x - vc == ur]
         for row, ur in zip(grid, row_dual)
     ]
-    if sum(map(len, by_row)) > min(m, k):
-        # ties: pad square (a dummy entry's reduced cost is minus its real
-        # partner's dual) and fix the rows in order
-        for r in range(m):
-            if row_dual[r] == 0:
-                by_row[r] += range(k, n)
-        free = [c for c in range(k) if col_dual[c] == 0]
-        by_row += [free] * (n - m)
-        by_col: list[list[int]] = [[] for _ in range(n)]
-        for r, cols in enumerate(by_row):
-            for c in cols:
-                by_col[c].append(r)
-        unused = iter(sorted(set(range(n)).difference(col_of)))
-        col_of = [c if c >= 0 else next(unused) for c in col_of] + list(unused)
-        row_of = [0] * n
-        for r, c in enumerate(col_of):
-            row_of[c] = r
-        for r in range(m):
-            if by_row[r][0] != col_of[r]:  # else r already holds its lowest tight column
-                nxt = _alternating(by_col, col_of, r, r + 1)
-                _move(col_of, row_of, nxt, r, next(c for c in by_row[r] if c in nxt))
+    # pad square (a dummy entry's reduced cost is minus its real partner's
+    # dual) and fix the rows in order
+    for r in range(m):
+        if row_dual[r] == 0:
+            by_row[r] += range(k, n)
+    free = [c for c in range(k) if col_dual[c] == 0]
+    by_row += [free] * (n - m)
+    by_col: list[list[int]] = [[] for _ in range(n)]
+    for r, cols in enumerate(by_row):
+        for c in cols:
+            by_col[c].append(r)
+    unused = iter(sorted(set(range(n)).difference(col_of)))
+    col_of = [c if c >= 0 else next(unused) for c in col_of] + list(unused)
+    row_of = [0] * n
+    for r, c in enumerate(col_of):
+        row_of[c] = r
+    for r in range(m):
+        if by_row[r][0] != col_of[r]:  # else r already holds its lowest tight column
+            nxt = _alternating(by_col, col_of, r, r + 1)
+            _move(col_of, row_of, nxt, r, next(c for c in by_row[r] if c in nxt))
     pairs = [(r, c) for r, c in enumerate(col_of[:m]) if 0 <= c < k]
     rows = cost.tolist()
     total = 0.0

@@ -28,7 +28,7 @@ from beamtrack.imu import (
     rotate_by_quat,
     yaw_from_quat,
 )
-from beamtrack.kalman import KalmanConfig, kf_init, kf_step
+from beamtrack.kalman import KalmanConfig, kf_init, kf_predict, kf_step
 from beamtrack.pipeline import run_scenario
 from beamtrack.telemetry import LatestStore, TelemetryServer, run_sim_client
 from beamtrack.tracking import ClusterFrame, match_clusters
@@ -222,7 +222,7 @@ def test_7_filter_beats_raw_and_stays_psd(capsys):
         for k in range(1, 41):
             truth = x0 + v * 0.5 * k
             z = truth + rng.normal(0.0, 0.1, 2)
-            st = kf_step(st, z, 0.5, cfg)
+            st = kf_step(kf_predict(st, 0.5, cfg), z, cfg)
             cov_ok &= bool(np.allclose(st.P, st.P.T, atol=1e-12))
             cov_ok &= bool(np.all(np.linalg.eigvalsh(st.P) > -1e-12))
             raw_sq.append(float(np.sum((z - truth) ** 2)))

@@ -8,7 +8,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import spans  # noqa: E402
-from beamtrack import pipeline  # noqa: E402
+from beamtrack import pipeline, world  # noqa: E402
 from beamtrack.world import default_config  # noqa: E402
 
 
@@ -42,3 +42,27 @@ def test_a_traced_run_records_the_simulator_and_inertial_spans():
     assert calls["world.sample_imu"] == 2 + 2 * len(report.frames)
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, attr
+
+
+def test_a_traced_run_counts_each_gated_measurement(monkeypatch):
+    # client 0's returns shifted 0.6 m for frames 10-12: its filter gates them
+    config = dataclasses.replace(default_config(seed=0), duration_s=7.0)
+    n, per = config.points_per_client_per_frame, config.radar_instants_per_frame()
+    sample = world.Scenario.sample_point_cloud
+
+    def shifted(self, index):
+        cloud = sample(self, index)
+        if 10 <= (index + 1) // per - 1 <= 12:
+            cloud.points[:n, 0] += 0.6
+        return cloud
+
+    monkeypatch.setattr(world.Scenario, "sample_point_cloud", shifted)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = pipeline.run_scenario(config)
+    finally:
+        tracer.uninstall()
+    gated = sum("gated measurement" in e for frame in report.frames for e in frame.events)
+    assert gated > 0
+    assert sum(counts.get("kalman.gated", 0) for counts in tracer.frame_counts) == gated

@@ -8,6 +8,7 @@ import json
 import math
 import queue
 import struct
+import threading
 import time
 import tracemalloc
 
@@ -575,6 +576,40 @@ def test_gated_measurements_coast_then_flag():
     assert by_frame[15].identified and not by_frame[15].error_flag
 
 
+def test_one_prediction_per_filtered_client_frame(monkeypatch):
+    # each client-frame with a filter not started this frame predicts once;
+    # the gate, if any, and the update or the coast both read that prediction
+    calls = []
+    for name in ("kf_init", "kf_predict", "kf_reacquire", "kf_step"):
+
+        def counted(*args, _name=name, _fn=getattr(pipeline_module, name)):
+            out = _fn(*args)
+            calls.append((_name, args[0], out))
+            return out
+
+        monkeypatch.setattr(pipeline_module, name, counted)
+    pipe = Pipeline(_params(), {0: 0.0, 1: 0.0})
+    a = _ring(2.0, 1.0)
+    seen = collections.Counter()
+    for k in range(20):
+        # as in test_gated_measurements_coast_then_flag, then the second clump vanishes
+        bx = 2.0 + max(0, k - 11) * 1.0
+        clumps = [a] if k >= 17 else [a, _ring(bx, -1.0)]
+        calls.clear()
+        report = pipe.process_frame(k, (k + 1) * 0.5, np.vstack(clumps), {})
+        predicted = {id(out) for name, _, out in calls if name == "kf_predict"}
+        started = sum(name == "kf_init" for name, _, _ in calls)
+        filtered = sum(c.kf_position_m is not None for c in report.clients)
+        assert len(predicted) == filtered - started
+        steps = collections.Counter(id(arg) for name, arg, _ in calls if name == "kf_step")
+        gates = collections.Counter(id(arg) for name, arg, _ in calls if name == "kf_reacquire")
+        assert steps == dict.fromkeys(predicted, 1)
+        assert set(gates) <= predicted and max(gates.values(), default=0) <= 1
+        seen["gated"] += sum(out is True for name, _, out in calls if name == "kf_reacquire")
+        seen["unbound coast"] += sum(c.coasting and c.bound_label is None for c in report.clients)
+    assert seen["gated"] >= 3 and seen["unbound coast"] > 0
+
+
 def test_path_distances_against_dense_sampling():
     rng = np.random.default_rng(11)
     waypoints = [(0.0, 0.0), (2.0, 0.0), (2.0, 3.0), (-1.0, 3.0)]
@@ -722,6 +757,35 @@ def test_a_live_feed_of_every_reading_logs_what_the_inline_run_logs(tmp_path, se
     # every frame was cut on its readings: none waited out its frame period
     assert time.monotonic() - start < len(live.frames) * config.frame_time_s
     assert live_log.read_bytes() == inline_log.read_bytes()
+
+
+def test_readings_arriving_late_still_fall_in_their_frames(tmp_path):
+    # each reading reaches the queue 100 ms after its timestamp, as over a
+    # slow link: every frame still takes its whole window, so the live log and
+    # capture are the inline run's
+    config = dataclasses.replace(default_config(2), duration_s=2.0)
+    readings = sorted(
+        (s for batch in _inline_readings(config).values() for s in batch),
+        key=lambda s: (s.timestamp_s, s.client_id),
+    )
+    received = queue.SimpleQueue()
+    start = time.monotonic()
+
+    def feed():
+        for s in readings:
+            time.sleep(max(0.0, start + s.timestamp_s + 0.1 - time.monotonic()))
+            received.put(s)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    live, inline = tmp_path / "live", tmp_path / "inline"
+    try:
+        run_scenario(config, "both", live.with_suffix(".jsonl"), live.with_suffix(".cap"), received)
+    finally:
+        feeder.join()
+    run_scenario(config, "both", inline.with_suffix(".jsonl"), inline.with_suffix(".cap"))
+    for suffix in (".jsonl", ".cap"):
+        assert live.with_suffix(suffix).read_bytes() == inline.with_suffix(suffix).read_bytes()
 
 
 def test_a_silent_client_holds_each_frame_one_period_at_most(tmp_path):
