@@ -8,6 +8,7 @@ import json
 import queue
 import sys
 import threading
+from math import isfinite
 from pathlib import Path
 
 from .errors import DatagramError, ValidationError
@@ -96,6 +97,14 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _finite(x) -> bool:
+    """Whether x is a JSON number of finite float value (json.loads takes NaN and Infinity)."""
+    try:
+        return type(x) in (int, float) and isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _is_frame_record(rec) -> bool:
     """Whether a parsed log line holds what run_scores reads, each field null or of its type."""
     if type(rec) is not dict or not all(type(rec.get(k, [])) is list for k in ("clients", "truth")):
@@ -109,7 +118,7 @@ def _is_frame_record(rec) -> bool:
     return (
         all(type(s) is int and 0 <= s < SECTORS.n_sectors for s in sectors)
         and all(type(p) is list and len(p) == 2 for p in pairs)
-        and all(type(x) in (int, float) for x in numbers + [x for p in pairs for x in p])
+        and all(_finite(x) for x in numbers + [x for p in pairs for x in p])
     )
 
 

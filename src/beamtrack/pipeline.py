@@ -32,6 +32,7 @@ import stat
 import struct
 import time
 from collections import Counter
+from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from math import isfinite
@@ -456,13 +457,14 @@ def compute_rms(points: np.ndarray, waypoints) -> float:
     return float(np.sqrt(np.mean(dists * dists)))
 
 
-def run_scores(records: list[dict], config: ScenarioConfig) -> dict:
+def run_scores(records: Iterable[dict], config: ScenarioConfig) -> dict:
     """Every score of a run from its frame records, as ``RunReport`` fields.
 
+    ``records`` is any iterable of frame records, read once, in frame order.
     Each client's path RMS of its ``kf_position``s, and each system's mean gain
     at the true bearing over the client-frames where every system in the
-    records holds a sector; None with nothing to score. A run's report and
-    ``beamtrack rms`` on the run's log both score by this rule.
+    records holds a sector; None with nothing to score. A run, as it logs each
+    record, and ``beamtrack rms`` on the run's log both score by this rule.
     """
     points: dict[int, list] = {}
     gains: tuple[list, list] = ([], [])  # the tracker's, the baseline's
@@ -595,7 +597,6 @@ class ScanEvent:
 class RunReport:
     mode: str
     frames: list[FrameReport]
-    records: list[dict]
     rms_by_client: dict[int, float | None]
     identified_at_frame: int | None
     error_frames: int
@@ -816,9 +817,9 @@ def _run(
         calibrations=calibrate_clients(scenario),
     )
     baseline = ScanBaseline(scenario) if mode == "both" else None
-    reports: list[FrameReport] = []
-    records: list[dict] = []
-    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as fh:
+    reports: list[FrameReport] = []  # a frame's report is all the run keeps of it
+
+    def records(fh):  # each frame's record, once it is logged
         for k, (imu_batches, cloud) in enumerate(frame_source):
             t_end = (k + 1) * config.frame_time_s
             report = pipeline.process_frame(
@@ -842,13 +843,14 @@ def _run(
             if fh is not None:
                 fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
             reports.append(report)
-            records.append(rec)
+            yield rec
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as fh:
+        scores = run_scores(records(fh), config)
     scan_events = [] if baseline is None else baseline.events
     return RunReport(
         mode=mode,
         frames=reports,
-        records=records,
-        **run_scores(records, config),
+        **scores,
         identified_at_frame=next((r.frame_index for r in reports if r.identified), None),
         error_frames=sum(1 for r in reports if r.error_flag),
         scan_frames_spent=sum(e.frames_spent for e in scan_events),

@@ -193,9 +193,14 @@ class TelemetryServer:
         self._socks: list[socket.socket] = []
         for port in ports:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.bind((host, port))
-            sock.settimeout(0.1)
             self._socks.append(sock)
+            try:
+                sock.bind((host, port))
+            except OSError:  # release the ports bound so far
+                for bound in self._socks:
+                    bound.close()
+                raise
+            sock.settimeout(0.1)
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._lock = threading.Lock()  # guards the counters and _last_addr

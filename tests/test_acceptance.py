@@ -6,6 +6,7 @@ per-criterion verdicts, then asserts on the same condition.
 """
 
 import dataclasses
+import json
 import math
 import socket
 import threading
@@ -43,14 +44,23 @@ def _verdict(capsys, number, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def tracking_runs():
-    """Ten seeded two-client walks, tracking pipeline and scan baseline together."""
+def tracking_runs(tmp_path_factory):
+    """Ten seeded two-client walks, tracking pipeline and scan baseline together.
+
+    Each run writes its frame log; the parsed logs come third.
+    """
+    logs = tmp_path_factory.mktemp("tracking_runs")
     start = time.perf_counter()
     runs = []
     for seed in range(10):
         config = dataclasses.replace(default_config(), seed=seed)
-        runs.append(run_scenario(config, mode="both"))
-    return runs, time.perf_counter() - start
+        runs.append(run_scenario(config, mode="both", log_path=logs / f"seed{seed}.jsonl"))
+    elapsed = time.perf_counter() - start
+    records = [
+        [json.loads(line) for line in (logs / f"seed{seed}.jsonl").read_text().splitlines()]
+        for seed in range(10)
+    ]
+    return runs, elapsed, records
 
 
 def _bare_frame(index, cores):
@@ -109,7 +119,7 @@ def test_2_clustering_agrees_with_quadratic_reference(capsys):
 
 
 def test_3_end_to_end_tracking_accuracy(tracking_runs, capsys):
-    runs, elapsed = tracking_runs
+    runs, elapsed, _ = tracking_runs
     mean_rms = {
         cid: float(np.mean([r.rms_by_client[cid] for r in runs])) for cid in (0, 1)
     }
@@ -120,11 +130,11 @@ def test_3_end_to_end_tracking_accuracy(tracking_runs, capsys):
 
 
 def test_4_beam_pointing_beats_scanning(tracking_runs, capsys):
-    runs, _ = tracking_runs
+    runs, _, records = tracking_runs
     half_pitch = SectorTable().az_pitch_deg / 2.0
     agree = total = 0
-    for report in runs:
-        for rec in report.records:
+    for run_records in records:
+        for rec in run_records:
             truth = {t["id"]: t for t in rec["truth"]}
             ests = {c["id"]: c for c in rec["clients"]}
             # both peers mutually inside the steerable field of view

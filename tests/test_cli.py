@@ -111,11 +111,12 @@ def test_rms_scores_a_log(tmp_path, capsys, config_file):
     assert capsys.readouterr().out == "".join(
         f"client {cid} path rms: {rms:.3f} m\n" for cid, rms in report.rms_by_client.items()
     )
-    assert run_scores(report.records, config)["rms_by_client"] == report.rms_by_client
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert run_scores(records, config)["rms_by_client"] == report.rms_by_client
     # a client the filter never placed scores None
-    for record in report.records:
+    for record in records:
         record["clients"][1]["kf_position"] = None
-    rms = run_scores(report.records, config)["rms_by_client"]
+    rms = run_scores(records, config)["rms_by_client"]
     assert rms == {0: report.rms_by_client[0], 1: None}
 
 
@@ -133,8 +134,25 @@ def test_rms_on_a_line_that_is_not_json_exits_with_its_line_number(tmp_path, cap
 
 @pytest.mark.parametrize(
     "bad_line",
-    [b"5", b"[]", b'{"clients": [5]}', b'{"clients": [{"id": 0, "kf_position": "x"}]}'],
-    ids=["number", "list", "client-not-an-object", "position-not-a-pair"],
+    [
+        b"5",
+        b"[]",
+        b'{"clients": [5]}',
+        b'{"clients": [{"id": 0, "kf_position": "x"}]}',
+        # json.loads takes NaN and Infinity: a position or true bearing must be finite
+        b'{"clients": [{"id": 0, "kf_position": [NaN, 1.0]}]}',
+        b'{"clients": [{"id": 0, "kf_position": [1.0, Infinity]}]}',
+        b'{"clients": [{"id": 0, "kf_position": [-Infinity, 1.0]}]}',
+        b'{"clients": [{"id": 0, "kf_position": [1%s, 1.0]}]}' % (b"0" * 400),
+        b'{"clients": [{"id": 0, "sector": 3}], "truth": [{"id": 0, "bearing_deg": NaN}]}',
+        b'{"clients": [{"id": 0, "sector": 3}], "truth": [{"id": 0, "bearing_deg": Infinity}]}',
+        b'{"clients": [{"id": 0, "sector": 3}], "truth": [{"id": 0, "bearing_deg": -Infinity}]}',
+    ],
+    ids=[
+        "number", "list", "client-not-an-object", "position-not-a-pair", "position-nan",
+        "position-inf", "position-minus-inf", "position-1e400", "true-bearing-nan",
+        "true-bearing-inf", "true-bearing-minus-inf",
+    ],
 )
 def test_rms_on_json_that_is_not_a_frame_record_exits_with_its_line_number(
     tmp_path, capsys, bad_line

@@ -324,6 +324,11 @@ def test_fused_snapshot_equals_per_reading_reference():
     assert _drop_counts(reports) == [(2, 0, 1, 0), (3, 0, 0, 1), (6, 0, 0, 1)]
 
 
+def _logged(log):
+    """The frame records of a run's log, parsed."""
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
 @functools.cache
 def _short_demo_feed():
     """Config, headings, calibrations and inline (batches, cloud) feed of a 6-frame demo run."""
@@ -443,7 +448,7 @@ def test_shuffled_duplicated_and_resent_readings_leave_the_frames_unchanged(data
     assert any(r.identified for r in reports)
 
 
-def test_a_point_too_far_for_the_kd_tree_is_noise():
+def test_a_point_too_far_for_the_kd_tree_is_noise(tmp_path):
     # one finite row at 1e200 m: its squared distance to the rest of the frame
     # overflows float64, and the frame completes as it would without the row
     cfg = _short_config()
@@ -456,14 +461,15 @@ def test_a_point_too_far_for_the_kd_tree_is_noise():
                 cloud = dataclasses.replace(cloud, points=points)
             yield batches, cloud
 
-    report = pipeline_module._run(scenario, "both", None, far())
-    clean = run_scenario(cfg, mode="both")
-    clean.records[3]["n_points"] += 1
-    assert report.records == clean.records
+    report = pipeline_module._run(scenario, "both", tmp_path / "far.jsonl", far())
+    run_scenario(cfg, mode="both", log_path=tmp_path / "clean.jsonl")
+    clean = _logged(tmp_path / "clean.jsonl")
+    clean[3]["n_points"] += 1
+    assert _logged(tmp_path / "far.jsonl") == clean
     assert report.non_finite_points == 0
 
 
-def test_run_report_totals_drops_and_keeps_them_out_of_the_log():
+def test_run_report_totals_drops_and_keeps_them_out_of_the_log(tmp_path):
     cfg = _short_config()
     scenario = build_scenario(cfg)
     bad_rows = np.array([[math.nan, 1.0, 1.0, 0.0], [1.0, math.inf, 1.0, 0.0],
@@ -477,24 +483,26 @@ def test_run_report_totals_drops_and_keeps_them_out_of_the_log():
                 cloud = dataclasses.replace(cloud, points=np.vstack([cloud.points, bad_rows]))
             yield batches, cloud
 
-    report = pipeline_module._run(scenario, "algorithm", None, poisoned())
+    report = pipeline_module._run(scenario, "algorithm", tmp_path / "poisoned.jsonl", poisoned())
     assert report.imu_dropped_non_finite == {0: 1, 1: 0}
     assert report.imu_dropped_stale == {0: 0, 1: 1}
     assert report.non_finite_points == 2
     assert [r.non_finite_points for r in report.frames] == [0, 2] + [0] * 6
     assert report.non_finite_doppler == 1
     assert [r.non_finite_doppler for r in report.frames] == [0, 1] + [0] * 6
-    clean = run_scenario(cfg, mode="algorithm")
+    clean = run_scenario(cfg, mode="algorithm", log_path=tmp_path / "clean.jsonl")
     assert clean.imu_dropped_non_finite == clean.imu_dropped_stale == {0: 0, 1: 0}
     assert clean.non_finite_points == clean.non_finite_doppler == 0
     # the counts are not part of the frame record, so logs stay as they were
-    assert [sorted(r) for r in report.records] == [sorted(r) for r in clean.records]
-    assert [sorted(c) for r in report.records for c in r["clients"]] == [
-        sorted(c) for r in clean.records for c in r["clients"]
+    records = _logged(tmp_path / "poisoned.jsonl")
+    clean_records = _logged(tmp_path / "clean.jsonl")
+    assert [sorted(r) for r in records] == [sorted(r) for r in clean_records]
+    assert [sorted(c) for r in records for c in r["clients"]] == [
+        sorted(c) for r in clean_records for c in r["clients"]
     ]
 
 
-def test_non_finite_doppler_is_counted_and_the_log_stays_json():
+def test_non_finite_doppler_is_counted_and_the_log_stays_json(tmp_path):
     # every 10th row of one demo frame has a NaN doppler: the rows are counted,
     # the cluster means skip them and the frame record is still strict JSON
     cfg = _short_config()
@@ -508,15 +516,16 @@ def test_non_finite_doppler_is_counted_and_the_log_stays_json():
                 cloud = dataclasses.replace(cloud, points=points)
             yield batches, cloud
 
-    report = pipeline_module._run(scenario, "both", None, poisoned())
+    report = pipeline_module._run(scenario, "both", tmp_path / "poisoned.jsonl", poisoned())
     n_bad = (report.frames[3].n_points + 9) // 10  # rows 0, 10, 20, ...
     assert [r.non_finite_doppler for r in report.frames] == [0, 0, 0, n_bad] + [0] * 4
     assert report.non_finite_doppler == n_bad and report.non_finite_points == 0
     assert report.frames[3].clusters
-    for record in report.records:
+    records = _logged(tmp_path / "poisoned.jsonl")
+    for record in records:
         json.dumps(record, allow_nan=False)
-    clean = run_scenario(cfg, mode="both")
-    assert [sorted(r) for r in report.records] == [sorted(r) for r in clean.records]
+    clean = run_scenario(cfg, mode="both", log_path=tmp_path / "clean.jsonl")
+    assert [sorted(r) for r in records] == [sorted(r) for r in _logged(tmp_path / "clean.jsonl")]
     assert report.rms_by_client == clean.rms_by_client
 
 
@@ -637,8 +646,8 @@ def test_compute_rms():
         compute_rms(np.empty((0, 2)), waypoints)
 
 
-def test_short_run_report_texture():
-    report = run_scenario(_short_config(), mode="algorithm")
+def test_short_run_report_texture(tmp_path):
+    report = run_scenario(_short_config(), mode="algorithm", log_path=tmp_path / "run.jsonl")
     assert report.mode == "algorithm"
     assert report.identified_at_frame == 2
     assert report.error_frames == 0
@@ -647,7 +656,7 @@ def test_short_run_report_texture():
     # no baseline ran, so no scan bookkeeping
     assert report.scan_events == [] and report.scan_frames_spent == 0
     assert report.mean_gain_beamscan is None
-    assert len(report.records) == len(report.frames) == 8
+    assert len(_logged(tmp_path / "run.jsonl")) == len(report.frames) == 8
 
 
 def test_run_rejects_bad_modes_and_configs():
@@ -660,8 +669,8 @@ def test_run_rejects_bad_modes_and_configs():
             run_scenario(dataclasses.replace(cfg, clients=clients), mode="algorithm")
 
 
-def test_scan_baseline_bookkeeping():
-    report = run_scenario(_short_config(), mode="both")
+def test_scan_baseline_bookkeeping(tmp_path):
+    report = run_scenario(_short_config(), mode="both", log_path=tmp_path / "run.jsonl")
     assert report.scan_events, "the baseline scans at least once at the start"
     assert {e.client_id for e in report.scan_events} == {0, 1}
     for ev in report.scan_events:
@@ -673,7 +682,8 @@ def test_scan_baseline_bookkeeping():
     assert report.mean_gain_algorithm is not None
     assert report.mean_gain_beamscan is not None
     # every log record carries the held baseline sector alongside the live one
-    assert all("beamscan_sector" in c for r in report.records for c in r["clients"])
+    records = _logged(tmp_path / "run.jsonl")
+    assert all("beamscan_sector" in c for r in records for c in r["clients"])
 
 
 @pytest.mark.parametrize("mode", ["algorithm", "both"])
@@ -682,8 +692,7 @@ def test_the_records_carry_every_score(tmp_path, seed, mode):
     config = default_config(seed)
     log = tmp_path / "run.jsonl"
     report = run_scenario(config, mode=mode, log_path=log)
-    parsed = [json.loads(line) for line in log.read_text().splitlines()]
-    assert run_scores(parsed, config) == {
+    assert run_scores(_logged(log), config) == {
         "rms_by_client": report.rms_by_client,
         "mean_gain_algorithm": report.mean_gain_algorithm,
         "mean_gain_beamscan": report.mean_gain_beamscan,
@@ -692,13 +701,14 @@ def test_the_records_carry_every_score(tmp_path, seed, mode):
     assert (report.mean_gain_beamscan is not None) == (mode == "both")
 
 
-def test_no_true_beam_means_no_scan_and_no_gain():
+def test_no_true_beam_means_no_scan_and_no_gain(tmp_path):
     # two clients on one path stand on the same spot, so no frame has a true bearing
     path = default_config(0).clients[0]
     config = dataclasses.replace(default_config(0), clients=(path, path), duration_s=6.0)
-    report = run_scenario(config, mode="both")
-    assert all(t["bearing_deg"] is None for r in report.records for t in r["truth"])
-    assert any(c["sector"] is not None for r in report.records for c in r["clients"])
+    report = run_scenario(config, mode="both", log_path=tmp_path / "run.jsonl")
+    records = _logged(tmp_path / "run.jsonl")
+    assert all(t["bearing_deg"] is None for r in records for t in r["truth"])
+    assert any(c["sector"] is not None for r in records for c in r["clients"])
     assert report.scan_events == [] and report.scan_frames_spent == 0
     assert report.mean_gain_algorithm is None and report.mean_gain_beamscan is None
 
@@ -1085,6 +1095,17 @@ def test_a_frame_keeps_no_per_point_data():
     ]
     assert all(kept < 16 * 1024 for kept in per_frame), per_frame
     assert abs(per_frame[1] - per_frame[0]) < 4 * 1024, per_frame
+
+
+def test_a_run_keeps_one_copy_of_each_frame():
+    # a frame's log record is scored as it is written and then dropped, so the
+    # report keeps ~3.7 KB per frame; a second copy of each frame (its record
+    # beside its FrameReport) would keep ~8.5 KB
+    base = default_config(0)
+    run_scenario(dataclasses.replace(base, duration_s=1.0), mode="both")  # lazy imports, caches
+    config = dataclasses.replace(base, duration_s=6.0)  # 12 frames
+    per_frame = _retained_bytes_per_frame(config)
+    assert per_frame < 6 * 1024, per_frame
 
 
 def _dbscan_peak_bytes(points, params):

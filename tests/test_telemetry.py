@@ -1,5 +1,6 @@
 """Wire codecs, the latest-value store, and the UDP server/client pair."""
 
+import errno
 import math
 import socket
 import struct
@@ -414,3 +415,23 @@ def test_server_rebinds_and_stop_is_idempotent():
     server.stop()
     server.close()
     server.close()
+
+
+def test_a_failed_bind_releases_the_ports_bound_before_it():
+    busy = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    busy.bind(("127.0.0.1", 0))
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    probe.bind(("127.0.0.1", 0))
+    free = probe.getsockname()[1]
+    probe.close()
+    try:
+        with pytest.raises(OSError) as raised:
+            TelemetryServer(LatestStore(), ports=(free, busy.getsockname()[1]))
+        # the held traceback keeps the half-built server alive: its first port
+        # must already be closed, not waiting for the collector
+        again = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        again.bind(("127.0.0.1", free))
+        again.close()
+    finally:
+        busy.close()
+    assert raised.value.errno == errno.EADDRINUSE
