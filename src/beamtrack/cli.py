@@ -122,24 +122,29 @@ def _is_frame_record(rec) -> bool:
     )
 
 
+def _frame_records(log: Path, n_clients: int):
+    """Each record of a frame log, checked as it is read, so no more than one is held."""
+    with open(log, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:  # a JSON or UTF-8 decoding error
+                raise ValidationError(f"{log} line {number}: not JSON") from None
+            if not _is_frame_record(rec):
+                raise ValidationError(f"{log} line {number}: not a frame record")
+            for entry in rec.get("clients", []):
+                if not 0 <= entry["id"] < n_clients:  # run_scores would skip it
+                    raise ValidationError(
+                        f"{log} line {number}: client {entry['id']} is not in the config"
+                    )
+            yield rec
+
+
 def _cmd_rms(args) -> int:
     config = _load_config(args.config, None)
-    records = []
-    with open(args.log, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    records.append(json.loads(line))
-                except ValueError:  # a JSON or UTF-8 decoding error
-                    raise ValidationError(f"{args.log} line {number}: not JSON") from None
-                if not _is_frame_record(records[-1]):
-                    raise ValidationError(f"{args.log} line {number}: not a frame record")
-                for entry in records[-1].get("clients", []):
-                    if not 0 <= entry["id"] < len(config.clients):  # run_scores would skip it
-                        raise ValidationError(
-                            f"{args.log} line {number}: client {entry['id']} is not in the config"
-                        )
-    _print_rms(run_scores(records, config)["rms_by_client"])
+    _print_rms(run_scores(_frame_records(args.log, len(config.clients)), config)["rms_by_client"])
     return 0
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,43 +54,42 @@ _STREAM_IMU = 2
 IMU_NOISE_BLOCK = 256
 
 
-def _check_finite(name: str, *values: float) -> None:
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(f"{name} must be finite")
+_REAL = (int, float, np.integer, np.floating)
+_INTEGER = (int, np.integer)
+_FLOAT = frozenset({float})
+_FLOAT_MAX = sys.float_info.max
 
 
-def _number(value, name: str) -> float:
-    """A JSON value read as a float; ValidationError naming the key unless a finite number."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and abs(value) <= sys.float_info.max):  # NaN fails the <=
-        raise ValidationError(f"{name} must be a finite number")
-    return float(value)
+def _finite(value, kinds=_REAL) -> bool:
+    """Whether value is a finite number of the kinds; numpy scalars count, bools do not."""
+    # NaN fails the <=, and so does an int beyond the float range
+    number = type(value) in kinds or isinstance(value, kinds) and not isinstance(value, bool)
+    return number and abs(value) <= _FLOAT_MAX
 
 
-def _integer(value, name: str) -> int:
-    if not _number(value, name).is_integer():
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _first_bad(values) -> int | None:
+    """The index of the first of values that is not a finite number, None if every one is."""
+    if _FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values)):
+        return None  # the usual case, checked at C speed
+    return next((i for i, v in enumerate(values) if not _finite(v)), None)
 
 
-def _list(value, name: str) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{name} must be a list")
-    return value
+def _number(value, name: str, low=-math.inf, kinds=_REAL, above=False) -> None:
+    """Raise ValidationError naming the key unless value is a finite number >= low (> if above)."""
+    if not _finite(value, kinds):
+        noun = "integer" if kinds is _INTEGER else "number"
+        raise ValidationError(f"{name} must be a finite {noun}")
+    if value < low or above and value == low:
+        raise ValidationError(f"{name} must be {'>' if above else '>='} {low}")
 
 
-def _numbers(value, name: str, n: int) -> tuple[float, ...]:
-    if len(_list(value, name)) != n:
+def _numbers(values, n: int, name: str) -> None:
+    """Raise ValidationError naming the key or entry unless values is a list of n finite numbers."""
+    if type(values) not in (list, tuple) or len(values) != n:
         raise ValidationError(f"{name} must be a list of {n} numbers")
-    return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(value))
-
-
-def _fields(entry, name: str, keys: set[str]) -> None:
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{name} must be an object")
-    extra = set(entry) - keys
-    if extra:
-        raise ValidationError(f"unknown config key in {name}: {sorted(extra)[0]!r}")
+    i = _first_bad(values)
+    if i is not None:
+        raise ValidationError(f"{name}[{i}] must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -101,18 +100,20 @@ class PathSpec:
     speed_mps: float
     initial_hold_s: float = 0.0
 
-    def validate(self, name: str) -> None:
-        _check_finite(f"{name}.waypoints", *(c for w in self.waypoints for c in w))
-        if len(self.waypoints) < 2:
-            raise ValidationError(f"{name}.waypoints needs at least 2 waypoints")
-        for k in range(len(self.waypoints) - 1):
-            a, b = self.waypoints[k], self.waypoints[k + 1]
-            if math.hypot(b[0] - a[0], b[1] - a[1]) == 0.0:
-                raise ValidationError(f"{name}.waypoints[{k}] and [{k + 1}] coincide")
-        if not 0 <= self.speed_mps < math.inf:  # NaN fails it
-            raise ValidationError(f"{name}.speed_mps must be finite and >= 0")
-        if not 0 <= self.initial_hold_s < math.inf:
-            raise ValidationError(f"{name}.initial_hold_s must be finite and >= 0")
+    def validate(self) -> None:
+        """Raise ValidationError naming the bad key (``waypoints[1][0]``), if any."""
+        wps = self.waypoints
+        if type(wps) not in (list, tuple) or len(wps) < 2:
+            raise ValidationError("waypoints must be a list of at least 2 waypoints")
+        flat = [c for w in wps if type(w) in (list, tuple) and len(w) == 2 for c in w]
+        if len(flat) < 2 * len(wps) or _first_bad(flat) is not None:
+            for k, w in enumerate(wps):  # name the first bad waypoint
+                _numbers(w, 2, f"waypoints[{k}]")
+        for k in range(1, len(wps)):
+            if wps[k][0] == wps[k - 1][0] and wps[k][1] == wps[k - 1][1]:
+                raise ValidationError(f"waypoints[{k - 1}] and [{k}] coincide")
+        _number(self.speed_mps, "speed_mps", 0)
+        _number(self.initial_hold_s, "initial_hold_s", 0)
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,39 @@ class ClutterSpec:
 
     position: tuple[float, float, float]
     point_count: int
+
+    def validate(self) -> None:
+        """Raise ValidationError naming the bad key (``position[1]``), if any."""
+        _numbers(self.position, 3, "position")
+        _number(self.point_count, "point_count", 1, _INTEGER)
+
+
+# a config's lists of specs, and the keys that take integers
+_SPECS = {"clients": PathSpec, "distractors": PathSpec, "clutter": ClutterSpec}
+_INTEGER_KEYS = {"points_per_client_per_frame", "seed", "point_count"}
+
+
+def _from_json(cls, entry, name: str):
+    """A parsed JSON object as a cls, before validation.
+
+    Lists become tuples, the objects in a list of specs those specs, an
+    integral float of an integer key (2.0) an int, and a missing key None.
+    """
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{name} must be an object")
+    known = {f.name for f in fields(cls)}
+    kwargs = {f.name: None for f in fields(cls) if f.default is MISSING}
+    for key, value in entry.items():
+        if key not in known:
+            raise ValidationError(f"unknown key in {name}: {key!r}")
+        if key in _SPECS and isinstance(value, list):
+            value = [_from_json(_SPECS[key], v, f"{key}[{i}]") for i, v in enumerate(value)]
+        elif key in _INTEGER_KEYS and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, list):  # a list becomes a tuple, and so does each waypoint in it
+            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 @dataclass
@@ -138,38 +172,36 @@ class ScenarioConfig:
     radar_rate_hz: float = 10.0
 
     def validate(self) -> None:
-        # each range check is written so that NaN fails it
-        if not 0 < self.frame_time_s < math.inf:
-            raise ValidationError("frame_time_s must be finite and > 0")
-        if not self.frame_time_s <= self.duration_s < math.inf:
-            raise ValidationError("duration_s must be finite and >= frame_time_s")
-        if len(self.radar_pose) != 3:
-            raise ValidationError("radar_pose must be (x, y, z)")
-        _check_finite("radar_pose", *self.radar_pose)
-        if not 0 <= self.noise_sigma_m < math.inf:
-            raise ValidationError("noise_sigma_m must be finite and >= 0")
-        if not 0 <= self.body_radius_m < math.inf:
-            raise ValidationError("body_radius_m must be finite and >= 0")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
-        if self.points_per_client_per_frame < 1:
-            raise ValidationError("points_per_client_per_frame must be >= 1")
-        if not 0 < self.radar_rate_hz < math.inf:
-            raise ValidationError("radar_rate_hz must be finite and > 0")
+        """Raise ValidationError naming the key unless every value has its type and range.
+
+        The one check of a config, read from JSON or built in code. A key's
+        name is built only for its error.
+        """
+        _number(self.frame_time_s, "frame_time_s", 0, above=True)
+        _number(self.duration_s, "duration_s")
+        if self.duration_s < self.frame_time_s:
+            raise ValidationError("duration_s must be >= frame_time_s")
+        _numbers(self.radar_pose, 3, "radar_pose")
+        _number(self.noise_sigma_m, "noise_sigma_m", 0)
+        _number(self.body_radius_m, "body_radius_m", 0)
+        _number(self.seed, "seed", 0, _INTEGER)
+        _number(self.points_per_client_per_frame, "points_per_client_per_frame", 1, _INTEGER)
+        _number(self.radar_rate_hz, "radar_rate_hz", 0, above=True)
         if self.radar_instants_per_frame() < 2:
             raise ValidationError(
                 "radar_rate_hz too low: need at least 2 radar instants per frame_time_s"
             )
-        for i, c in enumerate(self.clients):
-            c.validate(f"clients[{i}]")
-        for i, d in enumerate(self.distractors):
-            d.validate(f"distractors[{i}]")
-        for i, cl in enumerate(self.clutter):
-            if len(cl.position) != 3:
-                raise ValidationError(f"clutter[{i}].position must be (x, y, z)")
-            _check_finite(f"clutter[{i}].position", *cl.position)
-            if cl.point_count < 1:
-                raise ValidationError(f"clutter[{i}].point_count must be >= 1")
+        for key, spec_type in _SPECS.items():
+            specs = getattr(self, key)
+            if type(specs) not in (list, tuple):
+                raise ValidationError(f"{key} must be a list")
+            for i, spec in enumerate(specs):
+                if not isinstance(spec, spec_type):
+                    raise ValidationError(f"{key}[{i}] must be a {spec_type.__name__}")
+                try:
+                    spec.validate()
+                except ValidationError as e:
+                    raise ValidationError(f"{key}[{i}].{e}") from None
 
     def radar_instants_per_frame(self) -> int:
         """frame_time_s * radar_rate_hz rounded to an integer, the radar instants a frame spans.
@@ -189,42 +221,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown config key: {sorted(unknown)[0]!r}")
-
-        def _path(entry, name: str) -> PathSpec:
-            _fields(entry, name, {"waypoints", "speed_mps", "initial_hold_s"})
-            if "speed_mps" not in entry:
-                raise ValidationError(f"{name}.speed_mps is required")
-            wps = enumerate(_list(entry.get("waypoints"), f"{name}.waypoints"))
-            return PathSpec(
-                waypoints=tuple(_numbers(w, f"{name}.waypoints[{k}]", 2) for k, w in wps),
-                speed_mps=_number(entry["speed_mps"], f"{name}.speed_mps"),
-                initial_hold_s=_number(entry.get("initial_hold_s", 0.0), f"{name}.initial_hold_s"),
-            )
-
-        def _clutter(entry, name: str) -> ClutterSpec:
-            _fields(entry, name, {"position", "point_count"})
-            return ClutterSpec(
-                position=_numbers(entry.get("position"), f"{name}.position", 3),
-                point_count=_integer(entry.get("point_count", 0), f"{name}.point_count"),
-            )
-
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key in ("clients", "distractors", "clutter"):
-                parse = _clutter if key == "clutter" else _path
-                entries = enumerate(_list(value, key))
-                kwargs[key] = tuple(parse(v, f"{key}[{i}]") for i, v in entries)
-            elif key == "radar_pose":
-                kwargs[key] = _numbers(value, key, 3)
-            elif key in ("points_per_client_per_frame", "seed"):
-                kwargs[key] = _integer(value, key)
-            else:
-                kwargs[key] = _number(value, key)
-        cfg = cls(**kwargs)
+        """The config a parsed JSON object describes, validated."""
+        cfg = _from_json(cls, data, "config")
         cfg.validate()
         return cfg
 
@@ -260,10 +258,11 @@ class PointCloudFrame:
 class _PathTable:
     """A path's motion states, built once: the hold, each segment, the end.
 
-    Per state, as states() numbers them: where and at what arc length it
-    starts, its direction, velocity, heading and world -> body rotation.
-    pose() moves from a state's start along its direction; sample_imu
-    differences the states of two instants.
+    Per state, as states() numbers them: where it starts, its direction,
+    velocity, heading and world -> body rotation; cum is the arc length at
+    each waypoint, where states 1 onward start. pose() moves from a state's
+    start along its direction; sample_imu differences the states of two
+    instants.
     """
 
     def __init__(self, path: PathSpec):
@@ -271,18 +270,15 @@ class _PathTable:
         seg = np.diff(wps, axis=0)
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
         dirs = (seg / seg_len[:, None]).tolist()
+        headings = [math.atan2(dy, dx) for dx, dy in (dirs[0], *dirs, dirs[-1])]
         self.hold_s, self.speed_mps = path.initial_hold_s, path.speed_mps
-        self._cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-        self.cum = self._cum.tolist()
+        self.cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         self.state_start = [wps[0].tolist(), *wps.tolist()]
-        self.state_arc = [0.0, *self.cum]
         self.state_dir = [[0.0, 0.0], *dirs, [0.0, 0.0]]
-        self.state_vel = [(dx * self.speed_mps, dy * self.speed_mps) for dx, dy in self.state_dir]
-        self.state_headings = [math.atan2(dy, dx) for dx, dy in (dirs[0], *dirs, dirs[-1])]
-        self.state_vx, self.state_vy = np.array(self.state_vel).T
-        self.state_heading = np.array(self.state_headings)
-        self.state_cos = np.array([math.cos(-h) for h in self.state_headings])
-        self.state_sin = np.array([math.sin(-h) for h in self.state_headings])
+        self.state_vx, self.state_vy = np.array(self.state_dir).T * self.speed_mps
+        self.state_heading = np.array(headings)
+        self.state_cos = np.array([math.cos(-h) for h in headings])
+        self.state_sin = np.array([math.sin(-h) for h in headings])
 
     def pose(self, t: float) -> tuple[tuple[float, float], tuple[float, float], float]:
         """Position, velocity and heading along the path at time t.
@@ -292,8 +288,9 @@ class _PathTable:
         """
         i = int(self.states(t))
         (x, y), (dx, dy) = self.state_start[i], self.state_dir[i]
-        along = (t - self.hold_s) * self.speed_mps - self.state_arc[i]
-        return (x + dx * along, y + dy * along), self.state_vel[i], self.state_headings[i]
+        along = (t - self.hold_s) * self.speed_mps - self.cum[max(i - 1, 0)]
+        velocity = (self.state_vx[i], self.state_vy[i])
+        return (x + dx * along, y + dy * along), velocity, self.state_heading[i]
 
     def states(self, t: float | np.ndarray) -> np.ndarray:
         """Motion state at time t, a float or a 1-D array of times.
@@ -304,7 +301,7 @@ class _PathTable:
         """
         if self.speed_mps == 0.0:
             return np.zeros(np.shape(t), dtype=np.intp)
-        state = self._cum.searchsorted((t - self.hold_s) * self.speed_mps, side="right")
+        state = self.cum.searchsorted((t - self.hold_s) * self.speed_mps, side="right")
         return state * (t > self.hold_s)
 
 
@@ -360,7 +357,7 @@ class Scenario:
         table = self._client_table(client_id)
         if table.speed_mps == 0.0:
             return [0.0]
-        return [0.0, *(table.hold_s + s / table.speed_mps for s in table.cum[1:])]
+        return [0.0, *(table.hold_s + s / table.speed_mps for s in table.cum[1:].tolist())]
 
     def ground_truth(self, t: float) -> list[GroundTruthPose]:
         """True pose of every client (world frame) at time t."""

@@ -1,12 +1,14 @@
 """Command-line behavior: run, replay, rms, and failure exits."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,17 @@ def test_run_writes_log_and_summary(tmp_path, capsys, config_file):
     for line in lines:
         record = json.loads(line)
         assert {"frame", "t", "clusters", "clients", "error_flag"} <= set(record)
+
+
+def test_run_in_both_modes_prints_the_scan_baseline(capsys, config_file):
+    assert main(["run", "--mode", "both", "--config", str(config_file)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    report = run_scenario(ScenarioConfig.from_file(config_file), mode="both")
+    assert out[-3:] == [
+        f"mean gain (tracking): {report.mean_gain_algorithm:.2f}",
+        f"mean gain (beam scan): {report.mean_gain_beamscan:.2f}",
+        f"beam-scan frames spent: {report.scan_frames_spent}",
+    ]
 
 
 def test_same_seed_gives_identical_logs(tmp_path, capsys, config_file):
@@ -118,6 +131,28 @@ def test_rms_scores_a_log(tmp_path, capsys, config_file):
         record["clients"][1]["kf_position"] = None
     rms = run_scores(records, config)["rms_by_client"]
     assert rms == {0: report.rms_by_client[0], 1: None}
+
+
+def test_rms_streams_its_log(tmp_path, capsys, config_file):
+    # a record is checked and scored as it is read; holding the parsed log
+    # took ~7.6 KB per record
+    log, long_log = tmp_path / "run.jsonl", tmp_path / "long.jsonl"
+    assert main(["run", "--mode", "both", "--config", str(config_file), "--log", str(log)]) == 0
+    lines = log.read_bytes().splitlines(keepends=True) * 24
+    long_log.write_bytes(b"".join(lines))
+    args = ["rms", "--log", str(long_log), "--config", str(config_file)]
+    capsys.readouterr()
+    assert main(args) == 0  # lazy imports and caches outside the trace
+    expected = capsys.readouterr().out
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == expected
+    assert len(lines) >= 144 and peak < 2 * 1024 * len(lines), peak / len(lines)
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,15 @@ def _edit_entry(*path, value):
     return edit
 
 
+def _drop_entry(*path):
+    def drop(data):
+        for step in path[:-1]:
+            data = data[step]
+        del data[path[-1]]
+
+    return drop
+
+
 @pytest.mark.parametrize(
     "edit, key",
     [
@@ -135,6 +144,18 @@ def _edit_entry(*path, value):
         ),
         pytest.param(_edit("seed", 1.5), "seed", id="fractional-seed"),
         pytest.param(_edit("seed", True), "seed", id="bool-seed"),
+        pytest.param(
+            _drop_entry("clutter", 0, "point_count"), r"clutter\[0\]\.point_count", id="no-count"
+        ),
+        pytest.param(
+            _drop_entry("clutter", 0, "position"), r"clutter\[0\]\.position", id="no-position"
+        ),
+        pytest.param(
+            _drop_entry("clients", 1, "waypoints"), r"clients\[1\]\.waypoints", id="no-waypoints"
+        ),
+        pytest.param(
+            _drop_entry("clients", 0, "speed_mps"), r"clients\[0\]\.speed_mps", id="no-speed"
+        ),
     ],
 )
 def test_config_from_dict_names_the_malformed_key(edit, key):
@@ -170,6 +191,49 @@ def test_config_validation_rejects_non_finite_numbers(overrides):
     # configs built in code are checked too, not only those read from JSON
     with pytest.raises(ValidationError, match="finite"):
         _simple_config(**overrides).validate()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        pytest.param({"seed": 1.5}, "seed", id="fractional-seed"),
+        pytest.param({"seed": True}, "seed", id="bool-seed"),
+        pytest.param({"points_per_client_per_frame": 200.5}, "points_per_client_per_frame",
+                     id="fractional-points"),
+        pytest.param({"frame_time_s": "0.5"}, "frame_time_s", id="string-frame-time"),
+        pytest.param({"clutter": (ClutterSpec(position=(0.0, 1.0, 0.5), point_count=150.5),)},
+                     r"clutter\[0\]\.point_count", id="fractional-count"),
+        pytest.param({"radar_pose": ("a", "b", "c")}, r"radar_pose\[0\]", id="string-pose"),
+        pytest.param({"clients": (PathSpec(_STILL, speed_mps=0.5), {"waypoints": _STILL})},
+                     r"clients\[1\]", id="client-not-a-path"),
+    ],
+)
+def test_config_built_in_code_names_the_malformed_key(overrides, key):
+    # one rule for configs from JSON and from code: a value of the wrong type
+    # is a ValidationError naming its key, not a TypeError in a later layer
+    with pytest.raises(ValidationError, match=key):
+        _simple_config(**overrides).validate()
+
+
+def test_config_takes_numpy_scalars():
+    cfg = _simple_config(seed=np.int64(3), frame_time_s=np.float64(0.5), radar_rate_hz=np.int32(10))
+    assert build_scenario(cfg).sample_point_cloud(4).points.shape == (400, 4)
+
+
+@pytest.mark.parametrize(
+    "path", [("seed",), ("points_per_client_per_frame",), ("clutter", 0, "point_count")]
+)
+def test_integral_float_of_an_integer_key_runs_as_an_int(path):
+    # README: 2.0 is read as 2, so a JSON writer's float runs as the integer
+    config = _simple_config(clutter=(ClutterSpec(position=(0.0, 1.0, 0.5), point_count=2),))
+    data = json.loads(json.dumps(config.to_dict()))
+    _edit_entry(*path, value=2)(data)
+    as_int = ScenarioConfig.from_dict(data)
+    _edit_entry(*path, value=2.0)(data)
+    as_float = ScenarioConfig.from_dict(data)
+    assert as_float == as_int and repr(as_float) == repr(as_int)
+    clouds = [build_scenario(cfg).sample_point_cloud(3).points for cfg in (as_int, as_float)]
+    assert clouds[0].tobytes() == clouds[1].tobytes()
 
 
 def test_frame_count_is_floor_of_duration():
@@ -269,6 +333,20 @@ def test_points_face_the_radar():
     to_radar = radar[:2] - pose.position_m
     offsets = body[:, :2] - pose.position_m
     assert np.all(offsets @ to_radar > -1e-9)
+
+
+def test_a_body_of_zero_radius_returns_its_path_position():
+    cfg = _simple_config(body_radius_m=0.0)
+    sc = build_scenario(cfg)
+    n, radar = cfg.points_per_client_per_frame, np.array(cfg.radar_pose)
+    cloud = sc.sample_point_cloud(12).points
+    for cid, pose in enumerate(sc.ground_truth(1.2)):
+        body = cloud[cid * n : (cid + 1) * n, :2]
+        assert np.array_equal(body, np.tile(pose.position_m - radar[:2], (n, 1)))
+    noisy = dataclasses.replace(cfg, noise_sigma_m=0.05)
+    for k in (0, 12, 40):
+        cloud = build_scenario(noisy).sample_point_cloud(k).points
+        assert np.array_equal(cloud, point_cloud_reference(noisy, k))
 
 
 def test_clutter_is_static_with_zero_doppler():
