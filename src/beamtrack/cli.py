@@ -8,14 +8,13 @@ import json
 import queue
 import sys
 import threading
-from math import isfinite
 from pathlib import Path
 
 from .errors import DatagramError, ValidationError
 from .pipeline import INLINE_IMU_RATE_HZ, SECTORS, RunReport, device_readings, run_scores
 from .pipeline import run_from_capture, run_scenario
 from .telemetry import TelemetryServer, run_sim_client
-from .world import ScenarioConfig, build_scenario, default_config
+from .world import ScenarioConfig, build_scenario, default_config, finite_number
 
 
 def _load_config(path: Path | None, seed: int | None) -> ScenarioConfig:
@@ -97,14 +96,6 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _finite(x) -> bool:
-    """Whether x is a JSON number of finite float value (json.loads takes NaN and Infinity)."""
-    try:
-        return type(x) in (int, float) and isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _is_frame_record(rec) -> bool:
     """Whether a parsed log line holds what run_scores reads, each field null or of its type."""
     if type(rec) is not dict or not all(type(rec.get(k, [])) is list for k in ("clients", "truth")):
@@ -118,7 +109,7 @@ def _is_frame_record(rec) -> bool:
     return (
         all(type(s) is int and 0 <= s < SECTORS.n_sectors for s in sectors)
         and all(type(p) is list and len(p) == 2 for p in pairs)
-        and all(_finite(x) for x in numbers + [x for p in pairs for x in p])
+        and all(finite_number(x) for x in numbers + [x for p in pairs for x in p])
     )
 
 

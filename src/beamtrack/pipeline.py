@@ -2,7 +2,7 @@
 
 Each frame covers one wall-clock window of ``frame_time_s``. The pipeline
 consumes the window's IMU samples per client and one radar point cloud taken
-at the window's penultimate radar instant, then:
+at the last radar instant before the window's end, then:
 
 1. advances each client's orientation/velocity state sample by sample,
 2. clusters the cloud and drops zero-doppler background,
@@ -35,7 +35,7 @@ from collections import Counter
 from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from math import isfinite
+from math import inf, isfinite
 from operator import attrgetter
 from pathlib import Path
 
@@ -182,7 +182,7 @@ class ClientFrameState:
     heading_rad: float
     coasting: bool
     beam: BeamDecision | None
-    imu_dropped_non_finite: int = 0  # readings with a non-finite time or value
+    imu_dropped_non_finite: int = 0  # a non-finite time or value, or an overflowing step
     imu_dropped_stale: int = 0  # readings not after the last one applied
 
 
@@ -255,18 +255,21 @@ class Pipeline:
         t, accel, gyro = sample.timestamp_s, sample.accel_mps2, sample.gyro_radps
         ax, ay, az = accel if type(accel) is tuple else accel.tolist()
         gx, gy, gz = gyro if type(gyro) is tuple else gyro.tolist()
-        if not (
-            isfinite(t) and isfinite(ax) and isfinite(ay) and isfinite(az)
-            and isfinite(gx) and isfinite(gy) and isfinite(gz)
-        ):
-            return _NON_FINITE  # unusable reading: dropped as if it never arrived
-        dt = t - track.motion.last_update_s
-        if dt <= 0:
-            return _STALE  # stale or duplicate reading
         bx, by, bz = accel_bias
         wx, wy, wz = gyro_bias
-        accel = (ax - bx, ay - by, az - bz)
-        gyro = (gx - wx, gy - wy, gz - wz)
+        ax, ay, az = ax - bx, ay - by, az - bz
+        gx, gy, gz = gx - wx, gy - wy, gz - wz
+        dt = t - track.motion.last_update_s
+        # madgwick_update turns the orientation through |gyro| * dt and moves it
+        # by 0.1 * dt toward gravity. This square of the step is NaN or inf for
+        # a non-finite time or gyro value, and for a step so large that sin()
+        # of its angle or the renormalisation would overflow.
+        step = (gx * gx + gy * gy + gz * gz + 1.0) * (dt * dt)
+        if not (step < inf and isfinite(ax) and isfinite(ay) and isfinite(az)):
+            return _NON_FINITE  # unusable reading: dropped as if it never arrived
+        if dt <= 0:
+            return _STALE  # stale or duplicate reading
+        accel, gyro = (ax, ay, az), (gx, gy, gz)
         corrected = ImuSample(sample.client_id, sample.seq, t, accel, gyro)
         motion = madgwick_update(track.motion, corrected, dt)
         a_global = gravity_compensate(accel, motion.orientation)
@@ -308,17 +311,15 @@ class Pipeline:
             accel_bias = np.asarray(track.calibration.accel_bias, dtype=float).tolist()
             gyro_bias = np.asarray(track.calibration.gyro_bias, dtype=float).tolist()
             fused = None
-            try:
-                for sample in sorted(imu_batches.get(cid, ()), key=_READING_ORDER):
-                    reason = self._inertial_update(track, sample, accel_bias, gyro_bias)
-                    if reason is not None:
-                        dropped[cid][reason] += 1
-                    elif sample.timestamp_s <= fused_until:
-                        fused = track.motion
-            finally:  # a reading that raises keeps the snapshot of those before it
-                if fused is not None:
-                    track.fused_velocity = np.array(fused.velocity_mps[:2])
-                    track.fused_heading = yaw_from_quat(fused.orientation)
+            for sample in sorted(imu_batches.get(cid, ()), key=_READING_ORDER):
+                reason = self._inertial_update(track, sample, accel_bias, gyro_bias)
+                if reason is not None:
+                    dropped[cid][reason] += 1
+                elif sample.timestamp_s <= fused_until:
+                    fused = track.motion
+            if fused is not None:
+                track.fused_velocity = np.array(fused.velocity_mps[:2])
+                track.fused_heading = yaw_from_quat(fused.orientation)
 
         # radar tier: cluster, drop static background, correct surface bias
         finite = finite_rows(points)  # the other rows are noise
@@ -710,17 +711,21 @@ def _last_reading(config: ScenarioConfig, k: int) -> int:
     return int(math.floor((k + 1) * config.frame_time_s * INLINE_IMU_RATE_HZ + 1e-9))
 
 
+def radar_instant(config: ScenarioConfig, k: int) -> int:
+    """Frame k's radar instant: the last one before its window end (k + 1) * frame_time_s."""
+    return math.ceil((k + 1) * config.frame_time_s * config.radar_rate_hz - 1e-9) - 1
+
+
 def _inline_source(scenario: Scenario):
     """Deterministic device-rate feed: every IMU sample plus one cloud per frame."""
     config = scenario.config
-    per = config.radar_instants_per_frame()
     for k in range(scenario.n_frames):
         seq = np.arange(_last_reading(config, k - 1) + 1, _last_reading(config, k) + 1)
         batches = {
             cid: window_readings(device_readings(scenario, cid, seq))
             for cid in range(len(config.clients))
         }
-        yield batches, scenario.sample_point_cloud((k + 1) * per - 1)
+        yield batches, scenario.sample_point_cloud(radar_instant(config, k))
 
 
 def _store_source(scenario: Scenario, received):
@@ -733,7 +738,6 @@ def _store_source(scenario: Scenario, received):
     for its frame; one from a client the config lacks is dropped.
     """
     config = scenario.config
-    per = config.radar_instants_per_frame()
     later: list[ImuSample] = []  # readings of windows to come
     start = time.monotonic()
     for k in range(scenario.n_frames):
@@ -755,7 +759,7 @@ def _store_source(scenario: Scenario, received):
                 pending = [received.get(timeout=wait) if wait > 0 else received.get_nowait()]
             except queue.Empty:
                 break
-        yield batches, scenario.sample_point_cloud((k + 1) * per - 1)
+        yield batches, scenario.sample_point_cloud(radar_instant(config, k))
 
 
 def _tee(source, capture: CaptureWriter):

@@ -77,8 +77,9 @@ def _imu_records(sample: ImuSample) -> np.ndarray:
 
 def _sensors(rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n, 3) accel and gyro of IMU_DATAGRAM records; DatagramError if a value is non-finite."""
-    accel = rec["accel_mps2"].astype(float)
-    gyro = rec["gyro_radps"].astype(float)
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns as it widens
+        accel = rec["accel_mps2"].astype(float)
+        gyro = rec["gyro_radps"].astype(float)
     if not (np.isfinite(rec["timestamp_s"]).all() and np.isfinite(accel).all()
             and np.isfinite(gyro).all()):
         raise DatagramError(f"non-finite IMU datagram payload from client {rec['client_id'][0]}")

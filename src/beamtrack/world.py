@@ -53,6 +53,10 @@ _STREAM_IMU = 2
 # IMU readings per noise generator, one row of six standard normals each
 IMU_NOISE_BLOCK = 256
 
+# the most points one radar instant may return: what one capture cloud record
+# holds, its u32 length covering a 16-byte header and 32 bytes a point
+MAX_CLOUD_POINTS = (2**32 - 1 - 16) // 32
+
 
 _REAL = (int, float, np.integer, np.floating)
 _INTEGER = (int, np.integer)
@@ -60,7 +64,7 @@ _FLOAT = frozenset({float})
 _FLOAT_MAX = sys.float_info.max
 
 
-def _finite(value, kinds=_REAL) -> bool:
+def finite_number(value, kinds=_REAL) -> bool:
     """Whether value is a finite number of the kinds; numpy scalars count, bools do not."""
     # NaN fails the <=, and so does an int beyond the float range
     number = type(value) in kinds or isinstance(value, kinds) and not isinstance(value, bool)
@@ -71,12 +75,12 @@ def _first_bad(values) -> int | None:
     """The index of the first of values that is not a finite number, None if every one is."""
     if _FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values)):
         return None  # the usual case, checked at C speed
-    return next((i for i, v in enumerate(values) if not _finite(v)), None)
+    return next((i for i, v in enumerate(values) if not finite_number(v)), None)
 
 
 def _number(value, name: str, low=-math.inf, kinds=_REAL, above=False) -> None:
     """Raise ValidationError naming the key unless value is a finite number >= low (> if above)."""
-    if not _finite(value, kinds):
+    if not finite_number(value, kinds):
         noun = "integer" if kinds is _INTEGER else "number"
         raise ValidationError(f"{name} must be a finite {noun}")
     if value < low or above and value == low:
@@ -187,7 +191,13 @@ class ScenarioConfig:
         _number(self.seed, "seed", 0, _INTEGER)
         _number(self.points_per_client_per_frame, "points_per_client_per_frame", 1, _INTEGER)
         _number(self.radar_rate_hz, "radar_rate_hz", 0, above=True)
-        if self.radar_instants_per_frame() < 2:
+        product = self.frame_time_s * self.radar_rate_hz
+        if product == math.inf:
+            raise ValidationError(
+                "frame_time_s * radar_rate_hz overflows"
+                f" ({self.frame_time_s!r} * {self.radar_rate_hz!r})"
+            )
+        if round(product) < 2:
             raise ValidationError(
                 "radar_rate_hz too low: need at least 2 radar instants per frame_time_s"
             )
@@ -202,19 +212,14 @@ class ScenarioConfig:
                     spec.validate()
                 except ValidationError as e:
                     raise ValidationError(f"{key}[{i}].{e}") from None
-
-    def radar_instants_per_frame(self) -> int:
-        """frame_time_s * radar_rate_hz rounded to an integer, the radar instants a frame spans.
-
-        Raises ValidationError naming both keys when the product overflows.
-        """
-        product = self.frame_time_s * self.radar_rate_hz
-        if product == math.inf:
+        bodies = len(self.clients) + len(self.distractors)
+        points = int(self.points_per_client_per_frame) * bodies
+        points += sum(int(spec.point_count) for spec in self.clutter)
+        if points > MAX_CLOUD_POINTS:
             raise ValidationError(
-                "frame_time_s * radar_rate_hz overflows"
-                f" ({self.frame_time_s!r} * {self.radar_rate_hz!r})"
+                "points_per_client_per_frame * (clients + distractors) + clutter point_count"
+                f" is {points}, more than one capture cloud record holds ({MAX_CLOUD_POINTS})"
             )
-        return round(product)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -511,10 +511,11 @@ def inertial_tier_reference(heading, accel_bias, gyro_bias, frames, beta, gravit
     """Fused (velocity[:2], yaw) after each frame of one client's readings.
 
     frames holds (readings, instant) pairs. Readings apply in (timestamp, seq)
-    order; one with a non-finite time or value, or not after the last applied
-    reading, is skipped. The fused state is taken after every applied reading at
-    or before the instant (within 1e-12 s), so the last such reading sets it and
-    a frame with none keeps the previous frame's.
+    order; one with a non-finite time or bias-corrected value, one not after
+    the last applied reading, and one whose orientation step overflows
+    (|gyro|^2 + 1) dt^2 are skipped. The fused state is taken after every
+    applied reading at or before the instant (within 1e-12 s), so the last
+    such reading sets it and a frame with none keeps the previous frame's.
     """
     q = np.array([math.cos(heading / 2.0), 0.0, 0.0, math.sin(heading / 2.0)])
     v, a_prev, last = np.zeros(3), np.zeros(3), 0.0
@@ -522,13 +523,16 @@ def inertial_tier_reference(heading, accel_bias, gyro_bias, frames, beta, gravit
     out = []
     for readings, instant in frames:
         for s in sorted(readings, key=lambda s: (s.timestamp_s, s.seq)):
-            if not np.all(np.isfinite([s.timestamp_s, *s.accel_mps2, *s.gyro_radps])):
-                continue
-            dt = s.timestamp_s - last
-            if dt <= 0:
-                continue
-            accel = s.accel_mps2 - accel_bias
-            q = madgwick_reference(q, s.gyro_radps - gyro_bias, accel, dt, beta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                accel, gyro = s.accel_mps2 - accel_bias, s.gyro_radps - gyro_bias
+                if not np.all(np.isfinite([s.timestamp_s, *accel, *gyro])):
+                    continue
+                dt = s.timestamp_s - last
+                if dt <= 0:
+                    continue
+                if not (gyro @ gyro + 1.0) * dt * dt < math.inf:
+                    continue
+            q = madgwick_reference(q, gyro, accel, dt, beta)
             a = gravity_compensate_reference(accel, q, gravity)
             v = integrate_velocity_reference(v, a_prev, a, dt)
             a_prev, last = a, s.timestamp_s

@@ -47,12 +47,13 @@ def test_a_traced_run_records_the_simulator_and_inertial_spans():
 def test_a_traced_run_counts_each_gated_measurement(monkeypatch):
     # client 0's returns shifted 0.6 m for frames 10-12: its filter gates them
     config = dataclasses.replace(default_config(seed=0), duration_s=7.0)
-    n, per = config.points_per_client_per_frame, config.radar_instants_per_frame()
+    n = config.points_per_client_per_frame
+    shifted_instants = {pipeline.radar_instant(config, k) for k in (10, 11, 12)}
     sample = world.Scenario.sample_point_cloud
 
     def shifted(self, index):
         cloud = sample(self, index)
-        if 10 <= (index + 1) // per - 1 <= 12:
+        if index in shifted_instants:
             cloud.points[:n, 0] += 0.6
         return cloud
 

@@ -11,15 +11,18 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import beamtrack
 
 from beamtrack import cli
 from beamtrack.cli import build_parser, main
-from beamtrack.pipeline import TAG_CLOUD, _inline_source, run_scenario, run_scores
+from beamtrack.imu import ImuSample
+from beamtrack.pipeline import TAG_CLOUD, CaptureWriter, _inline_source, run_from_capture
+from beamtrack.pipeline import run_scenario, run_scores
 from beamtrack.telemetry import decode_imu_datagram, encode_imu_datagram
-from beamtrack.world import ScenarioConfig, build_scenario, default_config
+from beamtrack.world import PointCloudFrame, ScenarioConfig, build_scenario, default_config
 
 
 @pytest.fixture()
@@ -279,6 +282,18 @@ def test_replay_of_a_cloud_at_no_valid_time_exits_with_an_error_line(tmp_path, c
     assert len(captured.err.splitlines()) == 1
 
 
+def test_replay_drops_a_reading_whose_orientation_step_overflows(tmp_path, capsys):
+    # 1e10 rad/s for 1e300 s: a finite reading with an infinite rotation angle
+    capture = tmp_path / "overflow.capture"
+    with CaptureWriter(capture) as writer:
+        writer.write_imu(ImuSample(0, 0, 1e300, (0.0, 0.0, 9.81), (0.0, 0.0, 1e10)))
+        writer.write_cloud(PointCloudFrame(0, 0.5, np.empty((0, 4))))
+    assert main(["replay", "--capture", str(capture)]) == 0
+    assert "frames: 1" in capsys.readouterr().out
+    report = run_from_capture(default_config(), capture)
+    assert report.imu_dropped_non_finite == {0: 1, 1: 0}
+
+
 def test_udp_senders_send_the_inline_readings(monkeypatch):
     # no sockets: capture each sender's reading function, run nothing
     senders = {}
@@ -346,6 +361,19 @@ def test_malformed_config_exits_with_the_validation_message(tmp_path, capsys, co
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert captured.out == ""
+
+
+def test_a_config_whose_cloud_no_capture_record_holds_exits_with_the_validation_message(
+    tmp_path, capsys
+):
+    data = default_config().to_dict()
+    data["points_per_client_per_frame"] = 10**12  # 7.28 TiB of float64 per cloud
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: points_per_client_per_frame * (clients + distractors)")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_importing_the_cli_loads_no_scipy_optimize_or_csgraph():

@@ -21,6 +21,7 @@ from beamtrack.clustering import (
     finite_rows,
 )
 from beamtrack.errors import ValidationError
+from beamtrack.pipeline import radar_instant
 from beamtrack.world import build_scenario, default_config
 
 from oracles import components_reference, dbscan_reference
@@ -48,9 +49,7 @@ def _assert_matches_reference(pts, eps, min_pts):
 
 
 def _frame(config, k):
-    scenario = build_scenario(config)
-    per = config.radar_instants_per_frame()
-    return scenario.sample_point_cloud((k + 1) * per - 1).points
+    return build_scenario(config).sample_point_cloud(radar_instant(config, k)).points
 
 
 def test_two_blobs_and_noise():

@@ -35,6 +35,7 @@ from beamtrack.pipeline import (
     debias_core,
     frame_record,
     path_distances,
+    radar_instant,
     replay_capture,
     run_from_capture,
     run_scenario,
@@ -257,8 +258,11 @@ def test_non_finite_imu_sample_is_dropped_like_a_missing_one():
     assert want[2]["identified"] and len(want) == 36
     assert _drop_counts(deleted) == []
     assert all(r.non_finite_points == 0 for r in deleted)
+    # the last two are finite, but a step of madgwick_update that large
+    # overflows: sin() of an infinite angle, or a renormalisation's square
     for field, index, bad in (("accel_mps2", 0, math.nan), ("gyro_radps", 2, -math.inf),
-                              ("timestamp_s", None, math.nan), ("timestamp_s", None, math.inf)):
+                              ("timestamp_s", None, math.nan), ("timestamp_s", None, math.inf),
+                              ("gyro_radps", 2, 1e200), ("timestamp_s", None, 1e300)):
         def poison(k, batches):
             if k == 2:
                 sample = batches[0][10]
@@ -373,11 +377,15 @@ def _poisoned(reading, field, index, value):
 @given(data=st.data())
 def test_fused_snapshot_equals_reference_on_mixed_messy_batches(data):
     # per client and frame: some readings missing, some with array vectors in
-    # place of float tuples, some non-finite, some sent twice, all shuffled;
-    # the fused velocity and heading stay bit-equal to the array formulation
+    # place of float tuples, some non-finite or with a step that overflows,
+    # some sent twice, all shuffled; the fused velocity and heading stay
+    # bit-equal to the array formulation
     cfg, headings, calibrations, feed = _short_demo_feed()
     field = st.sampled_from(["timestamp_s", "accel_mps2", "gyro_radps"])
-    bad = st.tuples(field, st.integers(0, 2), st.sampled_from([math.nan, math.inf, -math.inf]))
+    bad = st.one_of(
+        st.tuples(field, st.integers(0, 2), st.sampled_from([math.nan, math.inf, -math.inf])),
+        st.tuples(st.sampled_from(["timestamp_s", "gyro_radps"]), st.integers(0, 2), st.just(1e300)),
+    )
     feeds = []
     for k, (batches, cloud) in enumerate(feed):
         out = {}
@@ -446,6 +454,34 @@ def test_shuffled_duplicated_and_resent_readings_leave_the_frames_unchanged(data
     assert sum(c.imu_dropped_stale for r in reports for c in r.clients) == extra
     assert all(c.imu_dropped_non_finite == 0 for r in reports for c in r.clients)
     assert any(r.identified for r in reports)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_radar_instant_counts_whole_instants_per_frame(data):
+    # frame_time_s m / 100 s and radar_rate_hz a multiple of 100 / gcd(m, 100)
+    # make frame_time_s * radar_rate_hz a whole number of instants, per
+    m = data.draw(st.integers(1, 200), "m")
+    step = 100 // math.gcd(m, 100)
+    rate = step * data.draw(st.integers(1, 200 // step + 1), "rate multiple")
+    per = m * rate // 100
+    if per < 2:
+        per, rate = 2 * per, 2 * rate
+    config = dataclasses.replace(default_config(0), frame_time_s=m / 100, radar_rate_hz=float(rate))
+    config.validate()
+    k = data.draw(st.integers(0, 19_999), "k")
+    assert radar_instant(config, k) == (k + 1) * per - 1
+
+
+@pytest.mark.parametrize("frame_time_s", [0.16, 0.25, 0.35])
+def test_a_frame_takes_the_last_radar_instant_before_its_window_end(frame_time_s):
+    # frame_time_s * radar_rate_hz is 1.6, 2.5 or 3.5 instants: the frame
+    # takes the last instant before its window end, as its readings end there
+    config = dataclasses.replace(default_config(0), frame_time_s=frame_time_s)
+    report = run_scenario(config, mode="both")
+    assert len(report.frames) == build_scenario(config).n_frames > 50
+    for r in report.frames:
+        assert r.timestamp_s - frame_time_s <= r.measurement_time_s < r.timestamp_s, r.frame_index
 
 
 def test_a_point_too_far_for_the_kd_tree_is_noise(tmp_path):
@@ -1124,8 +1160,7 @@ def test_dbscan_buffers_follow_the_largest_body():
     # whole frame took 3x that)
     config = default_config(0)
     params = PipelineParams.for_config(config).dbscan
-    per = config.radar_instants_per_frame()
-    cloud = build_scenario(config).sample_point_cloud(11 * per - 1).points
+    cloud = build_scenario(config).sample_point_cloud(radar_instant(config, 10)).points
     clusters, _ = dbscan(cloud, params)  # imports scipy.spatial outside the trace
     assert len(clusters) == 3
     largest = max(_dbscan_peak_bytes(cloud[c.member_indices], params) for c in clusters)

@@ -6,6 +6,7 @@ import socket
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ def test_imu_round_trip_on_wire_domain():
         assert out.timestamp_s == s.timestamp_s
         assert np.array_equal(out.accel_mps2, s.accel_mps2)
         assert np.array_equal(out.gyro_radps, s.gyro_radps)
+
+
+@pytest.mark.parametrize("offset", [16, 28], ids=["accel", "gyro"])
+def test_a_signalling_nan_is_rejected_without_a_warning(offset):
+    # float32 bits 0x7f800001: widening a signalling NaN raises numpy's
+    # "invalid value" flag, which must not escape as a RuntimeWarning
+    data = bytearray(encode_imu_datagram(_sample()))
+    struct.pack_into("<I", data, offset, 0x7F800001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatagramError, match="non-finite"):
+            decode_imu_datagram(bytes(data))
 
 
 def test_quantize_is_idempotent():

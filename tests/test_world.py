@@ -17,6 +17,7 @@ from beamtrack.errors import ValidationError
 from beamtrack.world import (
     BODY_Z_MAX_M,
     BODY_Z_MIN_M,
+    MAX_CLOUD_POINTS,
     ClutterSpec,
     PathSpec,
     ScenarioConfig,
@@ -63,12 +64,36 @@ def test_config_validation():
 def test_radar_instants_per_frame_overflow_names_both_keys():
     # both values are finite, their product is not
     cfg = _simple_config(frame_time_s=1e200, duration_s=1e200, radar_rate_hz=1e200)
-    for check in (cfg.validate, cfg.radar_instants_per_frame):
-        with pytest.raises(ValidationError, match=r"frame_time_s \* radar_rate_hz overflows"):
-            check()
-    assert _simple_config(frame_time_s=0.5, radar_rate_hz=10.0).radar_instants_per_frame() == 5
-    # a product just inside the float range still rounds to an int
-    assert _simple_config(frame_time_s=1e154, radar_rate_hz=1e154).radar_instants_per_frame() > 2
+    with pytest.raises(ValidationError, match=r"frame_time_s \* radar_rate_hz overflows"):
+        cfg.validate()
+    # a product just inside the float range is many radar instants
+    _simple_config(frame_time_s=1e154, duration_s=1e154, radar_rate_hz=1e154).validate()
+    # a frame spans at least 2 radar instants, frame_time_s * radar_rate_hz rounded
+    for product in (0.5, 1.0, 1.4999999999999998):
+        with pytest.raises(ValidationError, match="need at least 2 radar instants"):
+            _simple_config(frame_time_s=0.5, radar_rate_hz=product / 0.5).validate()
+    for product in (1.5, 2.0, 2.5, 3.0):  # 1.5 and 2.5 both round to 2
+        _simple_config(frame_time_s=0.5, radar_rate_hz=product / 0.5).validate()
+
+
+def test_one_radar_instant_returns_at_most_what_a_capture_cloud_record_holds():
+    # points_per_client_per_frame * (clients + distractors) + clutter point_count;
+    # a cloud record's u32 length covers a 16-byte header and 32 bytes a point
+    assert MAX_CLOUD_POINTS == (2**32 - 1 - 16) // 32 == 134_217_727
+    half = MAX_CLOUD_POINTS // 2  # per client, of two
+
+    def desk(n):
+        return (ClutterSpec((0.0, 0.0, 1.0), n),)
+
+    _simple_config(points_per_client_per_frame=half, clutter=desk(1)).validate()
+    for cfg in (
+        _simple_config(points_per_client_per_frame=half, clutter=desk(2)),
+        _simple_config(points_per_client_per_frame=half + 1),
+        _simple_config(points_per_client_per_frame=np.int64(2**62)),  # no int64 wraparound
+        _simple_config(points_per_client_per_frame=10**12),
+    ):
+        with pytest.raises(ValidationError, match="points_per_client_per_frame .* point_count"):
+            cfg.validate()
 
 
 def test_config_round_trips_through_json(tmp_path):
