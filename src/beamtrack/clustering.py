@@ -3,12 +3,41 @@
 from __future__ import annotations
 
 import bisect
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+def _keep_frame_heap_resident() -> None:
+    """Keep freed blocks of up to glibc's mmap ceiling in the heap, in this process.
+
+    Left to adjust itself, glibc serves a block from the heap once a freed mmap
+    of its size has raised the mmap threshold, and trims the heap top beyond
+    twice that threshold. An 800-point island's pair arrays, scipy's pair
+    vector and the cell arrays together exceed twice the largest of them, so
+    each island would give them back to the kernel and the next would fault
+    ~2,000 pages in again. The mmap threshold is fixed at glibc's ceiling for
+    its own adjustment, DEFAULT_MMAP_THRESHOLD_MAX (4 MiB * sizeof(long)), and
+    the trim threshold at twice that. Both are set, as setting either one stops
+    glibc adjusting the other. A libc without mallopt, or one that refuses the
+    first value, is left as it was.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    ceiling = 4 * 2**20 * ctypes.sizeof(ctypes.c_long)
+    if mallopt(m_mmap_threshold, ceiling):
+        mallopt(m_trim_threshold, 2 * ceiling)
+
+
+_keep_frame_heap_resident()
 
 _NOISE = -1
 # widest per-axis extent handed to one kd-tree: its query raises ValueError once

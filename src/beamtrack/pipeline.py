@@ -100,7 +100,11 @@ REACQUIRE_LIMIT = 3
 _READING_ORDER = attrgetter("timestamp_s", "seq")
 # why _inertial_update dropped a reading
 _NON_FINITE = "non-finite"
+_FUTURE = "future"
 _STALE = "stale"
+# a reading may lie this far (s) past its frame's window end: at frame_time_s
+# 0.35 s, frame 2's last reading (1.05 s) lies one ulp past 3 * 0.35
+_WINDOW_END_SLACK_S = 1e-9
 
 
 def surface_bias_m(body_radius_m: float) -> float:
@@ -184,6 +188,7 @@ class ClientFrameState:
     beam: BeamDecision | None
     imu_dropped_non_finite: int = 0  # a non-finite time or value, or an overflowing step
     imu_dropped_stale: int = 0  # readings not after the last one applied
+    imu_dropped_future: int = 0  # readings stamped after the frame's window end
 
 
 @dataclass
@@ -245,12 +250,20 @@ class Pipeline:
             )
 
     def _inertial_update(
-        self, track: ClientTrack, sample: ImuSample, accel_bias: list, gyro_bias: list
+        self,
+        track: ClientTrack,
+        sample: ImuSample,
+        accel_bias: list,
+        gyro_bias: list,
+        until: float,
     ) -> str | None:
         """Advance the track by one reading; why it was dropped, or None if applied.
 
-        The biases are lists of Python floats and an array reading is converted
-        once, so no numpy scalar enters the per-reading arithmetic.
+        A reading stamped after until, the frame's window end, is dropped as if
+        it never arrived: applied, it would make every later reading of the
+        client stale. The biases are lists of Python floats and an array
+        reading is converted once, so no numpy scalar enters the per-reading
+        arithmetic.
         """
         t, accel, gyro = sample.timestamp_s, sample.accel_mps2, sample.gyro_radps
         ax, ay, az = accel if type(accel) is tuple else accel.tolist()
@@ -267,6 +280,8 @@ class Pipeline:
         step = (gx * gx + gy * gy + gz * gz + 1.0) * (dt * dt)
         if not (step < inf and isfinite(ax) and isfinite(ay) and isfinite(az)):
             return _NON_FINITE  # unusable reading: dropped as if it never arrived
+        if t > until:
+            return _FUTURE  # stamped past the frame's window end
         if dt <= 0:
             return _STALE  # stale or duplicate reading
         accel, gyro = (ax, ay, az), (gx, gy, gz)
@@ -307,12 +322,13 @@ class Pipeline:
         # the measurement instant
         dropped = {cid: Counter() for cid in self.tracks}  # reason -> readings
         fused_until = measurement_time_s + 1e-12
+        window_end = timestamp_s + _WINDOW_END_SLACK_S
         for cid, track in self.tracks.items():
             accel_bias = np.asarray(track.calibration.accel_bias, dtype=float).tolist()
             gyro_bias = np.asarray(track.calibration.gyro_bias, dtype=float).tolist()
             fused = None
             for sample in sorted(imu_batches.get(cid, ()), key=_READING_ORDER):
-                reason = self._inertial_update(track, sample, accel_bias, gyro_bias)
+                reason = self._inertial_update(track, sample, accel_bias, gyro_bias, window_end)
                 if reason is not None:
                     dropped[cid][reason] += 1
                 elif sample.timestamp_s <= fused_until:
@@ -412,6 +428,7 @@ class Pipeline:
                     beam=beam,
                     imu_dropped_non_finite=dropped[cid][_NON_FINITE],
                     imu_dropped_stale=dropped[cid][_STALE],
+                    imu_dropped_future=dropped[cid][_FUTURE],
                 )
             )
         return FrameReport(
@@ -608,6 +625,7 @@ class RunReport:
     # run totals of the per-frame drop counts (client id -> readings)
     imu_dropped_non_finite: dict[int, int] = field(default_factory=dict)
     imu_dropped_stale: dict[int, int] = field(default_factory=dict)
+    imu_dropped_future: dict[int, int] = field(default_factory=dict)
     non_finite_points: int = 0
     non_finite_doppler: int = 0
 
@@ -865,6 +883,10 @@ def _run(
         },
         imu_dropped_stale={
             cid: sum(r.clients[i].imu_dropped_stale for r in reports)
+            for i, cid in enumerate(pipeline.tracks)
+        },
+        imu_dropped_future={
+            cid: sum(r.clients[i].imu_dropped_future for r in reports)
             for i, cid in enumerate(pipeline.tracks)
         },
         non_finite_points=sum(r.non_finite_points for r in reports),

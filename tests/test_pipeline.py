@@ -1,16 +1,22 @@
 """End-to-end pipeline: binding, gating, capture replay, and scoring."""
 
 import collections
+import ctypes
 import dataclasses
 import functools
 import gc
 import json
 import math
+import os
 import queue
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,11 +246,12 @@ def _sparse_radar_reports(edit):
 
 
 def _drop_counts(reports):
-    """(frame, client id, non-finite, stale) of every frame where a count is not 0."""
+    """(frame, client id, non-finite, stale, future) of every frame where a count is not 0."""
     return [
-        (r.frame_index, c.client_id, c.imu_dropped_non_finite, c.imu_dropped_stale)
+        (r.frame_index, c.client_id, c.imu_dropped_non_finite, c.imu_dropped_stale,
+         c.imu_dropped_future)
         for r in reports for c in r.clients
-        if c.imu_dropped_non_finite or c.imu_dropped_stale
+        if c.imu_dropped_non_finite or c.imu_dropped_stale or c.imu_dropped_future
     ]
 
 
@@ -258,11 +265,17 @@ def test_non_finite_imu_sample_is_dropped_like_a_missing_one():
     assert want[2]["identified"] and len(want) == 36
     assert _drop_counts(deleted) == []
     assert all(r.non_finite_points == 0 for r in deleted)
-    # the last two are finite, but a step of madgwick_update that large
-    # overflows: sin() of an infinite angle, or a renormalisation's square
-    for field, index, bad in (("accel_mps2", 0, math.nan), ("gyro_radps", 2, -math.inf),
-                              ("timestamp_s", None, math.nan), ("timestamp_s", None, math.inf),
-                              ("gyro_radps", 2, 1e200), ("timestamp_s", None, 1e300)):
+    non_finite, future = (2, 0, 1, 0, 0), (2, 0, 0, 0, 1)
+    # 1e200 and 1e300 are finite, but a step of madgwick_update that large
+    # overflows: sin() of an infinite angle, or a renormalisation's square.
+    # Applied, a reading at 1e6 s would leave every later one of its client
+    # stale, and its IMU velocity frozen for the rest of the run.
+    for field, index, bad, drops in (
+        ("accel_mps2", 0, math.nan, non_finite), ("gyro_radps", 2, -math.inf, non_finite),
+        ("timestamp_s", None, math.nan, non_finite), ("timestamp_s", None, math.inf, non_finite),
+        ("gyro_radps", 2, 1e200, non_finite), ("timestamp_s", None, 1e300, non_finite),
+        ("timestamp_s", None, 1e6, future),
+    ):
         def poison(k, batches):
             if k == 2:
                 sample = batches[0][10]
@@ -275,7 +288,7 @@ def test_non_finite_imu_sample_is_dropped_like_a_missing_one():
 
         reports = _sparse_radar_reports(poison)
         assert [frame_record(r) for r in reports] == want, (field, bad)
-        assert _drop_counts(reports) == [(2, 0, 1, 0)], (field, bad)
+        assert _drop_counts(reports) == [drops], (field, bad)
 
 
 def test_fused_snapshot_equals_per_reading_reference():
@@ -325,7 +338,7 @@ def test_fused_snapshot_equals_per_reading_reference():
             assert state.heading_rad == heading, (report.frame_index, cid)
     for k in (4, 6):  # the previous frame's values carry over
         assert reports[k].clients[0].heading_rad == reports[k - 1].clients[0].heading_rad
-    assert _drop_counts(reports) == [(2, 0, 1, 0), (3, 0, 0, 1), (6, 0, 0, 1)]
+    assert _drop_counts(reports) == [(2, 0, 1, 0, 0), (3, 0, 0, 1, 0), (6, 0, 0, 1, 0)]
 
 
 def _logged(log):
@@ -516,18 +529,21 @@ def test_run_report_totals_drops_and_keeps_them_out_of_the_log(tmp_path):
             if k == 1:
                 batches[0][5] = dataclasses.replace(batches[0][5], timestamp_s=math.nan)
                 batches[1].append(batches[1][7])
+                batches[0][9] = dataclasses.replace(batches[0][9], timestamp_s=1e6)
                 cloud = dataclasses.replace(cloud, points=np.vstack([cloud.points, bad_rows]))
             yield batches, cloud
 
     report = pipeline_module._run(scenario, "algorithm", tmp_path / "poisoned.jsonl", poisoned())
     assert report.imu_dropped_non_finite == {0: 1, 1: 0}
     assert report.imu_dropped_stale == {0: 0, 1: 1}
+    assert report.imu_dropped_future == {0: 1, 1: 0}
     assert report.non_finite_points == 2
     assert [r.non_finite_points for r in report.frames] == [0, 2] + [0] * 6
     assert report.non_finite_doppler == 1
     assert [r.non_finite_doppler for r in report.frames] == [0, 1] + [0] * 6
     clean = run_scenario(cfg, mode="algorithm", log_path=tmp_path / "clean.jsonl")
     assert clean.imu_dropped_non_finite == clean.imu_dropped_stale == {0: 0, 1: 0}
+    assert clean.imu_dropped_future == {0: 0, 1: 0}
     assert clean.non_finite_points == clean.non_finite_doppler == 0
     # the counts are not part of the frame record, so logs stay as they were
     records = _logged(tmp_path / "poisoned.jsonl")
@@ -1166,3 +1182,56 @@ def test_dbscan_buffers_follow_the_largest_body():
     largest = max(_dbscan_peak_bytes(cloud[c.member_indices], params) for c in clusters)
     whole = _dbscan_peak_bytes(cloud, params)
     assert whole <= 1.5 * largest, (whole, largest)
+
+
+def _minor_faults_in_fresh_interpreter(probe, *args):
+    """Run probe, which prints a count of minor page faults, in a new interpreter; the count."""
+    pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("libc has no mallopt, so the heap keeps its default trim policy")
+    src = str(Path(pipeline_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return float(out.stdout)
+
+
+def test_a_freed_block_stays_resident_once_clustering_is_imported():
+    # glibc gave a freed 16 MiB block back to the kernel and faulted it in
+    # again (~490 pages) on the next allocation of that size; importing the
+    # clustering module fixes the thresholds that keep it in the heap
+    probe = textwrap.dedent("""
+        import resource, numpy as np, beamtrack.clustering
+        block = np.ones(2 * 2**20)
+        del block
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        block = np.ones(2 * 2**20)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    faults = _minor_faults_in_fresh_interpreter(probe)
+    assert faults < 50, faults
+
+
+def test_the_frame_loop_reuses_its_heap_frame_after_frame():
+    # each demo island's DBSCAN temporaries are freed and allocated again in
+    # the next: returned to the kernel in between, they cost ~2,000 minor
+    # faults per frame in most fresh processes
+    probe = textwrap.dedent("""
+        import dataclasses, resource, statistics, sys
+        import beamtrack.pipeline as pipeline
+        from beamtrack.world import default_config
+        process_frame, faults = pipeline.Pipeline.process_frame, []
+        def counted(self, *args, **kwargs):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            report = process_frame(self, *args, **kwargs)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            return report
+        pipeline.Pipeline.process_frame = counted
+        config = dataclasses.replace(default_config(int(sys.argv[1])), duration_s=6.0)
+        pipeline.run_scenario(config, mode="both")
+        print(statistics.median(faults[1:]))  # frame 0 also faults in the lazy imports
+    """)
+    per_frame = [_minor_faults_in_fresh_interpreter(probe, str(seed)) for seed in range(3)]
+    assert all(faults <= 50 for faults in per_frame), per_frame
