@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import atexit
 import bisect
 import ctypes
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +97,9 @@ def dbscan(
     points. finite, if given, is finite_rows(points), for a caller that also
     needs it. The cloud is clustered island by island (_labels), so the
     buffers of one call follow its largest island, not its point count.
+    When this process may run on two or more CPUs, a helper process labels
+    part of a cloud of two or more islands, with the same code and labels;
+    it is started at the first such cloud and exits with this process.
     """
     if not 0.0 < params.eps_m < math.inf:
         raise ValidationError("eps_m must be > 0 and finite")
@@ -135,58 +142,237 @@ def dbscan(
 def _labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """DBSCAN labels of finite (n, 3) points, -1 for noise.
 
-    The points are queried island by island (_islands): no pair within eps
-    joins two islands, so an island's neighbour counts, cores and cell graph
-    are its own (_cell_graph), and the pair buffers follow the largest
-    island, not the whole cloud. An island of fewer than min_pts points is
-    all noise. One component search, one cluster numbering and one border
-    assignment then run over all islands' cell graphs.
+    No pair within eps joins two islands (_islands), so each island of at
+    least min_pts points is labelled completely on its own (_island_labels),
+    and the pair buffers follow the largest island, not the whole cloud. An
+    island's rows are sorted first, so its clusters' local numbering follows
+    global scan order; every island's clusters are then numbered together by
+    their first core row. When two or more islands are labelled and this
+    process may run on two CPUs, a helper process labels some of them
+    (_Helper) while this process labels the rest, with the same function.
+    """
+    labels = np.full(len(xyz), _NOISE, dtype=np.intp)
+    radius, exact = _query_radius(eps)
+    islands = [
+        (np.sort(rows), None if wide else radius)
+        for rows, wide in _islands(xyz, eps)
+        if len(rows) >= min_pts
+    ]
+    if not islands:
+        return labels
+    if len(islands) >= 2 and _cpus() >= 2:
+        islands, done = _helper.label(xyz, islands, eps, min_pts, exact)
+    else:
+        done = _label_islands(xyz, islands, eps, min_pts, exact)
+
+    # Clusters are numbered by their first core row in scan order.
+    firsts = np.concatenate([rows[first] for (rows, _), (_, first) in zip(islands, done)])
+    rank = np.empty(len(firsts), dtype=np.intp)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    start = 0
+    for (rows, _), (local, first) in zip(islands, done):
+        end = start + len(first)
+        # a local label indexes its island's global labels; -1 picks the appended noise
+        labels[rows] = np.append(rank[start:end], _NOISE)[local]
+        start = end
+    return labels
+
+
+def _island_labels(xyz: np.ndarray, eps: float, min_pts: int, radius: float | None, exact: bool):
+    """DBSCAN labels of one island's finite (n, 3) points, and each cluster's first core row.
+
+    Clusters are numbered by their first core row, in row order; a border
+    point goes to the smallest adjacent label, matching sequential region
+    growing in label order. radius and exact are _neighbour_pairs'. Returns
+    the labels, -1 for noise, and the first core rows, ascending.
     """
     n = len(xyz)
     labels = np.full(n, _NOISE, dtype=np.intp)
-    radius, exact = _query_radius(eps)
-    cores, core_cells, edge_a, edge_b, borders, border_cells = [], [], [], [], [], []
-    n_cells = np.intp(0)  # a numpy offset widens an island's 32-bit cells to intp
-    for rows, wide in _islands(xyz, eps):
-        if len(rows) < min_pts:
-            continue
-        island = xyz.take(rows, axis=0)
-        graph = _cell_graph(island, eps, min_pts, None if wide else radius, exact)
-        if graph is None:
-            continue
-        core, cell, k, a, b, border, via = graph
-        cores.append(rows[core])
-        core_cells.append(cell + n_cells)
-        edge_a.append(a + n_cells)
-        edge_b.append(b + n_cells)
-        borders.append(rows[border])
-        border_cells.append(via + n_cells)
-        n_cells += k
-    if not n_cells:
-        return labels
+    graph = _cell_graph(xyz, eps, min_pts, radius, exact)
+    if graph is None:
+        return labels, np.empty(0, dtype=np.intp)
+    core_idx, cell_of_core, n_cells, edge_a, edge_b, border, border_via = graph
 
     # The core-core edges go to _components as plain index arrays: a
     # union-find needs them in no order and with no weights.
-    root = _components(int(n_cells), np.concatenate(edge_a), np.concatenate(edge_b))
-    core_idx, cell_of_core = np.concatenate(cores), np.concatenate(core_cells)
-
-    # Clusters are numbered by first appearance of a core in scan order.
+    root = _components(n_cells, edge_a, edge_b)
     first_seen = np.full(n_cells, n, dtype=np.intp)
     np.minimum.at(first_seen, root[cell_of_core], core_idx)
     roots = np.flatnonzero(root == np.arange(n_cells))
+    order = np.argsort(first_seen[roots])
     n_clusters = len(roots)
     rank = np.empty(n_cells, dtype=np.intp)
-    rank[roots[np.argsort(first_seen[roots])]] = np.arange(n_clusters)
+    rank[roots[order]] = np.arange(n_clusters)
     label_of_cell = rank[root]
     labels[core_idx] = label_of_cell[cell_of_core]
 
-    # A border point goes to the smallest adjacent label, matching sequential
-    # region growing in label order.
     best = np.full(n, n_clusters, dtype=np.intp)
-    np.minimum.at(best, np.concatenate(borders), label_of_cell[np.concatenate(border_cells)])
+    np.minimum.at(best, border, label_of_cell[border_via])
     claimed = best < n_clusters
     labels[claimed] = best[claimed]
-    return labels
+    return labels, first_seen[roots[order]]
+
+
+def _label_islands(xyz: np.ndarray, islands: list, eps: float, min_pts: int, exact: bool) -> list:
+    """_island_labels of each (rows, radius) island of xyz, in this process."""
+    return [_island_labels(xyz.take(rows, axis=0), eps, min_pts, r, exact) for rows, r in islands]
+
+
+def _split(islands: list) -> tuple[list, list]:
+    """Islands largest first, each to the side with fewer points: (this process's, the helper's)."""
+    sides, points = ([], []), [0, 0]
+    for island in sorted(islands, key=lambda island: len(island[0]), reverse=True):
+        side = int(points[1] < points[0])
+        sides[side].append(island)
+        points[side] += len(island[0])
+    return sides
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# what the helper sends once its imports are done
+_READY = "ready"
+# the helper's program: argv[1] is the directory beamtrack was imported from.
+# It ignores SIGINT, which a terminal sends to the whole process group, and
+# exits when its parent closes the pipe or exits.
+_HELPER_SOURCE = (
+    "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+    "sys.path.insert(0, sys.argv[1]); from beamtrack.clustering import _serve; _serve()"
+)
+
+
+class _Helper:
+    """A second process that labels islands for this one, over its stdin and stdout pipes.
+
+    It is started by the first label() call, and takes islands once it has
+    sent _READY after its imports; until then every island is labelled in
+    this process. Once its pipe breaks it is closed and never used again. It
+    is started with subprocess rather than multiprocessing: spawn re-runs a
+    caller's unguarded __main__, and fork is unsafe beside the telemetry
+    server's threads.
+    """
+
+    def __init__(self) -> None:
+        self.owner = os.getpid()
+        self.lock = threading.Lock()  # one request on the pipe at a time
+        self.process = None
+        self.requests = self.replies = None
+        self.is_ready = False
+        self.broken = False
+
+    def label(self, xyz: np.ndarray, islands: list, eps: float, min_pts: int, exact: bool):
+        """The (rows, radius) islands of xyz, reordered, and the _island_labels of each.
+
+        The helper labels its share (_split) while this process labels the
+        rest. A call from a forked child, or while another thread's request
+        is on the pipe, labels every island here.
+        """
+        if self.owner != os.getpid() or not self.lock.acquire(blocking=False):
+            return islands, _label_islands(xyz, islands, eps, min_pts, exact)
+        try:
+            if not self.ready():
+                return islands, _label_islands(xyz, islands, eps, min_pts, exact)
+            mine, theirs = _split(islands)
+            try:
+                request = [(xyz.take(rows, axis=0), r) for rows, r in theirs]
+                self.requests.send((eps, min_pts, exact, request))
+            except BrokenPipeError:
+                self.close()
+                return islands, _label_islands(xyz, islands, eps, min_pts, exact)
+            try:
+                done = _label_islands(xyz, mine, eps, min_pts, exact)
+                done += self.replies.recv()
+            except EOFError:  # the helper is gone: its islands are labelled here
+                self.close()
+                done += _label_islands(xyz, theirs, eps, min_pts, exact)
+            except BaseException:
+                self.close()  # its reply, left unread, would answer the next request
+                raise
+            return mine + theirs, done
+        finally:
+            self.lock.release()
+
+    def ready(self) -> bool:
+        """Whether the helper has reported ready; starts it on the first call."""
+        if self.is_ready or self.broken:
+            return self.is_ready
+        if self.process is None:
+            self._start()
+            return False
+        try:
+            if self.replies.poll():
+                self.is_ready = self.replies.recv() == _READY
+        except EOFError:  # it exited during its imports
+            self.close()
+        return self.is_ready
+
+    def _start(self) -> None:
+        import subprocess
+        from multiprocessing.connection import Connection
+
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        down_read, down_write = os.pipe()
+        up_read, up_write = os.pipe()
+        try:
+            self.process = subprocess.Popen(
+                [sys.executable, "-c", _HELPER_SOURCE, package_root],
+                stdin=down_read,
+                stdout=up_write,
+            )
+        except OSError:  # no interpreter to run, or no process to be had
+            os.close(down_write)
+            os.close(up_read)
+            self.broken = True
+            return
+        finally:
+            os.close(down_read)
+            os.close(up_write)
+        self.requests = Connection(down_write, readable=False)
+        self.replies = Connection(up_read, writable=False)
+        atexit.register(self.close)
+
+    def close(self) -> None:
+        """Close the pipes and reap the helper: it exits at EOF, or is killed after 1 s."""
+        if self.owner != os.getpid() or self.process is None:
+            return  # a forked child does not own its parent's helper
+        import subprocess
+
+        self.is_ready, self.broken = False, True
+        self.requests.close()
+        self.replies.close()
+        try:
+            self.process.wait(timeout=1.0)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+        self.process = None
+
+
+# this process's helper; no process runs until a cloud of two islands is labelled
+_helper = _Helper()
+
+
+def _serve() -> None:
+    """The helper's loop: label each request's islands, until the parent closes the pipe."""
+    from multiprocessing.connection import Connection
+    # imported before _READY, not at the first request
+    from scipy.spatial import cKDTree  # noqa: F401
+
+    requests = Connection(0, writable=False)
+    replies = Connection(os.dup(1), readable=False)
+    os.dup2(2, 1)  # a stray print goes to stderr, not into the pipe
+    try:
+        replies.send(_READY)
+        while True:
+            eps, min_pts, exact, islands = requests.recv()
+            replies.send([_island_labels(xyz, eps, min_pts, r, exact) for xyz, r in islands])
+    except (EOFError, BrokenPipeError):
+        pass  # the parent closed its end or exited
 
 
 def _cell_graph(xyz: np.ndarray, eps: float, min_pts: int, radius: float | None, exact: bool):

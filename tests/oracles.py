@@ -510,8 +510,9 @@ def point_cloud_reference(config, frame_index: int):
 def inertial_tier_reference(heading, accel_bias, gyro_bias, frames, beta, gravity):
     """Fused (velocity[:2], yaw) after each frame of one client's readings.
 
-    frames holds (readings, instant) pairs. Readings apply in (timestamp, seq)
-    order; one with a non-finite time or bias-corrected value, one not after
+    frames holds (readings, instant, window end) triples. Readings apply in
+    (timestamp, seq) order; one with a non-finite time or bias-corrected value,
+    one stamped more than 1e-9 s past its frame's window end, one not after
     the last applied reading, and one whose orientation step overflows
     (|gyro|^2 + 1) dt^2 are skipped. The fused state is taken after every
     applied reading at or before the instant (within 1e-12 s), so the last
@@ -521,11 +522,13 @@ def inertial_tier_reference(heading, accel_bias, gyro_bias, frames, beta, gravit
     v, a_prev, last = np.zeros(3), np.zeros(3), 0.0
     fused = (np.zeros(2), heading)
     out = []
-    for readings, instant in frames:
+    for readings, instant, window_end in frames:
         for s in sorted(readings, key=lambda s: (s.timestamp_s, s.seq)):
             with np.errstate(over="ignore", invalid="ignore"):
                 accel, gyro = s.accel_mps2 - accel_bias, s.gyro_radps - gyro_bias
                 if not np.all(np.isfinite([s.timestamp_s, *accel, *gyro])):
+                    continue
+                if s.timestamp_s > window_end + 1e-9:
                     continue
                 dt = s.timestamp_s - last
                 if dt <= 0:

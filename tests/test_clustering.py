@@ -2,7 +2,13 @@
 
 import dataclasses
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +31,9 @@ from beamtrack.pipeline import radar_instant
 from beamtrack.world import build_scenario, default_config
 
 from oracles import components_reference, dbscan_reference
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 
 def _labels_of(clusters, noise, n):
@@ -440,6 +449,293 @@ def test_no_neighbour_pair_joins_two_islands_of_a_demo_frame():
     assert (island_of >= 0).all() and island_of.max() >= 2
     pairs = cKDTree(pts[:, :3]).query_pairs(0.3, output_type="ndarray")
     assert (island_of[pairs[:, 0]] == island_of[pairs[:, 1]]).all()
+
+
+# --- the helper process that labels part of a multi-island cloud -----------
+
+
+def _labels_in_process(pts, params):
+    """dbscan's labels and noise on a host seen as having one CPU, so no helper runs."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        clusters, noise = dbscan(pts, params)
+    return _labels_of(clusters, noise, len(pts)), noise
+
+
+def _ready(helper, seconds=60.0):
+    """The helper, once it has reported ready."""
+    deadline = time.monotonic() + seconds
+    while not helper.ready():
+        assert time.monotonic() < deadline, "the helper did not report ready"
+        time.sleep(0.01)
+    return helper
+
+
+@pytest.fixture(scope="module")
+def helper():
+    """A ready helper of this process, on a host seen as having two CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fresh = clustering._Helper()
+        patch.setattr(clustering, "_helper", fresh)
+        yield _ready(fresh)
+        fresh.close()
+
+
+@pytest.fixture
+def local_islands(monkeypatch):
+    """The sizes of the islands this process labels itself; the helper's are not seen."""
+    sizes = []
+    label = clustering._island_labels
+
+    def counted(xyz, *args):
+        sizes.append(len(xyz))
+        return label(xyz, *args)
+
+    monkeypatch.setattr(clustering, "_island_labels", counted)
+    return sizes
+
+
+def _assert_helper_labels(pts, params, local_islands):
+    """dbscan labels pts with the helper's share as it does alone; the helper took an island."""
+    islands = [rows for rows, _ in _islands(pts[:, :3], params.eps_m)]
+    islands = [rows for rows in islands if len(rows) >= params.min_pts]
+    local_islands.clear()
+    clusters, noise = dbscan(pts, params)
+    assert 0 < len(local_islands) < len(islands)
+    labels, in_process_noise = _labels_in_process(pts, params)
+    assert np.array_equal(_labels_of(clusters, noise, len(pts)), labels)
+    assert noise == in_process_noise
+    return clusters, noise
+
+
+@pytest.mark.parametrize("workload", ["demo", "crowd"])
+def test_the_helper_labels_demo_and_crowd_frames_as_this_process_does(
+    helper, local_islands, workload
+):
+    config = workloads.WORKLOADS[workload](1)
+    for k in (0, 17, 35):
+        _assert_helper_labels(_frame(config, k), DbscanParams(), local_islands)
+    # every third point, in islands of up to 400, is small enough for the
+    # quadratic reference; min_pts falls with the density
+    sparse = _frame(config, 17)[::3]
+    params = DbscanParams(min_pts=34)
+    with mock.patch.object(clustering, "_ISLAND_POINTS", 400):
+        clusters, noise = _assert_helper_labels(sparse, params, local_islands)
+    ref_labels, ref_count = dbscan_reference(sparse, params.eps_m, params.min_pts)
+    assert len(clusters) == ref_count
+    assert np.array_equal(_labels_of(clusters, noise, len(sparse)), ref_labels)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_island_clouds())
+def test_the_helper_labels_island_clouds_as_the_quadratic_reference(helper, cloud):
+    # several blobs, shuffled, some beyond a kd-tree's range, in islands that
+    # the helper and this process share
+    pts, eps, min_pts, budget = cloud
+    with mock.patch.object(clustering, "_ISLAND_POINTS", budget):
+        _assert_matches_reference(pts, eps, min_pts)
+        labels, _ = _labels_in_process(pts, DbscanParams(eps, min_pts))
+        assert np.array_equal(labels, dbscan_reference(pts, eps, min_pts)[0])
+
+
+def test_the_helper_labels_islands_whose_rows_are_not_in_scan_order(
+    helper, local_islands, monkeypatch
+):
+    # five 20-point blobs 3 eps apart along x, shuffled: _islands yields each
+    # slab's rows in x order, so first cores interleave across islands
+    monkeypatch.setattr(clustering, "_ISLAND_POINTS", 20)
+    rng = np.random.default_rng(5)
+    pts3 = np.repeat(np.arange(5.0)[:, None] * [0.9, 0.0, 0.0], 20, axis=0)
+    pts3 += rng.uniform(-0.03, 0.03, (100, 3))
+    pts = np.column_stack([pts3, np.zeros(100)])[rng.permutation(100)]
+    yielded = [rows for rows, _ in _islands(pts[:, :3], 0.3)]
+    assert len(yielded) == 5 and not all((np.diff(rows) > 0).all() for rows in yielded)
+    _assert_helper_labels(pts, DbscanParams(eps_m=0.3, min_pts=5), local_islands)
+    _assert_matches_reference(pts, 0.3, 5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_helper_labels_islands_too_wide_for_a_kd_tree(helper, local_islands):
+    # two 6-point chains 5e151 m long, 2e153 m apart, eps 1e152: neither is cut
+    # by a gap over 2 eps, and each is too wide for a kd-tree, so every pair
+    # of each is tested, one of them in the helper
+    chain = np.arange(6) * 1e151
+    pts3 = np.zeros((12, 3))
+    pts3[:, 0] = np.concatenate([chain, 2e153 + chain])
+    pts = np.column_stack([pts3, np.zeros(12)])[np.random.default_rng(6).permutation(12)]
+    assert [wide for _, wide in _islands(pts[:, :3], 1e152)] == [True, True]
+    _assert_helper_labels(pts, DbscanParams(eps_m=1e152, min_pts=3), local_islands)
+    _assert_matches_reference(pts, 1e152, 3)
+
+
+def _break_between_frames(helper):
+    helper.process.kill()
+    helper.process.wait(timeout=10)
+
+
+def _break_with_a_request_in_flight(helper):
+    # a request the helper cannot unpack: it exits, and the reply never comes
+    requests = helper.requests
+    helper.requests = mock.Mock(send=lambda request: requests.send(None), close=requests.close)
+
+
+@pytest.mark.parametrize("breaks", [_break_between_frames, _break_with_a_request_in_flight])
+def test_a_broken_helper_leaves_the_frames_to_this_process(monkeypatch, local_islands, breaks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    doomed = _ready(clustering._Helper())
+    monkeypatch.setattr(clustering, "_helper", doomed)
+    frames = [_frame(default_config(2), k) for k in (3, 4, 5)]
+    want = [_labels_in_process(pts, DbscanParams()) for pts in frames]
+    breaks(doomed)
+    got = []
+
+    def cluster():
+        for pts in frames:
+            local_islands.clear()
+            clusters, noise = dbscan(pts, DbscanParams())
+            got.append((_labels_of(clusters, noise, len(pts)), noise, len(local_islands)))
+
+    worker = threading.Thread(target=cluster, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "clustering hung on a broken helper"
+    for (labels, noise, labelled_here), (want_labels, want_noise), pts in zip(got, want, frames):
+        assert np.array_equal(labels, want_labels) and noise == want_noise
+        islands = [rows for rows, _ in _islands(pts[:, :3], 0.3) if len(rows) >= 100]
+        assert labelled_here == len(islands)  # every island, here
+    assert len(got) == 3
+    # it is closed, reaped and never started again
+    assert clustering._helper is doomed and doomed.process is None and not doomed.ready()
+
+
+def test_an_exception_between_request_and_reply_retires_the_helper(monkeypatch, local_islands):
+    # the reply left unread would answer the next frame's request
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    retired = _ready(clustering._Helper())
+    monkeypatch.setattr(clustering, "_helper", retired)
+    first, second = _frame(default_config(2), 3), _frame(default_config(2), 4)
+    with mock.patch.object(clustering, "_island_labels", mock.Mock(side_effect=KeyboardInterrupt)):
+        with pytest.raises(KeyboardInterrupt):
+            dbscan(first, DbscanParams())
+    assert retired.process is None and not retired.ready()
+    clusters, noise = dbscan(second, DbscanParams())
+    labels, _ = _labels_in_process(second, DbscanParams())
+    assert np.array_equal(_labels_of(clusters, noise, len(second)), labels)
+
+
+def test_threads_share_the_helper_one_request_at_a_time(helper):
+    # more threads than CPUs: one at a time has the helper's pipe, the others
+    # label every island themselves, and every thread gets its own frames' labels
+    frames = [_frame(default_config(seed), k) for seed in (0, 1) for k in (2, 9, 16, 30)]
+    want = [_labels_in_process(pts, DbscanParams())[0] for pts in frames]
+    got = {}
+
+    def cluster(t):
+        for rep in range(3):
+            for i in range(t % 2, len(frames), 2):
+                clusters, noise = dbscan(frames[i], DbscanParams())
+                got[t, rep, i] = _labels_of(clusters, noise, len(frames[i]))
+
+    workers = [threading.Thread(target=cluster, args=(t,), daemon=True) for t in range(4)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(got) == 4 * 3 * 4
+    assert all(np.array_equal(labels, want[i]) for (_, _, i), labels in got.items())
+    assert helper.ready()
+
+
+def test_one_cpu_starts_no_helper(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    idle = clustering._Helper()
+    monkeypatch.setattr(clustering, "_helper", idle)
+    for k in (0, 1, 2):
+        dbscan(_frame(default_config(0), k), DbscanParams())
+    assert idle.process is None and not idle.broken
+
+
+def test_a_sigint_leaves_the_helper_serving(helper, local_islands):
+    # a terminal's Ctrl-C reaches the whole process group; the parent decides
+    helper.process.send_signal(signal.SIGINT)
+    time.sleep(0.2)
+    assert helper.process.poll() is None
+    _assert_helper_labels(_frame(default_config(0), 6), DbscanParams(), local_islands)
+
+
+_UNGUARDED_SCRIPT = """\
+import os, sys, time
+import numpy as np
+from beamtrack import clustering
+from beamtrack.clustering import DbscanParams, dbscan
+
+os.sched_getaffinity = lambda pid: {0, 1}
+clustering._ISLAND_POINTS = 20
+rng = np.random.default_rng(0)
+pts = np.column_stack([rng.normal(0.0, 0.03, (40, 3)), np.zeros(40)])
+pts[20:, 0] += 5.0
+deadline = time.monotonic() + 60
+while True:
+    clusters, noise = dbscan(pts, DbscanParams(eps_m=0.3, min_pts=5))
+    assert [c.member_indices for c in clusters] == [list(range(20)), list(range(20, 40))]
+    if clustering._helper.ready():
+        break
+    assert time.monotonic() < deadline, "no helper"
+dbscan(pts, DbscanParams(eps_m=0.3, min_pts=5))
+print(clustering._helper.process.pid, flush=True)
+if sys.argv[1:] == ["hang"]:
+    time.sleep(60)
+"""
+
+
+def _helper_script(tmp_path, *args):
+    """Start _UNGUARDED_SCRIPT (no __main__ guard) in a new interpreter; it and its helper's pid."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED_SCRIPT)
+    src = str(Path(clustering.__file__).resolve().parents[1])
+    run = subprocess.Popen(
+        [sys.executable, "-W", "always::ResourceWarning", str(script), *args],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    return run, int(run.stdout.readline())
+
+
+def _gone(pid, seconds=10.0):
+    """Whether process pid has exited within seconds (a zombie counts as exited)."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_an_unguarded_script_uses_the_helper_and_leaves_no_process(tmp_path):
+    # multiprocessing's spawn would re-run the script in the child and fail
+    run, pid = _helper_script(tmp_path)
+    out, err = run.communicate(timeout=60)
+    assert run.returncode == 0, err
+    assert "ResourceWarning" not in err
+    assert _gone(pid)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_the_helper_of_a_killed_process_exits(tmp_path):
+    # no atexit hook runs: the helper sees its pipe close and exits
+    run, pid = _helper_script(tmp_path, "hang")
+    run.kill()
+    run.communicate(timeout=60)
+    assert _gone(pid)
 
 
 @st.composite

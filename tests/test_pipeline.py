@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -299,14 +300,16 @@ def test_fused_snapshot_equals_per_reading_reference():
     calibrations = calibrate_clients(scenario)
     headings = {gt.client_id: gt.heading_rad for gt in scenario.ground_truth(0.0)}
     rng = np.random.default_rng(4)
+    source = list(itertools.islice(_inline_source(scenario), 8))
     feeds = []
-    for k, (batches, cloud) in enumerate(_inline_source(scenario)):
-        if k == 8:
-            break
+    for k, (batches, cloud) in enumerate(source):
         instant = cloud.timestamp_s
         readings = list(batches[0])
         last = max(i for i, s in enumerate(readings) if s.timestamp_s <= instant)
-        if k == 2:  # the last reading before the instant is non-finite
+        if k == 1:  # a reading of the next window arrives early: applied, it
+            # would make the next frame's first five readings stale
+            readings.append(source[2][0][0][5])
+        elif k == 2:  # the last reading before the instant is non-finite
             readings[last] = dataclasses.replace(
                 readings[last], accel_mps2=np.array([math.nan, 0.0, 9.81])
             )
@@ -329,7 +332,8 @@ def test_fused_snapshot_equals_per_reading_reference():
         cal = calibrations[cid]
         want = inertial_tier_reference(
             headings[cid], cal.accel_bias, cal.gyro_bias,
-            [(batches[cid], instant) for batches, instant in feeds],
+            [(batches[cid], instant, (k + 1) * cfg.frame_time_s)
+             for k, (batches, instant) in enumerate(feeds)],
             0.1, GRAVITY_MPS2,  # madgwick_update's default gain
         )
         for report, (velocity, heading) in zip(reports, want):
@@ -338,7 +342,9 @@ def test_fused_snapshot_equals_per_reading_reference():
             assert state.heading_rad == heading, (report.frame_index, cid)
     for k in (4, 6):  # the previous frame's values carry over
         assert reports[k].clients[0].heading_rad == reports[k - 1].clients[0].heading_rad
-    assert _drop_counts(reports) == [(2, 0, 1, 0, 0), (3, 0, 0, 1, 0), (6, 0, 0, 1, 0)]
+    assert _drop_counts(reports) == [
+        (1, 0, 0, 0, 1), (2, 0, 1, 0, 0), (3, 0, 0, 1, 0), (6, 0, 0, 1, 0)
+    ]
 
 
 def _logged(log):
@@ -391,8 +397,8 @@ def _poisoned(reading, field, index, value):
 def test_fused_snapshot_equals_reference_on_mixed_messy_batches(data):
     # per client and frame: some readings missing, some with array vectors in
     # place of float tuples, some non-finite or with a step that overflows,
-    # some sent twice, all shuffled; the fused velocity and heading stay
-    # bit-equal to the array formulation
+    # some sent twice, some of the next window's early, all shuffled; the
+    # fused velocity and heading stay bit-equal to the array formulation
     cfg, headings, calibrations, feed = _short_demo_feed()
     field = st.sampled_from(["timestamp_s", "accel_mps2", "gyro_radps"])
     bad = st.one_of(
@@ -420,6 +426,9 @@ def test_fused_snapshot_equals_reference_on_mixed_messy_batches(data):
                 readings.append(reading)
             if readings:
                 readings += data.draw(st.lists(st.sampled_from(readings), max_size=4), f"dup {k} {cid}")
+            if k + 1 < len(feed):  # readings of the next window, early
+                early = st.lists(st.sampled_from(feed[k + 1][0][cid]), max_size=3)
+                readings += data.draw(early, f"early {k} {cid}")
             order = data.draw(st.permutations(range(len(readings))), f"order {k} {cid}")
             out[cid] = [readings[i] for i in order]
         feeds.append((out, cloud.timestamp_s))
@@ -432,7 +441,8 @@ def test_fused_snapshot_equals_reference_on_mixed_messy_batches(data):
     for cid, cal in calibrations.items():
         want = inertial_tier_reference(
             headings[cid], cal.accel_bias, cal.gyro_bias,
-            [(batches[cid], instant) for batches, instant in feeds],
+            [(batches[cid], instant, (k + 1) * cfg.frame_time_s)
+             for k, (batches, instant) in enumerate(feeds)],
             0.1, GRAVITY_MPS2,  # madgwick_update's default gain
         )
         for report, (velocity, heading) in zip(reports, want):
