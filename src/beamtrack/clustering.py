@@ -335,6 +335,17 @@ class _Helper:
         self.requests = Connection(down_write, readable=False)
         self.replies = Connection(up_read, writable=False)
         atexit.register(self.close)
+        os.register_at_fork(after_in_child=self._close_in_child)
+
+    def _close_in_child(self) -> None:
+        """In a child forked from this process, close its copies of the pipes, and only those.
+
+        The child's copy of the request pipe would otherwise keep the helper
+        from seeing EOF when this process closes it, and close() here would
+        kill the helper after its 1 s wait.
+        """
+        self.requests.close()
+        self.replies.close()
 
     def close(self) -> None:
         """Close the pipes and reap the helper: it exits at EOF, or is killed after 1 s."""
@@ -360,9 +371,8 @@ _helper = _Helper()
 def _serve() -> None:
     """The helper's loop: label each request's islands, until the parent closes the pipe."""
     from multiprocessing.connection import Connection
-    # imported before _READY, not at the first request
-    from scipy.spatial import cKDTree  # noqa: F401
 
+    _ckdtree()  # loaded before _READY, not at the first request
     requests = Connection(0, writable=False)
     replies = Connection(os.dup(1), readable=False)
     os.dup2(2, 1)  # a stray print goes to stderr, not into the pipe
@@ -537,15 +547,53 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float, radius: float | None, exact: b
     """
     if radius is None:
         return _within(xyz, np.column_stack(np.triu_indices(len(xyz), 1)), eps)
-    # imported here, so a command that never clusters does not load scipy.spatial
-    from scipy.spatial import cKDTree
-
     # The pair set does not depend on the tree's shape, only the time to find
     # it: larger leaves, midpoint splits and uncompacted nodes build and walk
     # these clouds fastest.
-    tree = cKDTree(xyz, leafsize=32, balanced_tree=False, compact_nodes=False)
+    tree = _ckdtree().cKDTree(xyz, leafsize=32, balanced_tree=False, compact_nodes=False)
     pairs = tree.query_pairs(radius, output_type="ndarray")
     return pairs if exact else _within(xyz, pairs, eps)
+
+
+# scipy's kd-tree extension, and the lock under which one thread loads it
+_CKDTREE = "scipy.spatial._ckdtree"
+_ckdtree_lock = threading.Lock()
+
+
+def _ckdtree():
+    """scipy's kd-tree extension module, loaded at the first call without the scipy.spatial package.
+
+    `from scipy.spatial import cKDTree` runs the package's __init__, which
+    also loads qhull with scipy.linalg and distance with scipy.special:
+    ~15 MB of RSS and ~0.2-0.3 s that the extension, which needs only
+    scipy.sparse, does not use. So the extension is found in scipy's spatial
+    directory and loaded under its own name. It stays in sys.modules, so a
+    later import of scipy.spatial reuses it, and a module already there is
+    used as it is. Raises ImportError, naming the module, if scipy has no
+    such extension.
+    """
+    with _ckdtree_lock:
+        module = sys.modules.get(_CKDTREE)
+        if module is not None:
+            return module
+        import importlib.machinery
+        import importlib.util
+
+        import scipy
+
+        spatial = [os.path.join(root, "spatial") for root in scipy.__path__]
+        found = importlib.machinery.PathFinder.find_spec("_ckdtree", spatial)
+        if found is None:
+            raise ImportError(f"no {_CKDTREE} extension in {os.pathsep.join(spatial)}", name=_CKDTREE)
+        spec = importlib.util.spec_from_file_location(_CKDTREE, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_CKDTREE] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_CKDTREE]
+            raise
+        return module
 
 
 def _within(xyz: np.ndarray, pairs: np.ndarray, eps: float) -> np.ndarray:

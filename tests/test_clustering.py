@@ -1,8 +1,11 @@
 """Density clustering versus a quadratic reference, plus the background filter."""
 
 import dataclasses
+import importlib.machinery
+import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -736,6 +739,198 @@ def test_the_helper_of_a_killed_process_exits(tmp_path):
     run.kill()
     run.communicate(timeout=60)
     assert _gone(pid)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a child")
+@pytest.mark.filterwarnings("ignore:.*fork\\(\\) may lead to deadlocks:DeprecationWarning")
+def test_a_forked_child_does_not_keep_the_helper_from_eof(monkeypatch):
+    # the child's copy of the request pipe kept the helper reading: close()
+    # waited its full 1 s and killed it (returncode -9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = _ready(clustering._Helper())
+    process = started.process
+    release_read, release_write = os.pipe()
+    child = os.fork()
+    if child == 0:  # sleeps until the parent closes its end of the release pipe
+        os.close(release_write)
+        os.read(release_read, 1)
+        os._exit(0)
+    os.close(release_read)
+    try:
+        started.close()
+        assert process.returncode == 0
+    finally:
+        os.close(release_write)
+        os.waitpid(child, 0)
+
+
+def _fresh_interpreter(*argv, stdin=None):
+    """Run python argv with beamtrack imported from this tree; the finished process, bytes out."""
+    src = str(Path(clustering.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdin=stdin,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+# one demo cloud clustered in this process alone (no helper); prints the peak
+# RSS in MB and which of scipy's spatial, linalg and special modules are loaded
+_CLUSTER_A_DEMO_CLOUD = """\
+import os, resource, sys
+os.sched_getaffinity = lambda pid: {0}
+if sys.argv[1:] == ["scipy.spatial first"]:
+    import scipy.spatial
+from beamtrack.clustering import DbscanParams, dbscan
+from beamtrack.pipeline import radar_instant
+from beamtrack.world import build_scenario, default_config
+
+config = default_config(0)
+cloud = build_scenario(config).sample_point_cloud(radar_instant(config, 10)).points
+assert len(dbscan(cloud, DbscanParams())[0]) == 3
+unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is bytes there, KiB here
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit)
+scipy_modules = ["scipy.spatial._ckdtree", "scipy.spatial", "scipy.linalg", "scipy.special"]
+print(" ".join(m for m in scipy_modules if m in sys.modules))
+"""
+
+
+def test_clustering_loads_the_kd_tree_extension_and_not_the_scipy_spatial_package():
+    # the package's __init__ also loads qhull with scipy.linalg and distance
+    # with scipy.special, ~15 MB that the kd-tree does not use
+    pytest.importorskip("resource")
+    # Linux carries the RSS high-water mark of the process that starts an
+    # interpreter over into its ru_maxrss, so each probe is started from a
+    # small interpreter, not from this one
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    runs = [
+        _fresh_interpreter("-c", launcher, sys.executable, "-c", _CLUSTER_A_DEMO_CLOUD, *arg)
+        for arg in ([], ["scipy.spatial first"])
+    ]
+    assert all(run.returncode == 0 for run in runs), [run.stderr.decode() for run in runs]
+    (alone, loaded), (with_package, package_loaded) = (run.stdout.decode().splitlines() for run in runs)
+    assert loaded == "scipy.spatial._ckdtree"
+    assert package_loaded == "scipy.spatial._ckdtree scipy.spatial scipy.linalg scipy.special"
+    assert float(alone) <= float(with_package) - 10.0, (alone, with_package)
+
+
+def test_a_scipy_without_the_kd_tree_extension_fails_naming_it(monkeypatch):
+    # no fallback to the scipy.spatial package
+    monkeypatch.delitem(sys.modules, clustering._CKDTREE, raising=False)
+    finder = importlib.machinery.PathFinder
+    find_spec = finder.find_spec
+    monkeypatch.setattr(
+        finder, "find_spec", lambda name, *path: None if name == "_ckdtree" else find_spec(name, *path)
+    )
+    with pytest.raises(ImportError, match="scipy.spatial._ckdtree") as raised:
+        clustering._ckdtree()
+    assert raised.value.name == "scipy.spatial._ckdtree"
+    assert clustering._CKDTREE not in sys.modules
+
+
+def test_the_helper_program_exits_at_eof_without_the_scipy_spatial_package():
+    src = str(Path(clustering.__file__).resolve().parents[1])
+    run = _fresh_interpreter(
+        "-X", "importtime", "-c", clustering._HELPER_SOURCE, src, stdin=subprocess.DEVNULL
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    # its only message, length-prefixed, is _READY
+    assert pickle.loads(run.stdout[4:]) == clustering._READY
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in run.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "scipy.sparse" in imported and "scipy.spatial" not in imported
+
+
+# clusters a demo cloud, then imports the scipy.spatial package beside the
+# extension that clustering loaded, and clusters the cloud again
+_CLUSTER_THEN_IMPORT_SCIPY_SPATIAL = """\
+import os, pickle, sys
+import numpy as np
+os.sched_getaffinity = lambda pid: {0}
+from beamtrack.clustering import DbscanParams, dbscan
+from beamtrack.pipeline import radar_instant
+from beamtrack.world import build_scenario, default_config
+
+def partition(cloud):
+    clusters, noise = dbscan(cloud, DbscanParams())
+    return [c.member_indices for c in clusters], noise
+
+config = default_config(1)
+cloud = build_scenario(config).sample_point_cloud(radar_instant(config, 4)).points
+before = partition(cloud)
+extension = sys.modules["scipy.spatial._ckdtree"]
+assert "scipy.spatial" not in sys.modules
+from scipy.spatial import KDTree, cKDTree
+# the package reuses the extension in sys.modules; it then lacks the private
+# attribute scipy.spatial._ckdtree, which only the package's own import sets
+assert cKDTree is extension.cKDTree and sys.modules["scipy.spatial._ckdtree"] is extension
+tree = cKDTree(cloud[:, :3])
+pairs = tree.query_pairs(0.3, output_type="ndarray")
+assert np.array_equal(pickle.loads(pickle.dumps(tree)).query_pairs(0.3, output_type="ndarray"), pairs)
+assert KDTree(cloud[:, :3]).query(cloud[7, :3]) == (0.0, 7)
+assert partition(cloud) == before
+"""
+
+
+def test_the_scipy_spatial_package_imported_after_clustering_shares_its_kd_tree():
+    run = _fresh_interpreter("-c", _CLUSTER_THEN_IMPORT_SCIPY_SPATIAL)
+    assert run.returncode == 0, run.stderr.decode()
+
+
+# four threads cluster demo frames 3, 10, 17 and 24 at once, the extension not
+# yet loaded, each load held open 0.1 s; prints the loads and each frame's labels
+_FOUR_THREADS_CLUSTER_AT_ONCE = """\
+import importlib.util, json, os, sys, threading, time
+os.sched_getaffinity = lambda pid: {0}
+from beamtrack.clustering import DbscanParams, dbscan
+from beamtrack.pipeline import radar_instant
+from beamtrack.world import build_scenario, default_config
+
+create, loads = importlib.util.module_from_spec, []
+
+def counted(spec):
+    if spec.name == "scipy.spatial._ckdtree":
+        loads.append(spec.name)
+        time.sleep(0.1)  # time for another thread to load it too
+    return create(spec)
+
+importlib.util.module_from_spec = counted
+config = default_config(0)
+scenario = build_scenario(config)
+clouds = [scenario.sample_point_cloud(radar_instant(config, k)).points for k in (3, 10, 17, 24)]
+barrier, labels, modules = threading.Barrier(4), [None] * 4, set()
+
+def cluster(i):
+    barrier.wait()
+    clusters, noise = dbscan(clouds[i], DbscanParams())
+    labels[i] = [c.member_indices for c in clusters], noise
+    modules.add(id(sys.modules["scipy.spatial._ckdtree"]))
+
+threads = [threading.Thread(target=cluster, args=(i,)) for i in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+print(json.dumps([len(loads), len(modules), labels]))
+"""
+
+
+def test_threads_clustering_at_once_load_the_kd_tree_once():
+    run = _fresh_interpreter("-c", _FOUR_THREADS_CLUSTER_AT_ONCE)
+    assert run.returncode == 0, run.stderr.decode()
+    loads, modules, labels = json.loads(run.stdout)
+    assert (loads, modules) == (1, 1)
+    config = default_config(0)
+    for (members, noise), k in zip(labels, (3, 10, 17, 24)):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            clusters, want_noise = dbscan(_frame(config, k), DbscanParams())
+        assert [c.member_indices for c in clusters] == members and noise == want_noise
 
 
 @st.composite

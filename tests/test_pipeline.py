@@ -1187,7 +1187,7 @@ def test_dbscan_buffers_follow_the_largest_body():
     config = default_config(0)
     params = PipelineParams.for_config(config).dbscan
     cloud = build_scenario(config).sample_point_cloud(radar_instant(config, 10)).points
-    clusters, _ = dbscan(cloud, params)  # imports scipy.spatial outside the trace
+    clusters, _ = dbscan(cloud, params)  # loads the kd-tree outside the trace
     assert len(clusters) == 3
     largest = max(_dbscan_peak_bytes(cloud[c.member_indices], params) for c in clusters)
     whole = _dbscan_peak_bytes(cloud, params)
