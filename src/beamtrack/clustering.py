@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import threading
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -558,19 +559,30 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float, radius: float | None, exact: b
 # scipy's kd-tree extension, and the lock under which one thread loads it
 _CKDTREE = "scipy.spatial._ckdtree"
 _ckdtree_lock = threading.Lock()
+# the modules the extension imports at load time, each a stand-in while it loads
+_SPARSE = "scipy.sparse"
+_UTIL = "scipy._lib._util"
 
 
 def _ckdtree():
-    """scipy's kd-tree extension module, loaded at the first call without the scipy.spatial package.
+    """scipy's kd-tree extension module, loaded at the first call without the modules it does not use.
 
     `from scipy.spatial import cKDTree` runs the package's __init__, which
-    also loads qhull with scipy.linalg and distance with scipy.special:
-    ~15 MB of RSS and ~0.2-0.3 s that the extension, which needs only
-    scipy.sparse, does not use. So the extension is found in scipy's spatial
-    directory and loaded under its own name. It stays in sys.modules, so a
-    later import of scipy.spatial reuses it, and a module already there is
-    used as it is. Raises ImportError, naming the module, if scipy has no
-    such extension.
+    also loads qhull with scipy.linalg and distance with scipy.special, so
+    the extension is found in scipy's spatial directory and loaded under its
+    own name. Its own module-level imports would cost ~13 MB of RSS and
+    ~0.1 s more: scipy._lib._util for copy_if_needed (its array-API layer
+    loads numpy.f2py, numpy.testing and numpy.ma) and scipy.sparse, read only
+    by sparse_distance_matrix. So while the extension runs, each of the two
+    not yet imported is a stand-in in sys.modules: the _util one holds
+    copy_if_needed by scipy's rule, the scipy.sparse one nothing. Each is
+    removed afterwards, so a later import gets the real module, as does
+    sparse_distance_matrix through scipy's lazy attribute; another thread
+    importing either during the load would get the stand-in. The extension
+    stays in sys.modules, so a later import of scipy.spatial reuses it, and
+    one already there is used as it is. Raises ImportError, naming the
+    module, if scipy has no such extension or the extension imports another
+    name from a stand-in.
     """
     with _ckdtree_lock:
         module = sys.modules.get(_CKDTREE)
@@ -587,12 +599,24 @@ def _ckdtree():
             raise ImportError(f"no {_CKDTREE} extension in {os.pathsep.join(spatial)}", name=_CKDTREE)
         spec = importlib.util.spec_from_file_location(_CKDTREE, found.origin)
         module = importlib.util.module_from_spec(spec)
+        util = types.ModuleType(_UTIL)
+        util.copy_if_needed = None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False
+        stand_ins = {
+            name: stand_in
+            for name, stand_in in ((_SPARSE, types.ModuleType(_SPARSE)), (_UTIL, util))
+            if name not in sys.modules
+        }
+        sys.modules.update(stand_ins)
         sys.modules[_CKDTREE] = module
         try:
             spec.loader.exec_module(module)
         except BaseException:
             del sys.modules[_CKDTREE]
             raise
+        finally:
+            for name, stand_in in stand_ins.items():
+                if sys.modules.get(name) is stand_in:
+                    del sys.modules[name]
         return module
 
 

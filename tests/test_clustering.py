@@ -776,13 +776,14 @@ def _fresh_interpreter(*argv, stdin=None):
     )
 
 
-# one demo cloud clustered in this process alone (no helper); prints the peak
-# RSS in MB and which of scipy's spatial, linalg and special modules are loaded
+# one demo cloud clustered in this process alone (no helper), after importing
+# the module named in argv[1], if any; prints the peak RSS in MB and the names
+# of the loaded modules
 _CLUSTER_A_DEMO_CLOUD = """\
-import os, resource, sys
+import importlib, os, resource, sys
 os.sched_getaffinity = lambda pid: {0}
-if sys.argv[1:] == ["scipy.spatial first"]:
-    import scipy.spatial
+for first in sys.argv[1:]:
+    importlib.import_module(first)
 from beamtrack.clustering import DbscanParams, dbscan
 from beamtrack.pipeline import radar_instant
 from beamtrack.world import build_scenario, default_config
@@ -792,28 +793,147 @@ cloud = build_scenario(config).sample_point_cloud(radar_instant(config, 10)).poi
 assert len(dbscan(cloud, DbscanParams())[0]) == 3
 unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is bytes there, KiB here
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit)
-scipy_modules = ["scipy.spatial._ckdtree", "scipy.spatial", "scipy.linalg", "scipy.special"]
-print(" ".join(m for m in scipy_modules if m in sys.modules))
+print(" ".join(sys.modules))
 """
+# the modules _CLUSTER_A_DEMO_CLOUD reports: the extension, the scipy.spatial
+# package with the two it loads, and the extension's own imports with numpy.f2py,
+# which scipy._lib._util's array-API layer loads
+_KD_TREE_IMPORTS = (
+    "scipy.spatial._ckdtree",
+    "scipy.spatial",
+    "scipy.linalg",
+    "scipy.special",
+    "scipy.sparse",
+    "scipy._lib._util",
+    "numpy.f2py",
+)
 
 
-def test_clustering_loads_the_kd_tree_extension_and_not_the_scipy_spatial_package():
-    # the package's __init__ also loads qhull with scipy.linalg and distance
-    # with scipy.special, ~15 MB that the kd-tree does not use
+@pytest.fixture(scope="module")
+def demo_cloud_probes():
+    """{first import: (peak RSS in MB, loaded modules)} of _CLUSTER_A_DEMO_CLOUD runs."""
     pytest.importorskip("resource")
     # Linux carries the RSS high-water mark of the process that starts an
     # interpreter over into its ru_maxrss, so each probe is started from a
     # small interpreter, not from this one
     launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-    runs = [
-        _fresh_interpreter("-c", launcher, sys.executable, "-c", _CLUSTER_A_DEMO_CLOUD, *arg)
-        for arg in ([], ["scipy.spatial first"])
-    ]
-    assert all(run.returncode == 0 for run in runs), [run.stderr.decode() for run in runs]
-    (alone, loaded), (with_package, package_loaded) = (run.stdout.decode().splitlines() for run in runs)
+    probes = {}
+    for first in (None, "scipy.spatial", "scipy.sparse"):
+        argv = [first] if first else []
+        run = _fresh_interpreter("-c", launcher, sys.executable, "-c", _CLUSTER_A_DEMO_CLOUD, *argv)
+        assert run.returncode == 0, run.stderr.decode()
+        peak, loaded = run.stdout.decode().splitlines()
+        probes[first] = float(peak), " ".join(m for m in _KD_TREE_IMPORTS if m in loaded.split())
+    return probes
+
+
+def test_clustering_loads_the_kd_tree_extension_and_not_the_scipy_spatial_package(demo_cloud_probes):
+    # the package's __init__ also loads qhull with scipy.linalg and distance
+    # with scipy.special, ~15 MB that the kd-tree does not use
+    alone, loaded = demo_cloud_probes[None]
+    with_package, package_loaded = demo_cloud_probes["scipy.spatial"]
     assert loaded == "scipy.spatial._ckdtree"
-    assert package_loaded == "scipy.spatial._ckdtree scipy.spatial scipy.linalg scipy.special"
-    assert float(alone) <= float(with_package) - 10.0, (alone, with_package)
+    assert package_loaded == " ".join(_KD_TREE_IMPORTS)
+    assert alone <= with_package - 10.0, (alone, with_package)
+
+
+def test_clustering_loads_the_kd_tree_extension_without_scipy_sparse_or_the_array_api_layer(
+    demo_cloud_probes,
+):
+    # scipy._lib._util's array-API layer runs `from numpy import *`, which
+    # loads numpy.f2py, numpy.testing and numpy.ma: ~13 MB the kd-tree does not use
+    alone, _ = demo_cloud_probes[None]
+    with_sparse, sparse_loaded = demo_cloud_probes["scipy.sparse"]
+    assert sparse_loaded == "scipy.spatial._ckdtree scipy.sparse scipy._lib._util numpy.f2py"
+    assert alone <= with_sparse - 8.0, (alone, with_sparse)
+
+
+# clusters a demo cloud after importing the modules named in argv[1:], then
+# checks the extension against the real scipy.sparse and scipy._lib._util
+_CLUSTER_THEN_USE_THE_REAL_MODULES = """\
+import importlib, os, sys
+import numpy as np
+os.sched_getaffinity = lambda pid: {0}
+first = {name: importlib.import_module(name) for name in sys.argv[1:]}
+from beamtrack.clustering import DbscanParams, dbscan
+from beamtrack.pipeline import radar_instant
+from beamtrack.world import build_scenario, default_config
+
+config = default_config(0)
+cloud = build_scenario(config).sample_point_cloud(radar_instant(config, 10)).points
+before = set(sys.modules)
+assert len(dbscan(cloud, DbscanParams())[0]) == 3
+assert all(sys.modules[name] is module for name, module in first.items())
+for name in ("scipy.sparse", "scipy._lib._util"):
+    assert name in before or name not in sys.modules, name
+import scipy, scipy.sparse, scipy._lib._util
+
+extension = sys.modules["scipy.spatial._ckdtree"]
+assert scipy.sparse.__spec__.submodule_search_locations and scipy._lib._util.__spec__.origin
+assert extension.copy_if_needed is scipy._lib._util.copy_if_needed
+tree = extension.cKDTree(cloud[:200, :3])
+dok = tree.sparse_distance_matrix(tree, 0.3)
+coo = tree.sparse_distance_matrix(tree, 0.3, output_type="coo_matrix")
+assert type(dok) is scipy.sparse.dok_matrix and type(coo) is scipy.sparse.coo_matrix
+assert np.array_equal(dok.toarray(), coo.toarray())
+assert np.count_nonzero(coo.toarray()) == 2 * len(tree.query_pairs(0.3))
+"""
+
+
+@pytest.mark.parametrize("first", [(), ("scipy.sparse",), ("scipy._lib._util",)])
+def test_the_kd_tree_stand_ins_leave_the_real_modules_to_later_imports(first):
+    run = _fresh_interpreter("-c", _CLUSTER_THEN_USE_THE_REAL_MODULES, *first)
+    assert run.returncode == 0, run.stderr.decode()
+
+
+# loads the extension through a loader that fails as given by argv[1]: after
+# an exception, or after importing a name that a stand-in lacks; then again
+# through a loader that replaces the scipy.sparse stand-in before loading it
+_FAILED_THEN_REPLACED_LOADS = """\
+import importlib.machinery, sys
+from beamtrack import clustering
+
+loader = importlib.machinery.ExtensionFileLoader
+exec_module = loader.exec_module
+seen = []
+
+def failing(self, module):
+    if module.__name__ != "scipy.spatial._ckdtree":
+        return exec_module(self, module)
+    seen.append([sys.modules[name].__spec__ for name in ("scipy.sparse", "scipy._lib._util")])
+    if sys.argv[1] == "raises":
+        raise RuntimeError("exec_module failed")
+    from scipy._lib._util import _lazywhere
+
+def replacing(self, module):
+    if module.__name__ == "scipy.spatial._ckdtree":
+        sys.modules["scipy.sparse"] = replaced
+    exec_module(self, module)
+
+loader.exec_module = failing
+try:
+    clustering._ckdtree()
+except (RuntimeError, ImportError) as error:
+    print(type(error).__name__, getattr(error, "name", None))
+assert seen == [[None, None]]  # both stand-ins, which have no spec
+left = ("scipy.spatial._ckdtree", "scipy.sparse", "scipy._lib._util")
+assert not any(name in sys.modules for name in left), [n for n in left if n in sys.modules]
+replaced = type(sys)("scipy.sparse")
+loader.exec_module = replacing
+extension = clustering._ckdtree()
+assert sys.modules["scipy.sparse"] is replaced and "scipy._lib._util" not in sys.modules
+assert clustering._ckdtree() is extension and extension.cKDTree
+"""
+
+
+@pytest.mark.parametrize(
+    "failure, printed",
+    [("raises", "RuntimeError None"), ("imports", "ImportError scipy._lib._util")],
+)
+def test_a_failed_kd_tree_load_leaves_no_module_and_a_replaced_stand_in_stays(failure, printed):
+    run = _fresh_interpreter("-c", _FAILED_THEN_REPLACED_LOADS, failure)
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout.decode().strip() == printed
 
 
 def test_a_scipy_without_the_kd_tree_extension_fails_naming_it(monkeypatch):
@@ -843,7 +963,8 @@ def test_the_helper_program_exits_at_eof_without_the_scipy_spatial_package():
         for line in run.stderr.decode().splitlines()
         if line.startswith("import time:")
     ]
-    assert "scipy.sparse" in imported and "scipy.spatial" not in imported
+    assert "scipy" in imported
+    assert not {"scipy.spatial", "scipy.sparse", "scipy._lib._util", "numpy.f2py"} & set(imported)
 
 
 # clusters a demo cloud, then imports the scipy.spatial package beside the
