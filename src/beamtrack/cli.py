@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import queue
 import sys
 import threading
 from pathlib import Path
@@ -45,6 +44,8 @@ def _print_summary(report: RunReport) -> None:
 
 def _run_udp(config: ScenarioConfig, args) -> RunReport:
     """Run with real UDP telemetry: one simulated sender thread per client."""
+    import queue
+
     received = queue.SimpleQueue()
     ports = tuple(args.ports) if args.ports else (0,) * len(config.clients)
     server = TelemetryServer(received, ports=ports)

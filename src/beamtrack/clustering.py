@@ -560,8 +560,22 @@ def _neighbour_pairs(xyz: np.ndarray, eps: float, radius: float | None, exact: b
 _CKDTREE = "scipy.spatial._ckdtree"
 _ckdtree_lock = threading.Lock()
 # the modules the extension imports at load time, each a stand-in while it loads
+_SCIPY = "scipy"
 _SPARSE = "scipy.sparse"
 _UTIL = "scipy._lib._util"
+
+
+def _scipy_submodule(name: str):
+    """The real scipy.<name>: the module __getattr__ of the scipy stand-in, which the extension keeps.
+
+    While the stand-in is in sys.modules that is the submodule there, which
+    for scipy.sparse is its stand-in; a dunder name is no submodule.
+    """
+    if name.startswith("__"):
+        raise AttributeError(f"module {_SCIPY!r} has no attribute {name!r}")
+    import importlib
+
+    return importlib.import_module(f"{_SCIPY}.{name}")
 
 
 def _ckdtree():
@@ -569,16 +583,22 @@ def _ckdtree():
 
     `from scipy.spatial import cKDTree` runs the package's __init__, which
     also loads qhull with scipy.linalg and distance with scipy.special, so
-    the extension is found in scipy's spatial directory and loaded under its
-    own name. Its own module-level imports would cost ~13 MB of RSS and
-    ~0.1 s more: scipy._lib._util for copy_if_needed (its array-API layer
-    loads numpy.f2py, numpy.testing and numpy.ma) and scipy.sparse, read only
-    by sparse_distance_matrix. So while the extension runs, each of the two
+    the extension is found in scipy's spatial directory, located without
+    importing scipy, and loaded under its own name. Its own module-level
+    imports would cost ~14 MB of RSS and ~0.1 s more: scipy, whose __init__
+    loads subprocess, its build config and its C callback layer;
+    scipy._lib._util for copy_if_needed (its array-API layer loads
+    numpy.f2py, numpy.testing and numpy.ma); and scipy.sparse, read only by
+    sparse_distance_matrix. So while the extension runs, each of the three
     not yet imported is a stand-in in sys.modules: the _util one holds
-    copy_if_needed by scipy's rule, the scipy.sparse one nothing. Each is
-    removed afterwards, so a later import gets the real module, as does
-    sparse_distance_matrix through scipy's lazy attribute; another thread
-    importing either during the load would get the stand-in. The extension
+    copy_if_needed by scipy's rule, the scipy.sparse one nothing, and the
+    scipy one is scipy's directories without the __init__. A submodule the
+    extension imports from them, such as Cython's shared scipy._cyutility,
+    loads as itself and stays; the extension keeps the scipy stand-in as its
+    global, and each attribute read on it imports the real scipy.<name>, as
+    sparse_distance_matrix reads scipy.sparse. Each stand-in is removed
+    afterwards, so a later import gets the real module; another thread
+    importing one during the load would get the stand-in. The extension
     stays in sys.modules, so a later import of scipy.spatial reuses it, and
     one already there is used as it is. Raises ImportError, naming the
     module, if scipy has no such extension or the extension imports another
@@ -591,19 +611,23 @@ def _ckdtree():
         import importlib.machinery
         import importlib.util
 
-        import scipy
-
-        spatial = [os.path.join(root, "spatial") for root in scipy.__path__]
+        package = importlib.util.find_spec(_SCIPY)
+        if package is None:
+            raise ModuleNotFoundError(f"No module named {_SCIPY!r}", name=_SCIPY)
+        spatial = [os.path.join(root, "spatial") for root in package.submodule_search_locations]
         found = importlib.machinery.PathFinder.find_spec("_ckdtree", spatial)
         if found is None:
             raise ImportError(f"no {_CKDTREE} extension in {os.pathsep.join(spatial)}", name=_CKDTREE)
         spec = importlib.util.spec_from_file_location(_CKDTREE, found.origin)
         module = importlib.util.module_from_spec(spec)
+        scipy = types.ModuleType(_SCIPY)
+        scipy.__path__ = package.submodule_search_locations
+        scipy.__getattr__ = _scipy_submodule
         util = types.ModuleType(_UTIL)
         util.copy_if_needed = None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False
         stand_ins = {
             name: stand_in
-            for name, stand_in in ((_SPARSE, types.ModuleType(_SPARSE)), (_UTIL, util))
+            for name, stand_in in ((_SCIPY, scipy), (_SPARSE, types.ModuleType(_SPARSE)), (_UTIL, util))
             if name not in sys.modules
         }
         sys.modules.update(stand_ins)

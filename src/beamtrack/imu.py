@@ -15,15 +15,12 @@ call beyond the orientation's numpy norm.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationError
-
-log = logging.getLogger(__name__)
 
 GRAVITY_MPS2 = 9.81
 MIN_CALIBRATION_SAMPLES = 10
@@ -239,7 +236,9 @@ def madgwick_update(
             step = beta * dt / s_norm
             q1, q2, q3, q4 = q1 - step * s1, q2 - step * s2, q3 - step * s3, q4 - step * s4
     else:
-        log.warning(
+        import logging
+
+        logging.getLogger(__name__).warning(
             "client %d: zero-norm accelerometer at t=%.3f, gyro-only update",
             sample.client_id,
             sample.timestamp_s,

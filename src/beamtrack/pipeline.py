@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
 import stat
 import struct
 import time
@@ -755,6 +754,8 @@ def _store_source(scenario: Scenario, received):
     first takes the readings already queued. A reading of a later window waits
     for its frame; one from a client the config lacks is dropped.
     """
+    import queue
+
     config = scenario.config
     later: list[ImuSample] = []  # readings of windows to come
     start = time.monotonic()

@@ -16,8 +16,6 @@ readings (see Scenario.sample_imu) alike.
 
 from __future__ import annotations
 
-import logging
-import socket
 import struct
 import threading
 import time
@@ -27,8 +25,6 @@ import numpy as np
 
 from .errors import DatagramError
 from .imu import ImuSample
-
-log = logging.getLogger(__name__)
 
 # the uplink layout, for one datagram and for a window of them alike
 IMU_DATAGRAM = np.dtype(
@@ -190,6 +186,8 @@ class TelemetryServer:
         ports: tuple[int, ...] = (0,),
         host: str = "127.0.0.1",
     ) -> None:
+        import socket
+
         self.store = store
         self._socks: list[socket.socket] = []
         for port in ports:
@@ -245,7 +243,7 @@ class TelemetryServer:
         while not self._stop.is_set():
             try:
                 data, addr = sock.recvfrom(2048)
-            except socket.timeout:
+            except TimeoutError:  # socket.timeout
                 continue
             except OSError:
                 break
@@ -254,7 +252,9 @@ class TelemetryServer:
             except DatagramError as exc:
                 with self._lock:
                     self.datagrams_rejected += 1
-                log.debug("rejected datagram from %s: %s", addr, exc)
+                import logging
+
+                logging.getLogger(__name__).debug("rejected datagram from %s: %s", addr, exc)
                 continue
             with self._lock:
                 self.datagrams_received += 1
@@ -274,7 +274,9 @@ class TelemetryServer:
         try:
             self._socks[sock_index].sendto(payload, addr)
         except OSError as exc:
-            log.warning("feedback send to %s failed: %s", addr, exc)
+            import logging
+
+            logging.getLogger(__name__).warning("feedback send to %s failed: %s", addr, exc)
             return False
         return True
 
@@ -305,6 +307,8 @@ def run_sim_client(
         raise ValueError("rate_hz must be > 0 and duration_s >= 0")
     period = 1.0 / rate_hz
     n = int(round(duration_s * rate_hz))
+    import socket
+
     stats = ClientRunStats(client_id=client_id)
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.setblocking(False)

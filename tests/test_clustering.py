@@ -849,7 +849,7 @@ def test_clustering_loads_the_kd_tree_extension_without_scipy_sparse_or_the_arra
 
 
 # clusters a demo cloud after importing the modules named in argv[1:], then
-# checks the extension against the real scipy.sparse and scipy._lib._util
+# checks the extension against the real scipy, scipy.sparse and scipy._lib._util
 _CLUSTER_THEN_USE_THE_REAL_MODULES = """\
 import importlib, os, sys
 import numpy as np
@@ -864,12 +864,13 @@ cloud = build_scenario(config).sample_point_cloud(radar_instant(config, 10)).poi
 before = set(sys.modules)
 assert len(dbscan(cloud, DbscanParams())[0]) == 3
 assert all(sys.modules[name] is module for name, module in first.items())
-for name in ("scipy.sparse", "scipy._lib._util"):
+for name in ("scipy", "scipy.sparse", "scipy._lib._util"):
     assert name in before or name not in sys.modules, name
 import scipy, scipy.sparse, scipy._lib._util
 
 extension = sys.modules["scipy.spatial._ckdtree"]
-assert scipy.sparse.__spec__.submodule_search_locations and scipy._lib._util.__spec__.origin
+assert scipy.__spec__.origin and scipy.sparse.__spec__.submodule_search_locations
+assert scipy._lib._util.__spec__.origin
 assert extension.copy_if_needed is scipy._lib._util.copy_if_needed
 tree = extension.cKDTree(cloud[:200, :3])
 dok = tree.sparse_distance_matrix(tree, 0.3)
@@ -880,7 +881,7 @@ assert np.count_nonzero(coo.toarray()) == 2 * len(tree.query_pairs(0.3))
 """
 
 
-@pytest.mark.parametrize("first", [(), ("scipy.sparse",), ("scipy._lib._util",)])
+@pytest.mark.parametrize("first", [(), ("scipy.sparse",), ("scipy._lib._util",), ("scipy",)])
 def test_the_kd_tree_stand_ins_leave_the_real_modules_to_later_imports(first):
     run = _fresh_interpreter("-c", _CLUSTER_THEN_USE_THE_REAL_MODULES, *first)
     assert run.returncode == 0, run.stderr.decode()
@@ -916,7 +917,7 @@ try:
 except (RuntimeError, ImportError) as error:
     print(type(error).__name__, getattr(error, "name", None))
 assert seen == [[None, None]]  # both stand-ins, which have no spec
-left = ("scipy.spatial._ckdtree", "scipy.sparse", "scipy._lib._util")
+left = ("scipy.spatial._ckdtree", "scipy", "scipy.sparse", "scipy._lib._util")
 assert not any(name in sys.modules for name in left), [n for n in left if n in sys.modules]
 replaced = type(sys)("scipy.sparse")
 loader.exec_module = replacing
@@ -963,8 +964,9 @@ def test_the_helper_program_exits_at_eof_without_the_scipy_spatial_package():
         for line in run.stderr.decode().splitlines()
         if line.startswith("import time:")
     ]
-    assert "scipy" in imported
+    # nor scipy's __init__, which loads its build config and test utilities
     assert not {"scipy.spatial", "scipy.sparse", "scipy._lib._util", "numpy.f2py"} & set(imported)
+    assert not {"scipy.__config__", "scipy._lib._testutils", "scipy._distributor_init"} & set(imported)
 
 
 # clusters a demo cloud, then imports the scipy.spatial package beside the

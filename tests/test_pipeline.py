@@ -1245,3 +1245,37 @@ def test_the_frame_loop_reuses_its_heap_frame_after_frame():
     """)
     per_frame = [_minor_faults_in_fresh_interpreter(probe, str(seed)) for seed in range(3)]
     assert all(faults <= 50 for faults in per_frame), per_frame
+
+
+# runs the sparse_radar make-up, whose clouds are one island each (so no
+# clustering helper starts), for 2 s; prints which of the modules named in
+# argv[1:] the run loaded, then imports the scipy.spatial package
+_RUN_A_ONE_ISLAND_SCENARIO = """\
+import dataclasses, sys
+from beamtrack.pipeline import run_scenario
+from beamtrack.world import default_config
+
+config = dataclasses.replace(
+    default_config(0), points_per_client_per_frame=200, clutter=(), duration_s=2.0
+)
+assert len(run_scenario(config, mode="both").frames) == 4
+print(" ".join(name for name in sys.argv[1:] if name in sys.modules))
+extension = sys.modules["scipy.spatial._ckdtree"]
+from scipy.spatial import cKDTree
+assert cKDTree is extension.cKDTree and sys.modules["scipy.spatial._ckdtree"] is extension
+"""
+
+
+def test_an_inline_run_loads_no_logging_sockets_queues_or_scipy_package_init():
+    # no frame logs, opens a socket or waits on a queue, and the kd-tree
+    # extension loads without scipy's __init__, which loads scipy's build
+    # config and its test utilities (with subprocess and sysconfig): ~1.5 MB
+    # of RSS per process. The package imported afterwards reuses the extension.
+    unused = ("logging", "socket", "selectors", "queue", "scipy.__config__", "scipy._lib._testutils")
+    src = str(Path(pipeline_module.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_A_ONE_ISLAND_SCENARIO, *unused],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
