@@ -7,6 +7,7 @@ import bisect
 import ctypes
 import math
 import os
+import pickle
 import sys
 import threading
 import types
@@ -247,15 +248,90 @@ _HELPER_SOURCE = (
 )
 
 
+# bytes of the length that precedes each pickled message on a _Pipe
+_PREFIX_BYTES = 8
+
+
+class _Pipe:
+    """One end of an OS pipe that carries pickled objects, each after its length.
+
+    The helper's framing: multiprocessing.connection.Connection does the
+    same, but would load multiprocessing and socket into both processes.
+    """
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+
+    def send(self, obj) -> None:
+        """Write obj's pickle after its length; raises BrokenPipeError once the reader is gone."""
+        data = pickle.dumps(obj)
+        view = memoryview(len(data).to_bytes(_PREFIX_BYTES, "big") + data)
+        while view:
+            view = view[os.write(self.fd, view) :]
+
+    def recv(self):
+        """The next object; raises EOFError if the pipe ends before a whole message."""
+        size = int.from_bytes(self._read(_PREFIX_BYTES), "big")
+        return pickle.loads(self._read(size))
+
+    def _read(self, size: int) -> bytes:
+        chunks = []
+        while size:
+            chunk = os.read(self.fd, size)
+            if not chunk:
+                raise EOFError("the pipe ended inside a message")
+            chunks.append(chunk)
+            size -= len(chunk)
+        return b"".join(chunks)
+
+    def poll(self) -> bool:
+        """Whether recv() would not block: a message has begun, or the pipe has ended."""
+        import select  # loaded with subprocess, which started the helper
+
+        poller = select.poll()  # unlike select.select, any fd number
+        poller.register(self.fd, select.POLLIN)
+        return bool(poller.poll(0))
+
+    def close(self) -> None:
+        """Close the fd; later calls do nothing."""
+        fd, self.fd = self.fd, -1
+        if fd >= 0:
+            os.close(fd)
+
+
+def _this_cpu() -> int:
+    """The CPU the calling thread is running on: field 39 of its /proc stat."""
+    with open("/proc/thread-self/stat", "rb") as stat:
+        return int(stat.read().rsplit(b")", 1)[1].split()[36])
+
+
+def _keep_off_this_cpu(pid: int) -> None:
+    """Let process pid run on this thread's allowed CPUs but the one it is on now.
+
+    Left to the scheduler, the helper and the thread that labels this
+    process's own islands can share one CPU for a whole run. pid is left as
+    it is when no other CPU is allowed, when /proc is missing, or when the
+    kernel refuses the set.
+    """
+    try:
+        cpu = _this_cpu()
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(pid, others)
+    except OSError:
+        pass
+
+
 class _Helper:
     """A second process that labels islands for this one, over its stdin and stdout pipes.
 
     It is started by the first label() call, and takes islands once it has
     sent _READY after its imports; until then every island is labelled in
-    this process. Once its pipe breaks it is closed and never used again. It
-    is started with subprocess rather than multiprocessing: spawn re-runs a
-    caller's unguarded __main__, and fork is unsafe beside the telemetry
-    server's threads.
+    this process. It runs off the CPU of the thread that started it
+    (_keep_off_this_cpu). Once its pipe breaks it is closed and never used
+    again. It is started with subprocess rather than multiprocessing: spawn
+    re-runs a caller's unguarded __main__, and fork is unsafe beside the
+    telemetry server's threads.
     """
 
     def __init__(self) -> None:
@@ -314,7 +390,6 @@ class _Helper:
 
     def _start(self) -> None:
         import subprocess
-        from multiprocessing.connection import Connection
 
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         down_read, down_write = os.pipe()
@@ -333,8 +408,9 @@ class _Helper:
         finally:
             os.close(down_read)
             os.close(up_write)
-        self.requests = Connection(down_write, readable=False)
-        self.replies = Connection(up_read, writable=False)
+        _keep_off_this_cpu(self.process.pid)
+        self.requests = _Pipe(down_write)
+        self.replies = _Pipe(up_read)
         atexit.register(self.close)
         os.register_at_fork(after_in_child=self._close_in_child)
 
@@ -371,11 +447,9 @@ _helper = _Helper()
 
 def _serve() -> None:
     """The helper's loop: label each request's islands, until the parent closes the pipe."""
-    from multiprocessing.connection import Connection
-
     _ckdtree()  # loaded before _READY, not at the first request
-    requests = Connection(0, writable=False)
-    replies = Connection(os.dup(1), readable=False)
+    requests = _Pipe(0)
+    replies = _Pipe(os.dup(1))
     os.dup2(2, 1)  # a stray print goes to stderr, not into the pipe
     try:
         replies.send(_READY)

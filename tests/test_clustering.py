@@ -1,6 +1,7 @@
 """Density clustering versus a quadratic reference, plus the background filter."""
 
 import dataclasses
+import errno
 import importlib.machinery
 import json
 import math
@@ -37,6 +38,10 @@ from oracles import components_reference, dbscan_reference
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
+
+# the CPUs a process may run on, as the kernel reports them; some tests patch
+# os.sched_getaffinity to make a host look like it has two
+_sched_getaffinity = getattr(os, "sched_getaffinity", None)
 
 
 def _labels_of(clusters, noise, n):
@@ -651,6 +656,53 @@ def test_threads_share_the_helper_one_request_at_a_time(helper):
     assert helper.ready()
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or len(os.sched_getaffinity(0)) < 2
+    or not os.path.exists("/proc/thread-self/stat"),
+    reason="needs two CPUs to choose from, read from /proc",
+)
+def test_the_helper_runs_off_the_cpu_of_the_thread_that_starts_it(monkeypatch):
+    # the module-scoped helper fixture's two-CPU patch is still in place here
+    monkeypatch.setattr(os, "sched_getaffinity", _sched_getaffinity)
+    seen = []
+    this_cpu = clustering._this_cpu
+    monkeypatch.setattr(clustering, "_this_cpu", lambda: seen.append(this_cpu()) or seen[-1])
+    started = clustering._Helper()
+    try:
+        assert not started.ready()  # started, not waited for
+        assert len(seen) == 1
+        assert os.sched_getaffinity(started.process.pid) == os.sched_getaffinity(0) - set(seen)
+    finally:
+        started.close()
+
+
+def _refuse_the_set(pid, cpus):
+    raise OSError(errno.EINVAL, "Invalid argument")
+
+
+def _no_proc():
+    raise FileNotFoundError(errno.ENOENT, "No such file or directory", "/proc/thread-self/stat")
+
+
+@pytest.mark.parametrize(
+    "owner, name, broken",
+    [(os, "sched_setaffinity", _refuse_the_set), (clustering, "_this_cpu", _no_proc)],
+    ids=["affinity-refused", "no-proc"],
+)
+def test_a_helper_left_unpinned_still_labels(monkeypatch, local_islands, owner, name, broken):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(owner, name, broken, raising=False)
+    unpinned = _ready(clustering._Helper())
+    monkeypatch.setattr(clustering, "_helper", unpinned)
+    try:
+        if _sched_getaffinity is not None:
+            assert _sched_getaffinity(unpinned.process.pid) == _sched_getaffinity(0)
+        _assert_helper_labels(_frame(default_config(0), 6), DbscanParams(), local_islands)
+    finally:
+        unpinned.close()
+
+
 def test_one_cpu_starts_no_helper(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     idle = clustering._Helper()
@@ -762,6 +814,41 @@ def test_a_forked_child_does_not_keep_the_helper_from_eof(monkeypatch):
     finally:
         os.close(release_write)
         os.waitpid(child, 0)
+
+
+def test_a_message_larger_than_the_pipe_capacity_arrives_whole():
+    # a pipe holds 64 KiB: the writer blocks until the reader drains it
+    read_end, write_end = os.pipe()
+    reader, writer = clustering._Pipe(read_end), clustering._Pipe(write_end)
+    sent = [np.arange(100_000, dtype=np.intp), "tail"]
+    assert not reader.poll()
+    sender = threading.Thread(target=lambda: (writer.send(sent), writer.send("next")))
+    sender.start()
+    try:
+        received = reader.recv()
+        assert np.array_equal(received[0], sent[0]) and received[1] == "tail"
+        assert reader.recv() == "next"
+    finally:
+        sender.join(timeout=60)
+        writer.close()
+        writer.close()  # a second close, as atexit and the fork handler may make, does nothing
+    assert not sender.is_alive()
+    assert reader.poll()  # the ended pipe is readable: recv raises rather than blocks
+    with pytest.raises(EOFError):
+        reader.recv()
+    reader.close()
+
+
+@pytest.mark.parametrize("cut", [3, 8 + 5], ids=["in-the-length", "in-the-pickle"])
+def test_a_pipe_that_ends_inside_a_message_raises_eof(cut):
+    read_end, write_end = os.pipe()
+    reader = clustering._Pipe(read_end)
+    data = pickle.dumps(list(range(50)))
+    os.write(write_end, (len(data).to_bytes(8, "big") + data)[:cut])
+    os.close(write_end)
+    with pytest.raises(EOFError):
+        reader.recv()
+    reader.close()
 
 
 def _fresh_interpreter(*argv, stdin=None):
@@ -957,8 +1044,10 @@ def test_the_helper_program_exits_at_eof_without_the_scipy_spatial_package():
         "-X", "importtime", "-c", clustering._HELPER_SOURCE, src, stdin=subprocess.DEVNULL
     )
     assert run.returncode == 0, run.stderr.decode()
-    # its only message, length-prefixed, is _READY
-    assert pickle.loads(run.stdout[4:]) == clustering._READY
+    # its only message, after its 8-byte length, is _READY
+    size = int.from_bytes(run.stdout[:8], "big")
+    assert size == len(run.stdout) - 8
+    assert pickle.loads(run.stdout[8:]) == clustering._READY
     imported = [
         line.rsplit("|", 1)[1].strip()
         for line in run.stderr.decode().splitlines()
@@ -967,6 +1056,8 @@ def test_the_helper_program_exits_at_eof_without_the_scipy_spatial_package():
     # nor scipy's __init__, which loads its build config and test utilities
     assert not {"scipy.spatial", "scipy.sparse", "scipy._lib._util", "numpy.f2py"} & set(imported)
     assert not {"scipy.__config__", "scipy._lib._testutils", "scipy._distributor_init"} & set(imported)
+    # its pipe framing is its own
+    assert not {"multiprocessing", "_multiprocessing", "socket", "_socket"} & set(imported)
 
 
 # clusters a demo cloud, then imports the scipy.spatial package beside the

@@ -1279,3 +1279,43 @@ def test_an_inline_run_loads_no_logging_sockets_queues_or_scipy_package_init():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+# runs the demo make-up, whose clouds are three or more islands each, for 2 s
+# on a host seen as having two CPUs, waits for the clustering helper, and runs
+# it again with the helper labelling; prints which of the modules named in
+# argv[1:] the process loaded
+_RUN_A_MULTI_ISLAND_SCENARIO = """\
+import dataclasses, os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+from beamtrack import clustering
+from beamtrack.pipeline import run_scenario
+from beamtrack.world import default_config
+
+config = dataclasses.replace(default_config(0), duration_s=2.0)
+first = run_scenario(config, mode="both").frames
+deadline = time.monotonic() + 60
+while not clustering._helper.ready():
+    assert time.monotonic() < deadline, "the helper did not report ready"
+    time.sleep(0.01)
+requests = clustering._helper.requests
+sent = []
+send = requests.send
+requests.send = lambda request: (sent.append(request), send(request))[1]
+again = run_scenario(config, mode="both").frames
+assert sent and clustering._helper.is_ready
+assert [f.n_clusters_raw for f in again] == [f.n_clusters_raw for f in first]
+print(" ".join(name for name in sys.argv[1:] if name in sys.modules))
+"""
+
+
+def test_an_inline_run_with_the_clustering_helper_loads_no_multiprocessing_or_sockets():
+    # the helper's pipe framing is clustering's own, in this process and the helper
+    unused = ("multiprocessing", "_multiprocessing", "socket", "_socket")
+    src = str(Path(pipeline_module.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_A_MULTI_ISLAND_SCENARIO, *unused],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
