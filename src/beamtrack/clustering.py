@@ -123,22 +123,37 @@ def dbscan(
     finite_doppler = np.isfinite(pts[:, 3])
     every_doppler_finite = finite_doppler.all()
     clusters = []
-    for label in range(n_clusters):
-        members = order[bounds[label + 1] : bounds[label + 2]]
-        rows = pts.take(members, axis=0)
-        doppler = rows[:, 3]
-        if not every_doppler_finite:
-            doppler = doppler[finite_doppler.take(members)]
-        clusters.append(
-            Cluster(
-                label=label,
-                core_point=rows[:, :2].mean(axis=0),
-                mean_doppler_mps=float(doppler.mean()) if doppler.size else None,
-                point_count=len(members),
-                member_indices=members.tolist(),
+    # a mean whose sum overflows, to inf or to inf - inf, is taken again (_bounded_mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label in range(n_clusters):
+            members = order[bounds[label + 1] : bounds[label + 2]]
+            rows = pts.take(members, axis=0)
+            doppler = rows[:, 3]
+            if not every_doppler_finite:
+                doppler = doppler[finite_doppler.take(members)]
+            core = rows[:, :2].mean(axis=0)
+            if not (math.isfinite(core[0]) and math.isfinite(core[1])):
+                core = _bounded_mean(rows[:, :2], core)
+            mean_doppler = float(doppler.mean()) if doppler.size else None
+            if mean_doppler is not None and not math.isfinite(mean_doppler):
+                mean_doppler = float(_bounded_mean(doppler, mean_doppler))
+            clusters.append(
+                Cluster(
+                    label=label,
+                    core_point=core,
+                    mean_doppler_mps=mean_doppler,
+                    point_count=len(members),
+                    member_indices=members.tolist(),
+                )
             )
-        )
     return clusters, order[: bounds[1]].tolist()
+
+
+def _bounded_mean(values: np.ndarray, mean):
+    """mean, the plain mean of finite values along axis 0, with its overflowed entries retaken."""
+    # the sum of each value over the count, kept within the values' range
+    retaken = np.clip((values / len(values)).sum(axis=0), values.min(axis=0), values.max(axis=0))
+    return np.where(np.isfinite(mean), mean, retaken)
 
 
 def _labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -480,7 +495,8 @@ def _cell_graph(xyz: np.ndarray, eps: float, min_pts: int, radius: float | None,
     if core_idx.size == 0:
         return None
     # Non-core points all get the sentinel cell n_cells.
-    cell_of_core, n_cells = _number_cells(xyz.take(core_idx, axis=0) / (eps / 2))
+    with np.errstate(over="ignore"):  # a core at inf cell sides is far (_number_cells)
+        cell_of_core, n_cells = _number_cells(xyz.take(core_idx, axis=0) / (eps / 2))
     side = n_cells + 1
     # 32-bit cell ids halve the per-pair arrays while edge keys fit
     cell_of = np.full(len(xyz), n_cells, dtype=np.int32 if side * side < 2**31 else np.intp)

@@ -4,13 +4,15 @@ Each frame covers one wall-clock window of ``frame_time_s``. The pipeline
 consumes the window's IMU samples per client and one radar point cloud taken
 at the last radar instant before the window's end, then:
 
-1. advances each client's orientation/velocity state sample by sample,
-2. clusters the cloud and drops zero-doppler background,
-3. carries track labels across frames by min-cost core-point matching,
+1. clusters the cloud and drops zero-doppler background,
+2. carries track labels across frames by min-cost core-point matching,
+3. advances each client's orientation/velocity state sample by sample, then
+   drops its binding if its bound cluster is gone,
 4. binds clusters to clients by velocity agreement (early window or on error),
-5. filters each client's position with a constant-velocity Kalman filter:
-   one prediction, the gate of an implausible measurement, then the update
-   or the coast,
+5. filters each client's position with a constant-velocity Kalman filter: a
+   bound client without a filter starts one at its cluster; any other filter
+   makes one prediction, the gate of an implausible measurement, then the
+   update or the coast,
 6. steers each client's beam at its peer: the bearing between the two
    filtered positions, then the beamspace check, then the sector.
 
@@ -30,7 +32,6 @@ import os
 import stat
 import struct
 import time
-from collections import Counter
 from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -97,10 +98,10 @@ REACQUIRE_LIMIT = 3
 
 # the order in which a client's readings are applied
 _READING_ORDER = attrgetter("timestamp_s", "seq")
-# why _inertial_update dropped a reading
-_NON_FINITE = "non-finite"
-_FUTURE = "future"
-_STALE = "stale"
+# why _inertial_update dropped a reading: the ClientFrameState counter it adds to
+_NON_FINITE = "imu_dropped_non_finite"
+_FUTURE = "imu_dropped_future"
+_STALE = "imu_dropped_stale"
 # a reading may lie this far (s) past its frame's window end: at frame_time_s
 # 0.35 s, frame 2's last reading (1.05 s) lies one ulp past 3 * 0.35
 _WINDOW_END_SLACK_S = 1e-9
@@ -176,15 +177,17 @@ class ClientTrack:
 
 @dataclass
 class ClientFrameState:
+    """One client's frame; each tier of process_frame fills its own fields."""
+
     client_id: int
-    bound_label: int | None
-    measurement_m: np.ndarray | None  # (2,) world frame, bias-corrected
-    kf_position_m: np.ndarray | None
-    kf_velocity_mps: np.ndarray | None
-    imu_velocity_mps: np.ndarray  # (2,)
-    heading_rad: float
-    coasting: bool
-    beam: BeamDecision | None
+    bound_label: int | None = None
+    measurement_m: np.ndarray | None = None  # (2,) world frame, bias-corrected
+    kf_position_m: np.ndarray | None = None
+    kf_velocity_mps: np.ndarray | None = None
+    imu_velocity_mps: np.ndarray = field(default_factory=lambda: np.zeros(2))  # (2,)
+    heading_rad: float = 0.0
+    coasting: bool = False
+    beam: BeamDecision | None = None
     imu_dropped_non_finite: int = 0  # a non-finite time or value, or an overflowing step
     imu_dropped_stale: int = 0  # readings not after the last one applied
     imu_dropped_future: int = 0  # readings stamped after the frame's window end
@@ -256,7 +259,7 @@ class Pipeline:
         gyro_bias: list,
         until: float,
     ) -> str | None:
-        """Advance the track by one reading; why it was dropped, or None if applied.
+        """Advance the track by one reading; the drop counter to add to, or None if applied.
 
         A reading stamped after until, the frame's window end, is dropped as if
         it never arrived: applied, it would make every later reading of the
@@ -315,26 +318,7 @@ class Pipeline:
         if measurement_time_s is None:
             measurement_time_s = timestamp_s
         events: list[str] = []
-
-        # inertial tier: per-sample orientation and velocity integration; the
-        # fused state is the one after the last applied reading at or before
-        # the measurement instant
-        dropped = {cid: Counter() for cid in self.tracks}  # reason -> readings
-        fused_until = measurement_time_s + 1e-12
-        window_end = timestamp_s + _WINDOW_END_SLACK_S
-        for cid, track in self.tracks.items():
-            accel_bias = np.asarray(track.calibration.accel_bias, dtype=float).tolist()
-            gyro_bias = np.asarray(track.calibration.gyro_bias, dtype=float).tolist()
-            fused = None
-            for sample in sorted(imu_batches.get(cid, ()), key=_READING_ORDER):
-                reason = self._inertial_update(track, sample, accel_bias, gyro_bias, window_end)
-                if reason is not None:
-                    dropped[cid][reason] += 1
-                elif sample.timestamp_s <= fused_until:
-                    fused = track.motion
-            if fused is not None:
-                track.fused_velocity = np.array(fused.velocity_mps[:2])
-                track.fused_heading = yaw_from_quat(fused.orientation)
+        states = [ClientFrameState(cid) for cid in self.tracks]  # each tier fills its fields
 
         # radar tier: cluster, drop static background, correct surface bias
         finite = finite_rows(points)  # the other rows are noise
@@ -347,8 +331,26 @@ class Pipeline:
         )
         by_label = self._frame.by_label()
 
-        # a bound cluster that disappeared invalidates the binding
-        for cid, track in self.tracks.items():
+        # inertial tier: per-sample orientation and velocity integration; the
+        # fused state is the one after the last applied reading at or before
+        # the measurement instant. Then a vanished bound cluster drops the binding.
+        fused_until = measurement_time_s + 1e-12
+        window_end = timestamp_s + _WINDOW_END_SLACK_S
+        for (cid, track), state in zip(self.tracks.items(), states):
+            accel_bias = np.asarray(track.calibration.accel_bias, dtype=float).tolist()
+            gyro_bias = np.asarray(track.calibration.gyro_bias, dtype=float).tolist()
+            fused = None
+            for sample in sorted(imu_batches.get(cid, ()), key=_READING_ORDER):
+                counter = self._inertial_update(track, sample, accel_bias, gyro_bias, window_end)
+                if counter is not None:
+                    setattr(state, counter, getattr(state, counter) + 1)
+                elif sample.timestamp_s <= fused_until:
+                    fused = track.motion
+            if fused is not None:
+                track.fused_velocity = np.array(fused.velocity_mps[:2])
+                track.fused_heading = yaw_from_quat(fused.orientation)
+            state.imu_velocity_mps = track.fused_velocity.copy()
+            state.heading_rad = track.fused_heading
             if track.bound_label is not None and track.bound_label not in by_label:
                 events.append(f"client {cid} binding to cluster {track.bound_label} lost")
                 track.bound_label = None
@@ -356,7 +358,6 @@ class Pipeline:
 
         # identification: velocity matching inside the early window or on error
         identified = False
-        just_bound: set[int] = set()  # clients whose filter starts at this frame's measurement
         need = self.error_flag or any(t.bound_label is None for t in self.tracks.values())
         if need and should_identify(frame_index, self.error_flag):
             cluster_velocities = [
@@ -373,63 +374,47 @@ class Pipeline:
                 identified = True
                 for cid, label in labels.items():
                     track = self.tracks[cid]
-                    if track.bound_label != label or track.kf is None:
-                        c = by_label[label]
-                        vel = c.velocity_mps if c.velocity_mps is not None else np.zeros(2)
-                        track.kf = kf_init(c.core_point, vel, p.kalman)
-                        just_bound.add(cid)
+                    if track.bound_label != label:
+                        track.kf = None  # restarted at its new cluster below
                     track.bound_label = label
                     track.reacquire_count = 0
                     events.append(f"client {cid} bound to cluster {label}")
                 self.error_flag = False
 
-        # filtering tier: one prediction per filter not started this frame;
-        # the gate and the update, or the coast, all read it
-        coasting = dict.fromkeys(self.tracks, False)
-        measurement: dict[int, np.ndarray | None] = dict.fromkeys(self.tracks)
-        for cid, track in self.tracks.items():
-            z = None if track.bound_label is None else by_label[track.bound_label].core_point
-            measurement[cid] = z
-            if track.kf is None or cid in just_bound:
-                continue  # no filter, or one just initialized from this measurement
-            predicted = kf_predict(track.kf, p.frame_time_s, p.kalman)
-            if z is not None and kf_reacquire(predicted, z, p.kalman):
-                z = None
-                track.reacquire_count += 1
-                events.append(f"client {cid} gated measurement from cluster {track.bound_label}")
-                if track.reacquire_count >= REACQUIRE_LIMIT and not self.error_flag:
-                    self.error_flag = True
-                    events.append(f"client {cid} reacquire limit reached")
-            elif z is not None:
-                track.reacquire_count = 0
-            track.kf = kf_step(predicted, z, p.kalman)
-            coasting[cid] = z is None
+        # filtering tier: a bound client without a filter starts one at its
+        # cluster; any other filter predicts once, and its gate and its update
+        # or coast all read that prediction
+        for (cid, track), state in zip(self.tracks.items(), states):
+            state.bound_label = track.bound_label
+            cluster = by_label.get(track.bound_label)  # None while unbound
+            z = None if cluster is None else cluster.core_point
+            state.measurement_m = None if z is None else z.copy()
+            if track.kf is None and z is not None:
+                vel = cluster.velocity_mps if cluster.velocity_mps is not None else np.zeros(2)
+                track.kf = kf_init(z, vel, p.kalman)
+            elif track.kf is not None:
+                predicted = kf_predict(track.kf, p.frame_time_s, p.kalman)
+                if z is not None and kf_reacquire(predicted, z, p.kalman):
+                    z = None
+                    track.reacquire_count += 1
+                    events.append(f"client {cid} gated measurement from cluster {track.bound_label}")
+                    if track.reacquire_count >= REACQUIRE_LIMIT and not self.error_flag:
+                        self.error_flag = True
+                        events.append(f"client {cid} reacquire limit reached")
+                elif z is not None:
+                    track.reacquire_count = 0
+                track.kf = kf_step(predicted, z, p.kalman)
+                state.coasting = z is None
+            if track.kf is not None:
+                state.kf_position_m = track.kf.x[:2].copy()
+                state.kf_velocity_mps = track.kf.x[2:].copy()
 
         # beam tier: steer from the own filtered position and heading at the
         # peer's filtered position
-        clients = []
-        for cid, track in self.tracks.items():
+        for (cid, track), state in zip(self.tracks.items(), states):
             peer = self.tracks[self.peer[cid]]
-            beam = None
             if track.kf is not None and peer.kf is not None:
-                beam = _steer(track.kf.x[:2], track.fused_heading, peer.kf.x[:2])
-            z = measurement[cid]
-            clients.append(
-                ClientFrameState(
-                    client_id=cid,
-                    bound_label=track.bound_label,
-                    measurement_m=None if z is None else z.copy(),
-                    kf_position_m=None if track.kf is None else track.kf.x[:2].copy(),
-                    kf_velocity_mps=None if track.kf is None else track.kf.x[2:].copy(),
-                    imu_velocity_mps=track.fused_velocity.copy(),
-                    heading_rad=track.fused_heading,
-                    coasting=coasting[cid],
-                    beam=beam,
-                    imu_dropped_non_finite=dropped[cid][_NON_FINITE],
-                    imu_dropped_stale=dropped[cid][_STALE],
-                    imu_dropped_future=dropped[cid][_FUTURE],
-                )
-            )
+                state.beam = _steer(track.kf.x[:2], track.fused_heading, peer.kf.x[:2])
         return FrameReport(
             frame_index=frame_index,
             timestamp_s=timestamp_s,
@@ -437,7 +422,7 @@ class Pipeline:
             n_points=int(len(points)),
             n_clusters_raw=len(raw_clusters),
             clusters=list(self._frame.clusters),
-            clients=clients,
+            clients=states,
             error_flag=self.error_flag,
             identified=identified,
             events=events,
@@ -878,17 +863,12 @@ def _run(
         error_frames=sum(1 for r in reports if r.error_flag),
         scan_frames_spent=sum(e.frames_spent for e in scan_events),
         scan_events=scan_events,
-        imu_dropped_non_finite={
-            cid: sum(r.clients[i].imu_dropped_non_finite for r in reports)
-            for i, cid in enumerate(pipeline.tracks)
-        },
-        imu_dropped_stale={
-            cid: sum(r.clients[i].imu_dropped_stale for r in reports)
-            for i, cid in enumerate(pipeline.tracks)
-        },
-        imu_dropped_future={
-            cid: sum(r.clients[i].imu_dropped_future for r in reports)
-            for i, cid in enumerate(pipeline.tracks)
+        **{
+            counter: {
+                cid: sum(getattr(r.clients[i], counter) for r in reports)
+                for i, cid in enumerate(pipeline.tracks)
+            }
+            for counter in (_NON_FINITE, _STALE, _FUTURE)
         },
         non_finite_points=sum(r.non_finite_points for r in reports),
         non_finite_doppler=sum(r.non_finite_doppler for r in reports),

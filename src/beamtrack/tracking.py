@@ -242,7 +242,9 @@ def match_clusters(prev: ClusterFrame, curr: ClusterFrame) -> Matching:
     p_cores = np.reshape([c.core_point for c in prev_sorted], (-1, 2))
     c_cores = np.reshape([c.core_point for c in curr_sorted], (-1, 2))
     diff = p_cores[:, None, :] - c_cores[None, :, :]
-    best_pairs, total = lex_min_assignment(np.sqrt(np.sum(diff * diff, axis=2)))
+    with np.errstate(over="ignore"):  # an inf distance is a forbidden pair
+        cost = np.sqrt(np.sum(diff * diff, axis=2))
+    best_pairs, total = lex_min_assignment(cost)
 
     pairs = [(prev_sorted[r].label, curr_sorted[c].label) for r, c in best_pairs]
     matched_prev = {p for p, _ in pairs}

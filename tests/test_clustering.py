@@ -1,5 +1,6 @@
 """Density clustering versus a quadratic reference, plus the background filter."""
 
+import contextlib
 import dataclasses
 import errno
 import importlib.machinery
@@ -233,6 +234,27 @@ def test_non_finite_doppler_stays_in_the_cluster_and_out_of_its_mean():
     ring = np.column_stack([np.zeros((5, 3)), [np.nan, np.inf, -np.inf, np.nan, np.nan]])
     (only,), _ = dbscan(ring, DbscanParams(eps_m=0.3, min_pts=5))
     assert only.mean_doppler_mps is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_mean_whose_sum_overflows_is_retaken_and_no_other():
+    # the x of 150 returns at 1.7e308 m, and the doppler of a body at
+    # +-1.7e308 m/s (inf - inf in the plain sum), are averaged without
+    # overflow; every other mean keeps the plain mean's bits
+    rng = np.random.default_rng(2)
+    split = _blob(rng, (0.0, 0.0, 1.0), 300)
+    split[:, 3] = np.repeat([1.7e308, -1.7e308], 150)
+    far = _blob(rng, (0.0, 5.0, 1.0), 150)
+    far[:, 0] = 1.7e308
+    plain = _blob(rng, (0.0, -5.0, 1.0), 150)
+    (split_c, far_c, plain_c), noise = dbscan(np.vstack([split, far, plain]), DbscanParams())
+    assert noise == []
+    assert abs(split_c.mean_doppler_mps) <= 1e-15 * 1.7e308
+    assert far_c.core_point[0] == 1.7e308 and far_c.mean_doppler_mps == far[:, 3].mean()
+    assert far_c.core_point[1] == far[:, 1].mean()
+    for cluster, blob in ((split_c, split), (plain_c, plain)):
+        assert np.array_equal(cluster.core_point, blob[:, :2].mean(axis=0))
+    assert plain_c.mean_doppler_mps == plain[:, 3].mean()
 
 
 def test_cores_far_apart_in_every_axis():
@@ -479,14 +501,27 @@ def _ready(helper, seconds=60.0):
 
 
 @pytest.fixture(scope="module")
-def helper():
-    """A ready helper of this process, on a host seen as having two CPUs."""
+def ready_helper():
+    """A helper process started once for this module's tests, and ready."""
+    fresh = clustering._Helper()
+    yield _ready(fresh)
+    fresh.close()
+
+
+@contextlib.contextmanager
+def _on_two_cpus(ready):
+    """ready as this process's helper, on a host seen as having two CPUs."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        fresh = clustering._Helper()
-        patch.setattr(clustering, "_helper", fresh)
-        yield _ready(fresh)
-        fresh.close()
+        patch.setattr(clustering, "_helper", ready)
+        yield ready
+
+
+@pytest.fixture
+def helper(ready_helper):
+    """The ready helper as this process's, on a host seen as having two CPUs, for one test."""
+    with _on_two_cpus(ready_helper):
+        yield ready_helper
 
 
 @pytest.fixture
@@ -537,11 +572,11 @@ def test_the_helper_labels_demo_and_crowd_frames_as_this_process_does(
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(_island_clouds())
-def test_the_helper_labels_island_clouds_as_the_quadratic_reference(helper, cloud):
+def test_the_helper_labels_island_clouds_as_the_quadratic_reference(ready_helper, cloud):
     # several blobs, shuffled, some beyond a kd-tree's range, in islands that
     # the helper and this process share
     pts, eps, min_pts, budget = cloud
-    with mock.patch.object(clustering, "_ISLAND_POINTS", budget):
+    with _on_two_cpus(ready_helper), mock.patch.object(clustering, "_ISLAND_POINTS", budget):
         _assert_matches_reference(pts, eps, min_pts)
         labels, _ = _labels_in_process(pts, DbscanParams(eps, min_pts))
         assert np.array_equal(labels, dbscan_reference(pts, eps, min_pts)[0])
@@ -663,8 +698,6 @@ def test_threads_share_the_helper_one_request_at_a_time(helper):
     reason="needs two CPUs to choose from, read from /proc",
 )
 def test_the_helper_runs_off_the_cpu_of_the_thread_that_starts_it(monkeypatch):
-    # the module-scoped helper fixture's two-CPU patch is still in place here
-    monkeypatch.setattr(os, "sched_getaffinity", _sched_getaffinity)
     seen = []
     this_cpu = clustering._this_cpu
     monkeypatch.setattr(clustering, "_this_cpu", lambda: seen.append(this_cpu()) or seen[-1])

@@ -17,6 +17,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +592,28 @@ def test_non_finite_doppler_is_counted_and_the_log_stays_json(tmp_path):
     assert report.rms_by_client == clean.rms_by_client
 
 
+def test_a_cluster_whose_mean_overflows_keeps_its_label_and_the_log_strict_json():
+    # 150 finite returns at x = 1.7e308 m with doppler 1.7e308 m/s: the plain
+    # means of x and of doppler overflow, and the cluster is tracked, and may
+    # be bound, like any other, with no warning
+    pipe = Pipeline(_params(), {0: 0.0, 1: 0.0})
+    rng = np.random.default_rng(0)
+    far_labels = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(4):
+            far = np.full((150, 4), 1.7e308)
+            far[:, 1] = rng.normal(0.0, 0.05, 150)
+            far[:, 2] = 1.0
+            pts = np.vstack([_ring(2.0 + 0.1 * k, 1.0), far, _ring(2.0, -1.0)])
+            record = frame_record(pipe.process_frame(k, (k + 1) * 0.5, pts, {}))
+            json.dumps(record, allow_nan=False)
+            (cluster,) = [c for c in record["clusters"] if c["core"][0] > 1e308]
+            assert cluster["core"][0] == 1.7e308 and cluster["mean_doppler"] == 1.7e308
+            far_labels.append(cluster["label"])
+    assert far_labels == [far_labels[0]] * 4
+
+
 def test_tracking_follows_moving_cluster():
     pipe = Pipeline(_params(), {0: 0.0, 1: 0.0})
     for k in range(8):
@@ -679,6 +702,51 @@ def test_one_prediction_per_filtered_client_frame(monkeypatch):
         seen["gated"] += sum(out is True for name, _, out in calls if name == "kf_reacquire")
         seen["unbound coast"] += sum(c.coasting and c.bound_label is None for c in report.clients)
     assert seen["gated"] >= 3 and seen["unbound coast"] > 0
+
+
+def test_a_filter_restarts_at_a_new_label_and_not_at_its_own(monkeypatch):
+    # re-identified to a new cluster, a client's filter starts again at that
+    # cluster's core and velocity, zero if it has none yet; re-identified to
+    # its own label after the reacquire limit, it keeps its filter, predicted once
+    a = _ring(2.0, 1.0)
+    for rebind_frame in (4, 5):
+        # as in test_binding_lost_then_recovered, but the second clump is back
+        # 0.7 m away, moving: new at frame 4, where it has no velocity yet,
+        # identification binds client 1 to it at frame 5, or, made to, at 4
+        pipe = Pipeline(_params(), {0: 0.0, 1: 0.0})
+        for k in range(rebind_frame + 1):
+            with monkeypatch.context() as patch:
+                if k == rebind_frame == 4:
+                    patch.setattr(pipeline_module, "identify_clients", lambda *_: {0: 0, 1: 2})
+                b = _ring(2.0, -1.0) if k < 3 else _ring(2.7 + 0.1 * (k - 4), -1.0)
+                pts = a if k == 3 else np.vstack([a, b])
+                report = pipe.process_frame(k, (k + 1) * 0.5, pts, {})
+        assert "client 1 bound to cluster 2" in report.events
+        cluster = next(c for c in report.clusters if c.label == 2)
+        assert (cluster.velocity_mps is None) == (rebind_frame == 4)
+        velocity = np.zeros(2) if rebind_frame == 4 else cluster.velocity_mps
+        state = report.clients[1]
+        assert not state.coasting
+        assert np.array_equal(state.kf_position_m, cluster.core_point)
+        assert np.array_equal(state.kf_velocity_mps, velocity)
+
+    calls = []
+    for name in ("kf_init", "kf_predict"):
+
+        def counted(*args, _name=name, _fn=getattr(pipeline_module, name)):
+            calls.append((_name, args[0]))
+            return _fn(*args)
+
+        monkeypatch.setattr(pipeline_module, name, counted)
+    pipe = Pipeline(_params(), {0: 0.0, 1: 0.0})
+    for k in range(16):  # as in test_gated_measurements_coast_then_flag
+        kept = pipe.tracks[1].kf
+        calls.clear()
+        pts = np.vstack([a, _ring(2.0 + max(0, k - 11), -1.0)])
+        report = pipe.process_frame(k, (k + 1) * 0.5, pts, {})
+    assert report.identified and "client 1 bound to cluster 1" in report.events
+    assert [name for name, _ in calls] == ["kf_predict", "kf_predict"]
+    assert calls[1][1] is kept
 
 
 def test_path_distances_against_dense_sampling():
